@@ -1,17 +1,15 @@
 //! Shared 64-bit FNV-1a content digests.
 //!
 //! One implementation for every content digest computed above the VM
-//! layer: the difftest sweep digest, the serve artifact-cache keys, and
-//! the HIR unit digests behind incremental re-lowering. (`narada-vm`
-//! keeps its own private FNV folds in `event.rs`/`schedule.rs` — it sits
-//! *below* this crate in the dependency order and cannot import it.)
+//! layer: the difftest sweep digest and the serve artifact-cache keys.
+//! (`narada-vm` keeps its own private FNV folds in
+//! `event.rs`/`schedule.rs` — it sits *below* this crate in the
+//! dependency order and cannot import it.)
 //!
 //! The digests are *content addresses*, not cryptographic hashes: two
 //! artifacts with equal digests are treated as interchangeable by the
 //! serve cache, which is sound for trusted in-process inputs and the
 //! corpus-scale key spaces involved.
-
-use narada_lang::digest::DigestSink;
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -68,15 +66,6 @@ impl Fnv1a {
 impl Default for Fnv1a {
     fn default() -> Self {
         Fnv1a::new()
-    }
-}
-
-/// The lang crate's digest hooks feed their bytes through this impl
-/// (`narada-lang` sits below this crate, so the sink trait lives there
-/// and the hasher here).
-impl DigestSink for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        Fnv1a::write(self, bytes);
     }
 }
 

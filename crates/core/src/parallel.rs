@@ -3,8 +3,9 @@
 //! The Narada pipeline is embarrassingly parallel at three levels — per
 //! class (corpus synthesis), per racing pair (context derivation), and per
 //! schedule trial (detection) — and all three funnel through the one
-//! primitive here: [`parallel_map`], an index-claiming fork/join over a
-//! frozen work slice.
+//! primitive here: [`parallel_map_with`], an index-claiming fork/join
+//! over a frozen work slice with lazily created per-worker state
+//! ([`parallel_map`] is its stateless form).
 //!
 //! ## Why results are thread-count-invariant
 //!
@@ -63,9 +64,38 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    parallel_map_with(threads, items, || (), |_, i, t| f(i, t))
+}
+
+/// [`parallel_map`] with per-worker state: `init` runs once per worker
+/// that actually claims an item, and `f` receives that worker's state
+/// alongside `(index, &item)`. The fork explorer uses it to materialize
+/// one machine per worker and rewind it between probes instead of
+/// rebuilding per probe.
+///
+/// Thread-count invariance additionally requires that `f`'s result
+/// depend only on `(index, item)` and a state `init()` would produce —
+/// i.e. `f` restores whatever state it dirties. With `threads <= 1` or
+/// fewer than two items the map runs inline on one state (created only
+/// if there is an item), the degenerate case of the same contract.
+pub fn parallel_map_with<T, R, S, G, F>(threads: usize, items: &[T], init: G, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    G: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let threads = effective_threads(threads).min(items.len());
     if threads <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        if items.is_empty() {
+            return Vec::new();
+        }
+        let mut state = init();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| f(&mut state, i, t))
+            .collect();
     }
 
     // Each worker's buffered `(index, result)` pairs, or its panic payload.
@@ -77,13 +107,15 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut state: Option<S> = None;
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
-                        local.push((i, f(i, &items[i])));
+                        let s = state.get_or_insert_with(&init);
+                        local.push((i, f(s, i, &items[i])));
                     }
                     local
                 })
@@ -297,6 +329,70 @@ mod tests {
             })
         });
         assert!(r.is_err(), "panic in a worker must reach the caller");
+    }
+
+    /// The stateful map must equal the sequential map for
+    /// state-restoring jobs, at every thread count.
+    #[test]
+    fn stateful_map_is_order_and_thread_invariant() {
+        let items: Vec<u64> = (0..37).collect();
+        let run = |threads: usize| {
+            parallel_map_with(
+                threads,
+                &items,
+                || 0u64, // per-worker scratch the job restores
+                |scratch, i, &x| {
+                    *scratch += 1; // dirty…
+                    let r = x * x + i as u64;
+                    *scratch -= 1; // …and restore
+                    r
+                },
+            )
+        };
+        let seq = run(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), seq, "threads={threads}");
+        }
+        assert_eq!(seq[5], 25 + 5);
+    }
+
+    #[test]
+    fn stateful_map_empty_and_singleton() {
+        let empty: Vec<u32> = Vec::new();
+        let calls = AtomicUsize::new(0);
+        let out = parallel_map_with(
+            8,
+            &empty,
+            || {
+                calls.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, i, &x| (i, x),
+        );
+        assert!(out.is_empty());
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            0,
+            "init never runs with no items"
+        );
+        let one = parallel_map_with(8, &[7u32], || (), |_, i, &x| (i, x));
+        assert_eq!(one, vec![(0, 7)]);
+    }
+
+    #[test]
+    fn stateful_map_propagates_panics() {
+        let items: Vec<u32> = (0..8).collect();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map_with(
+                4,
+                &items,
+                || (),
+                |_, i, _| {
+                    assert!(i != 3, "boom");
+                    i
+                },
+            )
+        }));
+        assert!(result.is_err());
     }
 
     #[test]

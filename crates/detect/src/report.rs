@@ -26,10 +26,10 @@ use crate::lockset::LocksetDetector;
 use crate::minimize::minimize_schedule;
 use crate::race::{CoarseRaceKey, MethodIndex, RaceReport, SchedProvenance, StaticRaceKey};
 use crate::racefuzzer::{ConfirmedRace, RaceFuzzerScheduler};
-use narada_core::parallel::parallel_map;
+use narada_core::parallel::{parallel_map, parallel_map_with};
 use narada_core::synth::{execute_plan, execute_plan_suffix};
 use narada_core::TestPlan;
-use narada_explore::{fork_map, prepare_fork_point, ExploreMode, ForkPoint};
+use narada_explore::{prepare_fork_point, ExploreMode, ForkPoint};
 use narada_lang::hir::{Program, TestId};
 use narada_lang::mir::MirProgram;
 use narada_obs::{span, Obs, TRIAL_BUCKETS};
@@ -315,11 +315,6 @@ fn confirm_race(
             obs.metrics
                 .counter("racefuzzer.gave_up")
                 .add(sched.gave_up as u64);
-            // Mirrored under the detect.* namespace so run manifests that
-            // filter on the stage prefix still surface give-ups.
-            obs.metrics
-                .counter("detect.gave_up")
-                .add(sched.gave_up as u64);
             if run.is_err() {
                 continue;
             }
@@ -394,9 +389,6 @@ fn confirm_race_fork(
             obs.metrics
                 .counter("racefuzzer.gave_up")
                 .add(sched.gave_up as u64);
-            obs.metrics
-                .counter("detect.gave_up")
-                .add(sched.gave_up as u64);
             if run.is_err() {
                 continue;
             }
@@ -445,8 +437,7 @@ pub fn evaluate_test_indexed(
 /// into `obs`: `detect.trials`, `detect.races_detected`,
 /// `detect.confirmed`, `detect.setup_errors`, the
 /// `detect.trials_to_first_confirm` histogram, scheduler decision
-/// counters, and `racefuzzer.gave_up` (mirrored as `detect.gave_up` for
-/// stage-prefixed manifest consumers). Exploration coverage lands here
+/// counters, and `racefuzzer.gave_up`. Exploration coverage lands here
 /// too: `explore.change_points_probed` (PCT change points actually
 /// consumed across trials) and `explore.schedule_novelty` (distinct
 /// manifested schedule digests, summed per test). Every count is a
@@ -519,7 +510,7 @@ pub fn evaluate_test_observed(
                 protos.0.event(ev);
                 protos.1.event(ev);
             }
-            let results = fork_map(
+            let results = parallel_map_with(
                 cfg.threads,
                 &trials,
                 || {

@@ -14,12 +14,11 @@
 //!   the racy invocations, the resolved [`PlanPrefix`] context, and the
 //!   prefix's event trace (re-fed to per-trial detectors instead of
 //!   re-executed). Built by [`prepare_fork_point`].
-//! - [`fork_map`] — a worker-sharded probe map with lazy per-worker
-//!   state: the same self-scheduling (work-stealing) index queue as
-//!   `narada_core::parallel::parallel_map`, except each worker
-//!   materializes one machine from the shared snapshot and rewinds it
-//!   between probes instead of rebuilding per probe. Results merge in
-//!   item order, so output is byte-identical at any worker count.
+//! - Probes are sharded by `narada_core::parallel::parallel_map_with`:
+//!   each worker materializes one machine from the shared snapshot and
+//!   rewinds it between probes instead of rebuilding per probe. Results
+//!   merge in item order, so output is byte-identical at any worker
+//!   count.
 //! - [`ExploreMode`] — the `--explore fork|rerun` knob threaded through
 //!   `DetectConfig`, `difftest`, and `narada serve` job options.
 //!
@@ -49,7 +48,6 @@ use narada_core::TestPlan;
 use narada_lang::hir::TestId;
 use narada_vm::{Event, Machine, MachineSnapshot, VecSink};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How the detection trial loops explore schedule suffixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,91 +152,6 @@ pub fn prepare_fork_point(
     })
 }
 
-/// Applies `probe` to every item of `items` across at most `threads`
-/// workers, giving each worker its own lazily-created state (`init` runs
-/// once per worker that actually claims an item). Results come back **in
-/// item order** regardless of which worker computed what.
-///
-/// This is `parallel_map`'s self-scheduling index queue — idle workers
-/// steal the next unclaimed index, so load balances without a
-/// partitioning step — extended with per-worker state for the fork
-/// explorer: a worker materializes one machine from the shared snapshot,
-/// then rewinds it between probes. Correctness requirement on `probe`:
-/// its result must depend only on `(index, item)` and a state `init()`
-/// would produce (i.e. probes restore the state they dirty), which is
-/// what makes output byte-identical at any `threads` value — locked in
-/// by the fork-vs-rerun differential suite.
-///
-/// With `threads <= 1` or fewer than two items the map runs inline on
-/// one state, the degenerate case of the same contract.
-pub fn fork_map<T, R, S, G, F>(threads: usize, items: &[T], init: G, probe: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let threads = narada_core::parallel::effective_threads(threads).min(items.len());
-    if threads <= 1 {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| probe(&mut state, i, t))
-            .collect();
-    }
-
-    type Shard<R> = Result<Vec<(usize, R)>, Box<dyn std::any::Any + Send>>;
-
-    let next = AtomicUsize::new(0);
-    let shards: Vec<Shard<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state: Option<S> = None;
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let s = state.get_or_insert_with(&init);
-                        local.push((i, probe(s, i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(std::thread::ScopedJoinHandle::join)
-            .collect()
-    });
-
-    let mut merged: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for shard in shards {
-        match shard {
-            Ok(results) => {
-                for (i, r) in results {
-                    merged[i] = Some(r);
-                }
-            }
-            Err(p) => panic = Some(p),
-        }
-    }
-    if let Some(p) = panic {
-        std::panic::resume_unwind(p);
-    }
-    merged
-        .into_iter()
-        .map(|r| r.expect("every index claimed exactly once"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,69 +170,5 @@ mod tests {
         for name in FORK_ONLY_METRICS {
             assert!(name.starts_with("explore."), "{name}");
         }
-    }
-
-    /// fork_map must equal the sequential map for state-restoring probes,
-    /// at every thread count.
-    #[test]
-    fn fork_map_is_order_and_thread_invariant() {
-        let items: Vec<u64> = (0..37).collect();
-        let run = |threads: usize| {
-            fork_map(
-                threads,
-                &items,
-                || 0u64, // per-worker scratch the probe restores
-                |scratch, i, &x| {
-                    *scratch += 1; // dirty…
-                    let r = x * x + i as u64;
-                    *scratch -= 1; // …and restore
-                    r
-                },
-            )
-        };
-        let seq = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), seq, "threads={threads}");
-        }
-        assert_eq!(seq[5], 25 + 5);
-    }
-
-    #[test]
-    fn fork_map_empty_and_singleton() {
-        let empty: Vec<u32> = Vec::new();
-        let calls = AtomicUsize::new(0);
-        let out = fork_map(
-            8,
-            &empty,
-            || {
-                calls.fetch_add(1, Ordering::Relaxed);
-            },
-            |_, i, &x| (i, x),
-        );
-        assert!(out.is_empty());
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            0,
-            "init never runs with no items"
-        );
-        let one = fork_map(8, &[7u32], || (), |_, i, &x| (i, x));
-        assert_eq!(one, vec![(0, 7)]);
-    }
-
-    #[test]
-    fn fork_map_propagates_panics() {
-        let items: Vec<u32> = (0..8).collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fork_map(
-                4,
-                &items,
-                || (),
-                |_, i, _| {
-                    assert!(i != 3, "boom");
-                    i
-                },
-            )
-        }));
-        assert!(result.is_err());
     }
 }

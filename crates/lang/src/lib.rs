@@ -69,7 +69,6 @@
 
 pub mod ast;
 pub mod build;
-pub mod digest;
 pub mod error;
 pub mod hir;
 pub mod lexer;

@@ -37,41 +37,6 @@ pub fn lower_program(prog: &Program) -> MirProgram {
     mir
 }
 
-/// The MIR bodies belonging to one class: its methods (constructor
-/// included) and its own fields' initializers — the unit an incremental
-/// cache re-lowers. [`lower_program`] is the composition of every
-/// class's bodies plus the tests; `tests/` asserts the two paths agree
-/// body-for-body.
-#[derive(Debug, Clone, Default)]
-pub struct ClassBodies {
-    /// `(id, body)` for every method declared by the class, in
-    /// declaration (id) order.
-    pub methods: Vec<(hir::MethodId, Body)>,
-    /// `(id, body)` for every initialized field the class declares.
-    pub inits: Vec<(hir::FieldId, Body)>,
-}
-
-/// Lowers exactly the bodies [`ClassBodies`] describes for `class`.
-/// Output is byte-identical to the corresponding slices of
-/// [`lower_program`]: each body depends only on its own HIR plus
-/// referenced signatures, which is what `narada_lang::digest::class_unit`
-/// keys on.
-pub fn lower_class(prog: &Program, class: hir::ClassId) -> ClassBodies {
-    let mut out = ClassBodies::default();
-    for m in &prog.methods {
-        if m.owner == class {
-            out.methods.push((m.id, lower_method(prog, m)));
-        }
-    }
-    for &f in &prog.class(class).own_fields {
-        let fld = prog.field(f);
-        if let Some(init) = &fld.init {
-            out.inits.push((f, lower_field_init(prog, fld, init)));
-        }
-    }
-    out
-}
-
 fn lower_method(prog: &Program, m: &hir::Method) -> Body {
     let mut cx = LowerCx::new(BodyId::Method(m.id), &m.locals);
     // Parameter copies first (paper Fig. 11: `I1 := this; I2 := y; lock…`).
@@ -605,7 +570,7 @@ impl LowerCx {
 mod tests {
     use super::*;
     use crate::compile;
-    use crate::hir::{ClassId, LocalId, MethodId, TestId};
+    use crate::hir::{LocalId, MethodId, TestId};
 
     fn mir_of(src: &str) -> (Program, MirProgram) {
         let prog = compile(src).unwrap_or_else(|e| panic!("compile failed:\n{e}"));
@@ -806,25 +771,5 @@ mod tests {
             .instrs
             .iter()
             .any(|i| matches!(i.kind, InstrKind::Call { dst: None, .. })));
-    }
-
-    #[test]
-    fn lower_class_matches_whole_program_lowering() {
-        let (prog, mir) = mir_of(
-            r#"
-            class A { int x = 1; void bump() { sync (this) { this.x = this.x + 1; } } }
-            class B { A a = new A(); void go() { this.a.bump(); } }
-            test t { var b = new B(); b.go(); }
-        "#,
-        );
-        for class in 0..prog.classes.len() as u32 {
-            let per = lower_class(&prog, ClassId(class));
-            for (m, body) in &per.methods {
-                assert_eq!(body.dump(), mir.method(*m).dump(), "method {m:?}");
-            }
-            for (f, body) in &per.inits {
-                assert_eq!(body.dump(), mir.field_inits[f].dump(), "init {f:?}");
-            }
-        }
     }
 }

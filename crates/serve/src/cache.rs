@@ -1,126 +1,115 @@
-//! The digest-keyed artifact store at the heart of `narada serve`.
+//! The program-keyed artifact store at the heart of `narada serve`.
 //!
-//! Every derived artifact the pipeline would otherwise rebuild from
-//! scratch per job — parsed+lowered programs, per-class MIR bodies,
-//! compiled bytecode, static screener summaries, generation API models —
-//! is cached under a content digest, so resubmitting an unchanged (or
-//! barely-changed) library re-derives only what actually changed:
+//! One tick-stamped LRU maps the FNV-1a digest of a library's raw
+//! source bytes to its [`CompiledLib`]. A miss compiles exactly as the
+//! batch path does (`narada_lang::compile`, then [`lower_program`]), so
+//! served and batch MIR are identical by construction. A hit skips
+//! parsing, type checking and lowering entirely.
 //!
-//! * **program** — FNV-1a of the raw source bytes → the fully compiled
-//!   [`CompiledLib`]. A hit skips parsing, type checking, and lowering
-//!   entirely.
-//! * **unit** — [`narada_lang::digest::class_unit`] digest of one class
-//!   (own declarations *plus* the interfaces of everything it references)
-//!   → that class's lowered [`ClassBodies`]. On a program miss the
-//!   compiler consults this family per class, so editing one method body
-//!   re-lowers exactly the classes in its dirty cone.
-//! * **code** — program digest → the shared [`BcProgram`] compilation
-//!   (bytecode engine only).
-//! * **statics** — program digest → the screener's interprocedural
-//!   [`Statics`] fixpoint.
-//! * **surface** — (program digest, engine label) → the seed-generation
-//!   [`ApiSurface`] model (engine-salted because the model is distilled
-//!   from seed-suite executions on a concrete engine).
+//! Everything else a job derives from the program — compiled bytecode,
+//! the screener's interprocedural [`Statics`] fixpoint, and the
+//! per-engine seed-generation [`ApiSurface`] — lives inside the
+//! [`CompiledLib`] itself, each filled lazily at most once. Derivation
+//! therefore runs outside the cache mutex, and the artifacts are evicted
+//! together with their program.
 //!
-//! Whole-program artifacts are keyed by the program digest rather than
-//! participating in the unit cones: bytecode and the screener fixpoint
-//! genuinely depend on every body, so any source change must re-derive
-//! them. The unit family is where the cone is sharp — and where the
-//! service's incremental win on `edit one method, resubmit` comes from.
-//!
-//! Each family is a tick-stamped LRU bounded by
-//! [`ArtifactCache::with_capacity`]; hits, misses, and evictions are
-//! tallied in [`CacheStats`] and exported as `serve.cache.*` metrics so
-//! run manifests prove (not just claim) warm-path behavior.
+//! Hits, misses, and evictions are tallied in [`CacheStats`] and exported
+//! as `serve.cache.*` metrics so run manifests prove (not just claim)
+//! warm-path behavior.
 
 use narada_core::digest::Fnv1a;
 use narada_gen::ApiSurface;
-use narada_lang::digest::class_unit;
-use narada_lang::hir::{ClassId, Program};
-use narada_lang::lower::{lower_class, lower_test, ClassBodies};
+use narada_lang::hir::Program;
+use narada_lang::lower::lower_program;
 use narada_lang::mir::MirProgram;
 use narada_lang::Diagnostics;
 use narada_obs::Obs;
 use narada_screen::summaries::{analyze, Statics};
 use narada_vm::{BcProgram, Engine};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A fully compiled library: the program-cache value.
+/// A compiled library: the cache value. The program and its MIR are
+/// fixed at insertion; the derived artifacts are filled on first use.
 #[derive(Debug)]
 pub struct CompiledLib {
-    /// FNV-1a digest of the source bytes (the program-cache key).
+    /// FNV-1a digest of the source bytes (the cache key).
     pub digest: u64,
     /// Parsed and type-checked HIR.
     pub prog: Arc<Program>,
-    /// Lowered MIR, assembled from per-class cached bodies plus
-    /// freshly-lowered tests.
+    /// Lowered MIR, exactly [`lower_program`]'s output.
     pub mir: Arc<MirProgram>,
-    /// Per-class unit digests, indexed by [`ClassId`]. Exposed so callers
-    /// (and tests) can observe the dirty cone of an edit directly.
-    pub unit_digests: Vec<u64>,
+    code: OnceLock<Arc<BcProgram>>,
+    statics: OnceLock<Arc<Statics>>,
+    /// One generation surface per [`Engine`], in declaration order.
+    surfaces: [OnceLock<Arc<ApiSurface>>; 2],
 }
 
-/// Hit/miss/eviction tallies, one pair per cache family.
+impl CompiledLib {
+    fn new(digest: u64, prog: Program, mir: MirProgram) -> CompiledLib {
+        CompiledLib {
+            digest,
+            prog: Arc::new(prog),
+            mir: Arc::new(mir),
+            code: OnceLock::new(),
+            statics: OnceLock::new(),
+            surfaces: [OnceLock::new(), OnceLock::new()],
+        }
+    }
+
+    /// The shared bytecode compilation (compiled on first use).
+    pub fn bytecode(&self) -> Arc<BcProgram> {
+        Arc::clone(
+            self.code
+                .get_or_init(|| Arc::new(BcProgram::compile(&self.prog, &self.mir))),
+        )
+    }
+
+    /// The screener's interprocedural fixpoint (analyzed on first use).
+    pub fn statics(&self) -> Arc<Statics> {
+        Arc::clone(self.statics.get_or_init(|| Arc::new(analyze(&self.mir))))
+    }
+
+    /// The seed-generation API model on `engine` (distilled on first
+    /// use). Mirrors [`narada_gen::generate_suite`]'s choice: seeded from
+    /// the program's own tests when it has any, from declarations
+    /// otherwise. Engine-specific because the model is distilled from
+    /// seed-suite executions on a concrete engine.
+    pub fn surface(&self, engine: Engine) -> Arc<ApiSurface> {
+        let slot = match engine {
+            Engine::TreeWalk => &self.surfaces[0],
+            Engine::Bytecode => &self.surfaces[1],
+        };
+        Arc::clone(slot.get_or_init(|| {
+            Arc::new(if self.prog.tests.is_empty() {
+                ApiSurface::for_program(&self.prog)
+            } else {
+                ApiSurface::from_tests_on(&self.prog, &self.mir, engine)
+            })
+        }))
+    }
+}
+
+/// Hit/miss/eviction tallies of the program cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Program-level hits (whole compilation reused).
+    /// Hits (whole compilation reused).
     pub program_hits: u64,
-    /// Program-level misses (source never seen, or evicted).
+    /// Misses (source never seen, or evicted).
     pub program_misses: u64,
-    /// Class-unit hits (lowered bodies reused during a program miss).
-    pub unit_hits: u64,
-    /// Class-unit misses (bodies re-lowered: the dirty cone).
-    pub unit_misses: u64,
-    /// Bytecode hits.
-    pub code_hits: u64,
-    /// Bytecode misses.
-    pub code_misses: u64,
-    /// Screener-fixpoint hits.
-    pub statics_hits: u64,
-    /// Screener-fixpoint misses.
-    pub statics_misses: u64,
-    /// Generation-surface hits.
-    pub surface_hits: u64,
-    /// Generation-surface misses.
-    pub surface_misses: u64,
-    /// Entries dropped by LRU pressure, summed over all families.
+    /// Programs dropped by LRU pressure.
     pub evictions: u64,
 }
 
 impl CacheStats {
-    /// Total hits across every family.
-    pub fn hits(&self) -> u64 {
-        self.program_hits + self.unit_hits + self.code_hits + self.statics_hits + self.surface_hits
-    }
-
-    /// Total misses across every family.
-    pub fn misses(&self) -> u64 {
-        self.program_misses
-            + self.unit_misses
-            + self.code_misses
-            + self.statics_misses
-            + self.surface_misses
-    }
-
-    /// Records the tallies as `serve.cache.<family>.<hits|misses>`
-    /// counters (plus `serve.cache.evictions`) into `obs`, from where
-    /// they flow into run manifests.
+    /// Records the tallies as `serve.cache.program.<hits|misses>` and
+    /// `serve.cache.evictions` counters into `obs`, from where they flow
+    /// into run manifests.
     pub fn record(&self, obs: &Obs) {
         let m = &obs.metrics;
         m.counter("serve.cache.program.hits").add(self.program_hits);
         m.counter("serve.cache.program.misses")
             .add(self.program_misses);
-        m.counter("serve.cache.unit.hits").add(self.unit_hits);
-        m.counter("serve.cache.unit.misses").add(self.unit_misses);
-        m.counter("serve.cache.code.hits").add(self.code_hits);
-        m.counter("serve.cache.code.misses").add(self.code_misses);
-        m.counter("serve.cache.statics.hits").add(self.statics_hits);
-        m.counter("serve.cache.statics.misses")
-            .add(self.statics_misses);
-        m.counter("serve.cache.surface.hits").add(self.surface_hits);
-        m.counter("serve.cache.surface.misses")
-            .add(self.surface_misses);
         m.counter("serve.cache.evictions").add(self.evictions);
     }
 
@@ -129,101 +118,39 @@ impl CacheStats {
         CacheStats {
             program_hits: self.program_hits - base.program_hits,
             program_misses: self.program_misses - base.program_misses,
-            unit_hits: self.unit_hits - base.unit_hits,
-            unit_misses: self.unit_misses - base.unit_misses,
-            code_hits: self.code_hits - base.code_hits,
-            code_misses: self.code_misses - base.code_misses,
-            statics_hits: self.statics_hits - base.statics_hits,
-            statics_misses: self.statics_misses - base.statics_misses,
-            surface_hits: self.surface_hits - base.surface_hits,
-            surface_misses: self.surface_misses - base.surface_misses,
             evictions: self.evictions - base.evictions,
         }
     }
 }
 
-/// One LRU slot: the artifact plus its last-touched tick.
-#[derive(Debug)]
-struct Slot<T> {
-    value: T,
-    last_used: u64,
-}
-
-/// A bounded, tick-stamped LRU map (one cache family).
-#[derive(Debug)]
-struct Family<K, T> {
-    slots: HashMap<K, Slot<T>>,
-    capacity: usize,
-}
-
-impl<K: std::hash::Hash + Eq + Clone, T> Family<K, T> {
-    fn new(capacity: usize) -> Self {
-        Family {
-            slots: HashMap::new(),
-            capacity,
-        }
-    }
-
-    fn get(&mut self, key: &K, tick: u64) -> Option<&T> {
-        let slot = self.slots.get_mut(key)?;
-        slot.last_used = tick;
-        Some(&slot.value)
-    }
-
-    /// Inserts and evicts the least-recently-used entry if over
-    /// capacity; returns the evicted key, if any.
-    fn insert(&mut self, key: K, value: T, tick: u64) -> Option<K> {
-        self.slots.insert(
-            key,
-            Slot {
-                value,
-                last_used: tick,
-            },
-        );
-        if self.slots.len() <= self.capacity {
-            return None;
-        }
-        let victim = self
-            .slots
-            .iter()
-            .min_by_key(|(_, s)| s.last_used)
-            .map(|(k, _)| k.clone())?;
-        self.slots.remove(&victim);
-        Some(victim)
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
 /// One cache-traffic event: the service drains these per job into its
-/// JSONL event log, so cache behavior is auditable artifact-by-artifact
+/// JSONL event log, so cache behavior is auditable program-by-program
 /// (which digest hit, which got evicted) rather than only in aggregate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheEvent {
-    /// Cache family: `program`, `unit`, `code`, `statics`, `surface`.
-    pub family: &'static str,
     /// `hit`, `miss`, or `evict`.
     pub kind: &'static str,
-    /// The artifact digest, rendered `{:016x}` (surface keys append
-    /// `/<engine>`).
+    /// The program digest, rendered `{:016x}`.
     pub key: String,
 }
 
-/// The content-addressed artifact store (see the module docs).
+/// One LRU slot: the compiled library plus its last-touched tick.
+#[derive(Debug)]
+struct Slot {
+    lib: Arc<CompiledLib>,
+    last_used: u64,
+}
+
+/// The program-keyed artifact store (see the module docs).
 #[derive(Debug)]
 pub struct ArtifactCache {
     tick: u64,
-    programs: Family<u64, Arc<CompiledLib>>,
-    units: Family<u64, Arc<ClassBodies>>,
-    code: Family<u64, Arc<BcProgram>>,
-    statics: Family<u64, Arc<Statics>>,
-    surfaces: Family<(u64, &'static str), Arc<ApiSurface>>,
+    capacity: usize,
+    programs: HashMap<u64, Slot>,
     /// Running tallies; read them any time, or [`CacheStats::record`]
     /// them into an [`Obs`].
     pub stats: CacheStats,
-    /// Per-artifact traffic since the last [`ArtifactCache::drain_events`].
+    /// Per-program traffic since the last [`ArtifactCache::drain_events`].
     events: Vec<CacheEvent>,
 }
 
@@ -234,220 +161,86 @@ impl Default for ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// A cache holding at most `capacity` entries *per family* (the unit
-    /// family gets `8 * capacity`: classes outnumber programs).
+    /// A cache holding at most `capacity` programs.
     pub fn with_capacity(capacity: usize) -> ArtifactCache {
-        let capacity = capacity.max(1);
         ArtifactCache {
             tick: 0,
-            programs: Family::new(capacity),
-            units: Family::new(capacity * 8),
-            code: Family::new(capacity),
-            statics: Family::new(capacity),
-            surfaces: Family::new(capacity),
+            capacity: capacity.max(1),
+            programs: HashMap::new(),
             stats: CacheStats::default(),
             events: Vec::new(),
         }
     }
 
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn event(&mut self, family: &'static str, kind: &'static str, key: u64) {
+    fn event(&mut self, kind: &'static str, key: u64) {
         self.events.push(CacheEvent {
-            family,
             kind,
             key: format!("{key:016x}"),
         });
     }
 
-    /// Takes (and clears) the per-artifact traffic recorded since the
-    /// last drain. Jobs run their cache operations under one lock hold,
-    /// so the service drains right after to attribute events per job.
+    /// Takes (and clears) the traffic recorded since the last drain.
+    /// Jobs compile under one lock hold, so the service drains right
+    /// after to attribute events per job.
     pub fn drain_events(&mut self) -> Vec<CacheEvent> {
         std::mem::take(&mut self.events)
     }
 
-    /// The digest used as the program-cache key for `src`.
+    /// The digest used as the cache key for `src`.
     pub fn program_key(src: &str) -> u64 {
         Fnv1a::digest(src.as_bytes())
     }
 
-    /// Compiles `src` through the cache: a program hit returns the stored
-    /// [`CompiledLib`] untouched; a miss parses and type-checks, then
-    /// assembles the MIR from per-class unit lookups (re-lowering only
-    /// the classes whose unit digest is new) and freshly-lowered tests.
+    /// Compiles `src` through the cache: a hit returns the stored
+    /// [`CompiledLib`] untouched; a miss compiles and lowers the whole
+    /// program, inserts it, and evicts the least-recently-used program
+    /// if over capacity.
     pub fn compile_source(&mut self, src: &str) -> Result<Arc<CompiledLib>, Diagnostics> {
         let key = Self::program_key(src);
-        let tick = self.bump();
-        if let Some(lib) = self.programs.get(&key, tick).map(Arc::clone) {
+        self.tick += 1;
+        if let Some(slot) = self.programs.get_mut(&key) {
+            slot.last_used = self.tick;
+            let lib = Arc::clone(&slot.lib);
             self.stats.program_hits += 1;
-            self.event("program", "hit", key);
+            self.event("hit", key);
             return Ok(lib);
         }
         self.stats.program_misses += 1;
-        self.event("program", "miss", key);
+        self.event("miss", key);
 
         let prog = narada_lang::compile(src)?;
-        let unit_digests: Vec<u64> = (0..prog.classes.len() as u32)
-            .map(|c| {
-                let mut sink = Fnv1a::new();
-                class_unit(&prog, ClassId(c), &mut sink);
-                sink.finish()
-            })
-            .collect();
-
-        let mut mir = MirProgram::default();
-        let mut methods: Vec<Option<narada_lang::mir::Body>> = Vec::new();
-        methods.resize_with(prog.methods.len(), || None);
-        for (c, &digest) in unit_digests.iter().enumerate() {
-            let bodies = match self.units.get(&digest, tick).map(Arc::clone) {
-                Some(b) => {
-                    self.stats.unit_hits += 1;
-                    self.event("unit", "hit", digest);
-                    b
-                }
-                None => {
-                    self.stats.unit_misses += 1;
-                    self.event("unit", "miss", digest);
-                    let fresh = Arc::new(lower_class(&prog, ClassId(c as u32)));
-                    if let Some(victim) = self.units.insert(digest, Arc::clone(&fresh), tick) {
-                        self.stats.evictions += 1;
-                        self.event("unit", "evict", victim);
-                    }
-                    fresh
-                }
-            };
-            for (m, body) in &bodies.methods {
-                methods[m.0 as usize] = Some(body.clone());
-            }
-            for (f, body) in &bodies.inits {
-                mir.field_inits.insert(*f, body.clone());
-            }
-        }
-        mir.methods = methods
-            .into_iter()
-            .map(|b| b.expect("every method is owned by exactly one class"))
-            .collect();
-        for t in &prog.tests {
-            mir.tests.push(lower_test(&prog, t));
-        }
-
-        let lib = Arc::new(CompiledLib {
-            digest: key,
-            prog: Arc::new(prog),
-            mir: Arc::new(mir),
-            unit_digests,
-        });
-        if let Some(victim) = self.programs.insert(key, Arc::clone(&lib), tick) {
+        let mir = lower_program(&prog);
+        let lib = Arc::new(CompiledLib::new(key, prog, mir));
+        self.programs.insert(
+            key,
+            Slot {
+                lib: Arc::clone(&lib),
+                last_used: self.tick,
+            },
+        );
+        if self.programs.len() > self.capacity {
+            let victim = self
+                .programs
+                .iter()
+                .min_by_key(|(_, s)| s.last_used)
+                .map(|(&k, _)| k)
+                .expect("an over-capacity cache is non-empty");
+            self.programs.remove(&victim);
             self.stats.evictions += 1;
-            self.event("program", "evict", victim);
+            self.event("evict", victim);
         }
         Ok(lib)
     }
 
-    /// The shared bytecode compilation for `lib` (compiling on miss).
-    pub fn bytecode(&mut self, lib: &CompiledLib) -> Arc<BcProgram> {
-        let tick = self.bump();
-        if let Some(code) = self.code.get(&lib.digest, tick).map(Arc::clone) {
-            self.stats.code_hits += 1;
-            self.event("code", "hit", lib.digest);
-            return code;
-        }
-        self.stats.code_misses += 1;
-        self.event("code", "miss", lib.digest);
-        let code = Arc::new(BcProgram::compile(&lib.prog, &lib.mir));
-        if let Some(victim) = self.code.insert(lib.digest, Arc::clone(&code), tick) {
-            self.stats.evictions += 1;
-            self.event("code", "evict", victim);
-        }
-        code
+    /// Live program count.
+    pub fn program_count(&self) -> usize {
+        self.programs.len()
     }
 
-    /// The screener's interprocedural fixpoint for `lib` (analyzing on
-    /// miss).
-    pub fn statics(&mut self, lib: &CompiledLib) -> Arc<Statics> {
-        let tick = self.bump();
-        if let Some(s) = self.statics.get(&lib.digest, tick).map(Arc::clone) {
-            self.stats.statics_hits += 1;
-            self.event("statics", "hit", lib.digest);
-            return s;
-        }
-        self.stats.statics_misses += 1;
-        self.event("statics", "miss", lib.digest);
-        let s = Arc::new(analyze(&lib.mir));
-        if let Some(victim) = self.statics.insert(lib.digest, Arc::clone(&s), tick) {
-            self.stats.evictions += 1;
-            self.event("statics", "evict", victim);
-        }
-        s
-    }
-
-    /// The seed-generation API model for `lib` on `engine` (distilling
-    /// on miss). Mirrors [`narada_gen::generate_suite`]'s choice: seeded
-    /// from the program's own tests when it has any, from declarations
-    /// otherwise.
-    pub fn surface(&mut self, lib: &CompiledLib, engine: Engine) -> Arc<ApiSurface> {
-        let key = (lib.digest, engine.label());
-        let tick = self.bump();
-        let surface_key = |k: &(u64, &str)| format!("{:016x}/{}", k.0, k.1);
-        if let Some(s) = self.surfaces.get(&key, tick).map(Arc::clone) {
-            self.stats.surface_hits += 1;
-            let key = surface_key(&key);
-            self.events.push(CacheEvent {
-                family: "surface",
-                kind: "hit",
-                key,
-            });
-            return s;
-        }
-        self.stats.surface_misses += 1;
-        self.events.push(CacheEvent {
-            family: "surface",
-            kind: "miss",
-            key: surface_key(&key),
-        });
-        let s = Arc::new(if lib.prog.tests.is_empty() {
-            ApiSurface::for_program(&lib.prog)
-        } else {
-            ApiSurface::from_tests_on(&lib.prog, &lib.mir, engine)
-        });
-        if let Some(victim) = self.surfaces.insert(key, Arc::clone(&s), tick) {
-            self.stats.evictions += 1;
-            self.events.push(CacheEvent {
-                family: "surface",
-                kind: "evict",
-                key: surface_key(&victim),
-            });
-        }
-        s
-    }
-
-    /// Live entry counts per family: `(programs, units, code, statics,
-    /// surfaces)`.
-    pub fn sizes(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.programs.len(),
-            self.units.len(),
-            self.code.len(),
-            self.statics.len(),
-            self.surfaces.len(),
-        )
-    }
-
-    /// Configured capacity per family, same order as
-    /// [`ArtifactCache::sizes`] — lets `stats`/`health` report occupancy
-    /// against its bound instead of a bare count.
-    pub fn capacities(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.programs.capacity,
-            self.units.capacity,
-            self.code.capacity,
-            self.statics.capacity,
-            self.surfaces.capacity,
-        )
+    /// Configured capacity in programs — lets `stats`/`health` report
+    /// occupancy against its bound instead of a bare count.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 }
 
@@ -469,15 +262,13 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again), "resubmit must reuse the Arc");
         assert_eq!(cache.stats.program_hits, 1);
         assert_eq!(cache.stats.program_misses, 1);
-        assert_eq!(cache.stats.unit_misses, 2, "two classes lowered once");
-        assert_eq!(cache.stats.unit_hits, 0, "program hit short-circuits units");
     }
 
     #[test]
     fn compiled_mir_matches_batch_lowering() {
         let mut cache = ArtifactCache::default();
         let lib = cache.compile_source(LIB).unwrap();
-        let batch = narada_lang::lower::lower_program(&lib.prog);
+        let batch = lower_program(&lib.prog);
         assert_eq!(lib.mir.methods.len(), batch.methods.len());
         for (i, body) in batch.methods.iter().enumerate() {
             assert_eq!(lib.mir.methods[i].dump(), body.dump(), "method {i}");
@@ -490,46 +281,29 @@ mod tests {
     }
 
     #[test]
-    fn body_edit_misses_exactly_the_dirty_unit() {
-        // Same-length body edit in A: only A's unit digest changes, so a
-        // recompile re-lowers A and reuses B.
-        let edited = LIB.replace("this.x + 1", "this.x + 2");
-        assert_eq!(edited.len(), LIB.len(), "edit must preserve spans");
-        let mut cache = ArtifactCache::default();
-        let v1 = cache.compile_source(LIB).unwrap();
-        let v2 = cache.compile_source(&edited).unwrap();
-        assert_ne!(v1.digest, v2.digest);
-        assert_ne!(v1.unit_digests[0], v2.unit_digests[0], "A is dirty");
-        assert_eq!(v1.unit_digests[1], v2.unit_digests[1], "B is clean");
-        assert_eq!(cache.stats.program_misses, 2);
-        assert_eq!(cache.stats.unit_misses, 3, "A twice, B once");
-        assert_eq!(cache.stats.unit_hits, 1, "B reused on the recompile");
-    }
+    fn derived_artifacts_live_and_die_with_their_program() {
+        let mut cache = ArtifactCache::with_capacity(1);
+        // Two jobs on one program entry share every derivation.
+        let job1 = cache.compile_source(LIB).unwrap();
+        let job2 = cache.compile_source(LIB).unwrap();
+        assert!(Arc::ptr_eq(&job1.bytecode(), &job2.bytecode()));
+        assert!(Arc::ptr_eq(&job1.statics(), &job2.statics()));
+        let tree = job1.surface(Engine::TreeWalk);
+        assert!(Arc::ptr_eq(&tree, &job2.surface(Engine::TreeWalk)));
+        // A different engine distils its own surface.
+        let bc = job1.surface(Engine::Bytecode);
+        assert!(!Arc::ptr_eq(&tree, &bc));
+        assert!(Arc::ptr_eq(&bc, &job2.surface(Engine::Bytecode)));
 
-    #[test]
-    fn whole_program_artifacts_hit_per_digest() {
-        let mut cache = ArtifactCache::default();
-        let lib = cache.compile_source(LIB).unwrap();
-        let c1 = cache.bytecode(&lib);
-        let c2 = cache.bytecode(&lib);
-        assert!(Arc::ptr_eq(&c1, &c2));
-        let s1 = cache.statics(&lib);
-        let s2 = cache.statics(&lib);
-        assert!(Arc::ptr_eq(&s1, &s2));
-        let a1 = cache.surface(&lib, Engine::TreeWalk);
-        let a2 = cache.surface(&lib, Engine::TreeWalk);
-        assert!(Arc::ptr_eq(&a1, &a2));
-        // Engine-salted: the bytecode-engine surface is a distinct entry.
-        let _ = cache.surface(&lib, Engine::Bytecode);
-        assert_eq!(cache.stats.surface_misses, 2);
-        assert_eq!(
-            (
-                cache.stats.code_hits,
-                cache.stats.statics_hits,
-                cache.stats.surface_hits
-            ),
-            (1, 1, 1)
-        );
+        // Evicting the program drops its artifacts: the next job derives
+        // them again.
+        cache.compile_source("class Other { int x; }").unwrap();
+        assert_eq!(cache.stats.evictions, 1);
+        let job3 = cache.compile_source(LIB).unwrap();
+        assert!(!Arc::ptr_eq(&job1, &job3));
+        assert!(!Arc::ptr_eq(&job1.bytecode(), &job3.bytecode()));
+        assert!(!Arc::ptr_eq(&job1.statics(), &job3.statics()));
+        assert!(!Arc::ptr_eq(&tree, &job3.surface(Engine::TreeWalk)));
     }
 
     #[test]
@@ -541,8 +315,9 @@ mod tests {
         for s in &srcs {
             cache.compile_source(s).unwrap();
         }
-        assert_eq!(cache.sizes().0, 2, "capacity 2 holds 2 programs");
-        assert!(cache.stats.evictions >= 1);
+        assert_eq!(cache.program_count(), 2, "capacity 2 holds 2 programs");
+        assert_eq!(cache.capacity(), 2);
+        assert_eq!(cache.stats.evictions, 1);
         // The oldest (srcs[0]) was evicted; re-adding it misses.
         let misses = cache.stats.program_misses;
         cache.compile_source(&srcs[0]).unwrap();
@@ -556,50 +331,26 @@ mod tests {
     #[test]
     fn cache_events_carry_digests_and_drain() {
         let mut cache = ArtifactCache::with_capacity(2);
-        let lib = cache.compile_source(LIB).unwrap();
-        let events = cache.drain_events();
+        cache.compile_source(LIB).unwrap();
         let key = format!("{:016x}", ArtifactCache::program_key(LIB));
-        assert!(events.contains(&CacheEvent {
-            family: "program",
-            kind: "miss",
+        let event = |kind| CacheEvent {
+            kind,
             key: key.clone(),
-        }));
-        assert_eq!(
-            events.iter().filter(|e| e.family == "unit").count(),
-            2,
-            "one unit event per class: {events:?}"
-        );
+        };
+        assert_eq!(cache.drain_events(), vec![event("miss")]);
         assert!(cache.drain_events().is_empty(), "drain clears the buffer");
         cache.compile_source(LIB).unwrap();
-        let events = cache.drain_events();
-        assert_eq!(
-            events,
-            vec![CacheEvent {
-                family: "program",
-                kind: "hit",
-                key,
-            }]
-        );
-        // Overflowing the program family reports the evicted digest.
-        let _ = lib;
+        assert_eq!(cache.drain_events(), vec![event("hit")]);
+        // Overflowing the cache reports the evicted digest.
         for i in 0..3 {
             cache
                 .compile_source(&format!("class C{i} {{ int x; }}"))
                 .unwrap();
         }
-        let events = cache.drain_events();
         assert!(
-            events
-                .iter()
-                .any(|e| e.family == "program" && e.kind == "evict"),
-            "{events:?}"
+            cache.drain_events().contains(&event("evict")),
+            "LIB is the least recently used"
         );
-    }
-
-    #[test]
-    fn capacities_mirror_construction() {
-        let cache = ArtifactCache::with_capacity(4);
-        assert_eq!(cache.capacities(), (4, 32, 4, 4, 4));
     }
 
     #[test]
@@ -609,8 +360,12 @@ mod tests {
         let base = cache.stats;
         cache.compile_source(LIB).unwrap();
         let d = cache.stats.delta(&base);
-        assert_eq!(d.program_hits, 1);
-        assert_eq!(d.program_misses, 0);
-        assert_eq!(d.hits(), 1);
+        assert_eq!(
+            d,
+            CacheStats {
+                program_hits: 1,
+                ..CacheStats::default()
+            }
+        );
     }
 }

@@ -5,18 +5,18 @@
 //! submit `{library source, options}` jobs over a line-delimited JSON
 //! TCP protocol (`narada submit` / `jobs` / `fetch`), a worker pool runs
 //! the full pipeline — synthesis, schedule exploration, replay
-//! confirmation — and a **content-addressed artifact cache** makes
-//! repeat submissions incremental: parsed+lowered programs, per-class
-//! MIR bodies, compiled bytecode, screener fixpoints, and generation
-//! surfaces are all keyed by FNV-1a digests ([`cache`]), so editing one
-//! method re-derives only its dirty cone.
+//! confirmation — and a **program-keyed artifact cache** makes repeat
+//! submissions cheap: the FNV-1a digest of the source keys the parsed
+//! and lowered program, which carries its compiled bytecode, screener
+//! fixpoint, and generation surfaces, each derived at most once
+//! ([`cache`]).
 //!
 //! Two invariants the test suite enforces:
 //!
 //! * **byte-identity** — a served verdict report equals the batch
 //!   `narada detect --report-out` document byte-for-byte, cold or warm,
 //!   at any server worker count ([`run::render_report`] is the single
-//!   renderer, and cached artifacts are proven equal to fresh ones);
+//!   renderer, and a cache miss compiles through the batch path);
 //! * **no lost results** — a finished job's report and manifest are
 //!   flushed to `--state-dir` at completion time, so a mid-queue
 //!   shutdown (graceful or SIGINT) loses nothing that had finished.
@@ -33,6 +33,6 @@ pub mod telemetry;
 pub use cache::{ArtifactCache, CacheEvent, CacheStats, CompiledLib};
 pub use client::{wait_ready, Client};
 pub use proto::JobOptions;
-pub use run::{batch_report, render_report, run_job, JobResult};
+pub use run::{batch_report, render_report, run_job, summary_line, JobResult};
 pub use server::{serve, ServeConfig};
 pub use telemetry::ServerTelemetry;

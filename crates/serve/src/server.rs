@@ -50,7 +50,7 @@ pub struct ServeConfig {
     pub state_dir: Option<PathBuf>,
     /// File receiving the bound port number (ephemeral-port scripting).
     pub port_file: Option<PathBuf>,
-    /// Artifact-cache capacity per family.
+    /// Artifact-cache capacity, in programs.
     pub cache_capacity: usize,
     /// Wall budget (milliseconds) past which a running job is flagged by
     /// the slow-job watchdog in `watch`/`health` frames.
@@ -381,7 +381,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                         "cache",
                         Json::obj()
                             .with("job", Json::Int(id as i64))
-                            .with("family", Json::Str(ev.family.into()))
+                            .with("family", Json::Str("program".into()))
                             .with("kind", Json::Str(ev.kind.into()))
                             .with("key", Json::Str(ev.key.clone())),
                     );
@@ -629,13 +629,8 @@ fn handle_jobs(shared: &Shared) -> Json {
     ok_frame().with("jobs", Json::Arr(state.jobs.iter().map(job_row).collect()))
 }
 
-fn family_counts(c: (usize, usize, usize, usize, usize)) -> Json {
-    Json::obj()
-        .with("programs", Json::Int(c.0 as i64))
-        .with("units", Json::Int(c.1 as i64))
-        .with("code", Json::Int(c.2 as i64))
-        .with("statics", Json::Int(c.3 as i64))
-        .with("surfaces", Json::Int(c.4 as i64))
+fn program_count(n: usize) -> Json {
+    Json::obj().with("programs", Json::Int(n as i64))
 }
 
 fn handle_stats(shared: &Shared) -> Json {
@@ -644,8 +639,8 @@ fn handle_stats(shared: &Shared) -> Json {
     };
     ok_frame()
         .with("cache", cache_json(&cache.stats))
-        .with("sizes", family_counts(cache.sizes()))
-        .with("capacity", family_counts(cache.capacities()))
+        .with("sizes", program_count(cache.program_count()))
+        .with("capacity", program_count(cache.capacity()))
         .with("uptime_ns", Json::Int(shared.telemetry.uptime_ns() as i64))
 }
 
@@ -689,8 +684,8 @@ fn build_status(shared: &Shared) -> Json {
     let cache = match shared.cache.lock() {
         Ok(cache) => Json::obj()
             .with("counters", cache_json(&cache.stats))
-            .with("sizes", family_counts(cache.sizes()))
-            .with("capacity", family_counts(cache.capacities())),
+            .with("sizes", program_count(cache.program_count()))
+            .with("capacity", program_count(cache.capacity())),
         Err(_) => Json::obj(),
     };
     let heartbeats: Vec<Json> = t

@@ -178,8 +178,8 @@ informational unless `--wall-tolerance` is given; any breach exits
 with code 4.
 `narada serve` keeps a detection daemon resident: clients `submit`
 jobs (library source + the usual detect knobs), a worker pool runs the
-full pipeline, and a digest-keyed artifact cache makes resubmission of
-an unchanged or lightly-edited library incremental. `fetch --wait`
+full pipeline, and a program-keyed artifact cache lets resubmission of
+an unchanged library skip parsing, lowering and screening. `fetch --wait`
 streams manifest-backed progress events, then the canonical
 narada-report/1 document — byte-identical to what
 `narada detect --report-out` writes for the same source and options.
@@ -688,15 +688,7 @@ fn cmd_detect(rest: &[String]) -> Result<(), String> {
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
-    println!(
-        "{} tests: {} races detected, {} reproduced ({} harmful, {} benign), {} unreproduced",
-        plans.len(),
-        agg.races_detected,
-        agg.harmful + agg.benign,
-        agg.harmful,
-        agg.benign,
-        agg.unreproduced
-    );
+    println!("{}", narada::serve::summary_line(plans.len(), &agg));
     if flag(rest, "--timings") {
         out.timings.record_detect(agg.elapsed, agg.jobs);
         print!("{}", out.timings.render());
@@ -1288,15 +1280,8 @@ fn render_top(addr: &str, frame: &Json) -> String {
     }
     let cache = frame.get("cache");
     out.push_str(&format!(
-        "\ncache  sizes {}  capacity {}\n       counters {}\n",
-        cache
-            .and_then(|c| c.get("sizes"))
-            .map(Json::to_compact)
-            .unwrap_or_default(),
-        cache
-            .and_then(|c| c.get("capacity"))
-            .map(Json::to_compact)
-            .unwrap_or_default(),
+        "\ncache  {}\n       counters {}\n",
+        program_occupancy(cache),
         cache
             .and_then(|c| c.get("counters"))
             .map(Json::to_compact)
@@ -1328,6 +1313,19 @@ fn render_top(addr: &str, frame: &Json) -> String {
         out.push('\n');
     }
     out
+}
+
+/// `programs N/CAP` from a frame carrying the cache's `sizes` and
+/// `capacity` objects.
+fn program_occupancy(frame: Option<&Json>) -> String {
+    let programs = |key: &str| {
+        frame
+            .and_then(|f| f.get(key))
+            .and_then(|c| c.get("programs"))
+            .and_then(Json::as_i64)
+            .unwrap_or(0)
+    };
+    format!("programs {}/{}", programs("sizes"), programs("capacity"))
 }
 
 fn cmd_submit(rest: &[String]) -> Result<(), String> {
@@ -1365,10 +1363,7 @@ fn cmd_jobs(rest: &[String]) -> Result<(), String> {
             "cache: {}",
             stats.get("cache").map(Json::to_compact).unwrap_or_default()
         );
-        println!(
-            "sizes: {}",
-            stats.get("sizes").map(Json::to_compact).unwrap_or_default()
-        );
+        println!("{}", program_occupancy(Some(&stats)));
     }
     Ok(())
 }
