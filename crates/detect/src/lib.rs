@@ -18,6 +18,7 @@
 
 pub mod djit;
 pub mod fasttrack;
+mod fxhash;
 pub mod lockset;
 pub mod minimize;
 pub mod race;

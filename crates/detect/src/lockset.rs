@@ -9,15 +9,15 @@
 //! *generate* tests (paper §1: "while Eraser uses this property to detect
 //! races, we apply the same property to generate race inducing tests").
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::race::{RaceAccess, RaceReport, StaticRaceKey};
 use narada_lang::Span;
 use narada_vm::{Event, EventKind, EventSink, FieldKey, Label, ObjId, ThreadId};
-use std::collections::{HashMap, HashSet};
 
 /// Bounded per-location access history.
 const MAX_HISTORY: usize = 64;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct AccessSummary {
     tid: ThreadId,
     is_write: bool,
@@ -28,19 +28,23 @@ struct AccessSummary {
 
 /// The Eraser-style detector; implement [`EventSink`] and feed it a
 /// concurrent execution.
+///
+/// A steady-state access allocates nothing: the location's history is
+/// scanned in place against the borrowed held-lock slice, and a
+/// summary's lockset is copied only when a new summary is recorded.
 #[derive(Debug, Default, Clone)]
 pub struct LocksetDetector {
     /// Locks currently held, per thread.
-    held: HashMap<ThreadId, Vec<ObjId>>,
+    held: FxHashMap<ThreadId, Vec<ObjId>>,
     /// Access history per location.
-    history: HashMap<(ObjId, FieldKey), Vec<AccessSummary>>,
+    history: FxHashMap<(ObjId, FieldKey), Vec<AccessSummary>>,
     /// Trace label at which each thread was spawned: accesses by the
     /// spawner before this point happen-before everything in the child
     /// (fork awareness — Eraser's exclusive-state analogue).
-    spawned_at: HashMap<ThreadId, (ThreadId, Label)>,
+    spawned_at: FxHashMap<ThreadId, (ThreadId, Label)>,
     /// Distinct races found (deduplicated by static key).
     races: Vec<RaceReport>,
-    seen: HashSet<StaticRaceKey>,
+    seen: FxHashSet<StaticRaceKey>,
 }
 
 impl LocksetDetector {
@@ -59,14 +63,6 @@ impl LocksetDetector {
         self.races
     }
 
-    /// `a` happens-before `b` through a fork edge.
-    fn fork_ordered(&self, a: &AccessSummary, b_tid: ThreadId) -> bool {
-        match self.spawned_at.get(&b_tid) {
-            Some(&(spawner, at)) => a.tid == spawner && a.label < at,
-            None => false,
-        }
-    }
-
     fn on_access(
         &mut self,
         tid: ThreadId,
@@ -76,13 +72,17 @@ impl LocksetDetector {
         span: Span,
         label: Label,
     ) {
-        let locks = self.held.get(&tid).cloned().unwrap_or_default();
-        let candidates: Vec<AccessSummary> = self
-            .history
-            .get(&(obj, field))
-            .map(|h| h.to_vec())
-            .unwrap_or_default();
-        for prev in &candidates {
+        let locks: &[ObjId] = self.held.get(&tid).map_or(&[], Vec::as_slice);
+        // `prev` happens-before this access through a fork edge.
+        let spawn = self.spawned_at.get(&tid).copied();
+        let fork_ordered = |prev: &AccessSummary| {
+            spawn.is_some_and(|(spawner, at)| prev.tid == spawner && prev.label < at)
+        };
+        let history = self.history.entry((obj, field)).or_default();
+        let mut dup = false;
+        for prev in history.iter() {
+            dup |= (prev.tid, prev.is_write, prev.span) == (tid, is_write, span)
+                && prev.locks == locks;
             if prev.tid == tid {
                 continue;
             }
@@ -92,7 +92,7 @@ impl LocksetDetector {
             if prev.locks.iter().any(|l| locks.contains(l)) {
                 continue; // common lock
             }
-            if self.fork_ordered(prev, tid) {
+            if fork_ordered(prev) {
                 continue; // ordered by thread creation
             }
             let report = RaceReport {
@@ -115,19 +115,14 @@ impl LocksetDetector {
                 self.races.push(report);
             }
         }
-        let summary = AccessSummary {
-            tid,
-            is_write,
-            locks,
-            span,
-            label,
-        };
-        let history = self.history.entry((obj, field)).or_default();
-        let dup = history.iter().any(|h| {
-            (h.tid, h.is_write, &h.locks, h.span) == (tid, is_write, &summary.locks, span)
-        });
         if !dup && history.len() < MAX_HISTORY {
-            history.push(summary);
+            history.push(AccessSummary {
+                tid,
+                is_write,
+                locks: locks.to_vec(),
+                span,
+                label,
+            });
         }
     }
 }
@@ -416,5 +411,49 @@ mod tests {
         d.event(&read(3, 2, 5));
         d.event(&write(4, 1, 5));
         assert_eq!(d.races().len(), 1);
+    }
+
+    fn history_of(d: &LocksetDetector, obj: u32) -> &[AccessSummary] {
+        &d.history[&(ObjId(obj), FieldKey::Elem(0))]
+    }
+
+    #[test]
+    fn identical_accesses_are_recorded_once() {
+        let mut d = LocksetDetector::new();
+        for i in 0..5 {
+            d.event(&write(7, 1, 5)); // same thread, kind, lockset, site
+            let mut again = write(7, 1, 5);
+            again.label = Label(100 + i); // labels do not split summaries
+            d.event(&again);
+        }
+        assert_eq!(history_of(&d, 5).len(), 1);
+        d.event(&read(7, 1, 5)); // kind differs
+        d.event(&lock(8, 1, 9));
+        d.event(&write(7, 1, 5)); // lockset differs
+        d.event(&unlock(9, 1, 9));
+        let h = history_of(&d, 5);
+        assert_eq!(h.len(), 3);
+        assert_eq!(h[2].locks, vec![ObjId(9)]);
+        assert_eq!(h[0].label, Label(7), "the first occurrence is kept");
+    }
+
+    #[test]
+    fn history_is_capped_at_max_history() {
+        let mut d = LocksetDetector::new();
+        for site in 0..(MAX_HISTORY as u64 + 10) {
+            d.event(&write(site, 1, 5));
+        }
+        let h = history_of(&d, 5);
+        assert_eq!(h.len(), MAX_HISTORY);
+        assert_eq!(h[MAX_HISTORY - 1].span, Span::new(63, 64));
+        // A conflicting access races with every recorded summary, and
+        // only with those: sites past the cap were never recorded.
+        d.event(&write(1000, 2, 5));
+        assert_eq!(d.races().len(), MAX_HISTORY);
+        assert!(d
+            .races()
+            .iter()
+            .all(|r| r.first.span.start < MAX_HISTORY as u32));
+        assert_eq!(history_of(&d, 5).len(), MAX_HISTORY, "still capped");
     }
 }

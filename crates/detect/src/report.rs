@@ -27,7 +27,7 @@ use crate::minimize::minimize_schedule;
 use crate::race::{CoarseRaceKey, MethodIndex, RaceReport, SchedProvenance, StaticRaceKey};
 use crate::racefuzzer::{ConfirmedRace, RaceFuzzerScheduler};
 use narada_core::parallel::{parallel_map, parallel_map_with};
-use narada_core::synth::{execute_plan, execute_plan_suffix};
+use narada_core::synth::{execute_plan, execute_plan_suffix, ExecReport};
 use narada_core::TestPlan;
 use narada_explore::{prepare_fork_point, ExploreMode, ForkPoint};
 use narada_lang::hir::{Program, TestId};
@@ -36,7 +36,7 @@ use narada_obs::{span, Obs, TRIAL_BUCKETS};
 use narada_vm::rng::derive_seed;
 use narada_vm::{
     Engine, EventSink, Machine, MachineMark, MachineOptions, ObservedScheduler, RecordingScheduler,
-    ScheduleStrategy, TeeSink,
+    RunOutcome, ScheduleStrategy, TeeSink,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -139,6 +139,22 @@ fn trial_machine<'p>(
     }
 }
 
+/// Counts one trial's outcome: every thread finished
+/// (`trial.completed`), the step budget ran out (`trial.step_limit`), or
+/// the trial failed (`trial.failed`: a setup error or a deadlock). Every
+/// detection trial and confirmation attempt counts exactly one, so the
+/// three sum to `detect.trials + detect.confirm_trials`. A counter
+/// appears in the manifest once it is non-zero: each key a job manifest
+/// carries is paid for in every served job's progress frames.
+fn count_outcome<E>(obs: &Obs, run: &Result<ExecReport, E>) {
+    let key = match run {
+        Ok(r) if r.outcome == RunOutcome::Completed => "trial.completed",
+        Ok(r) if r.outcome == RunOutcome::StepLimit => "trial.step_limit",
+        _ => "trial.failed",
+    };
+    obs.metrics.counter(key).inc();
+}
+
 /// Detection results for one synthesized test (one row's worth of Table 5
 /// contributions).
 #[derive(Debug, Default)]
@@ -192,8 +208,9 @@ fn detection_trial(
     let mut inner = cfg.strategy.build(sched_seed, cfg.pct_horizon);
     let mut observed = ObservedScheduler::new(&mut *inner, &obs.metrics);
     let mut sched = RecordingScheduler::new(&mut observed);
-    execute_plan(&mut machine, seeds, plan, &mut sched, &mut sink, cfg.budget)
-        .map_err(|e| e.to_string())?;
+    let run = execute_plan(&mut machine, seeds, plan, &mut sched, &mut sink, cfg.budget);
+    count_outcome(obs, &run);
+    run.map_err(|e| e.to_string())?;
     // Stamp every report with the manifesting run's identity so rendered
     // races name their replayable schedule.
     let schedule = sched.to_schedule(machine_seed);
@@ -257,8 +274,9 @@ fn detection_trial_fork(
     let mut inner = cfg.strategy.build(sched_seed, cfg.pct_horizon);
     let mut observed = ObservedScheduler::new(&mut *inner, &obs.metrics);
     let mut sched = RecordingScheduler::new(&mut observed);
-    execute_plan_suffix(machine, plan, &fp.prefix, &mut sched, &mut sink, cfg.budget)
-        .map_err(|e| e.to_string())?;
+    let run = execute_plan_suffix(machine, plan, &fp.prefix, &mut sched, &mut sink, cfg.budget);
+    count_outcome(obs, &run);
+    run.map_err(|e| e.to_string())?;
     let schedule = sched.to_schedule(machine_seed);
     obs.metrics
         .counter("explore.change_points_probed")
@@ -312,6 +330,7 @@ fn confirm_race(
             let run = execute_plan(&mut machine, seeds, plan, &mut rec, &mut sink, cfg.budget);
             let schedule = rec.to_schedule(machine_seed);
             obs.metrics.counter("detect.confirm_trials").inc();
+            count_outcome(obs, &run);
             obs.metrics
                 .counter("racefuzzer.gave_up")
                 .add(sched.gave_up as u64);
@@ -386,6 +405,7 @@ fn confirm_race_fork(
                 execute_plan_suffix(machine, plan, &fp.prefix, &mut rec, &mut sink, cfg.budget);
             let schedule = rec.to_schedule(machine_seed);
             obs.metrics.counter("detect.confirm_trials").inc();
+            count_outcome(obs, &run);
             obs.metrics
                 .counter("racefuzzer.gave_up")
                 .add(sched.gave_up as u64);
@@ -437,7 +457,9 @@ pub fn evaluate_test_indexed(
 /// into `obs`: `detect.trials`, `detect.races_detected`,
 /// `detect.confirmed`, `detect.setup_errors`, the
 /// `detect.trials_to_first_confirm` histogram, scheduler decision
-/// counters, and `racefuzzer.gave_up`. Exploration coverage lands here
+/// counters, `racefuzzer.gave_up`, and each trial's and confirmation
+/// attempt's outcome (`trial.completed`, `trial.step_limit`,
+/// `trial.failed`). Exploration coverage lands here
 /// too: `explore.change_points_probed` (PCT change points actually
 /// consumed across trials) and `explore.schedule_novelty` (distinct
 /// manifested schedule digests, summed per test). Every count is a

@@ -6,9 +6,23 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// A vector clock: one logical clock per thread.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct VectorClock {
     clocks: Vec<u32>,
+}
+
+impl Clone for VectorClock {
+    fn clone(&self) -> Self {
+        VectorClock {
+            clocks: self.clocks.clone(),
+        }
+    }
+
+    /// Copies `source` into the existing buffer: no allocation once it
+    /// has grown to the thread count (a lock's release clock).
+    fn clone_from(&mut self, source: &Self) {
+        self.clocks.clone_from(&source.clocks);
+    }
 }
 
 impl VectorClock {

@@ -1,0 +1,186 @@
+//! The detectors' steady state allocates nothing.
+//!
+//! A counting global allocator tallies the allocations made by the test's
+//! own thread while armed. Each detector first sees a warm-up round of a
+//! two-thread locked/unlocked access pattern (which creates its thread
+//! clocks, lock clocks, location states, histories and race keys), then
+//! 10,000 more rounds of the same accesses at the same sites; those
+//! rounds must not allocate. The pattern races, so the reporting path is
+//! exercised too: a race already reported costs a lookup, not a copy.
+
+use narada_detect::{FastTrackDetector, LocksetDetector};
+use narada_lang::mir::VarId;
+use narada_lang::Span;
+use narada_vm::{Event, EventKind, EventSink, FieldKey, InvId, Label, ObjId, ThreadId, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    COUNT.with(|c| c.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    COUNT.with(Cell::get)
+}
+
+const ROUNDS: u64 = 10_000;
+const LOCK: u32 = 9;
+const SHARED: u32 = 5;
+
+/// Builds the events of one round; `label` advances per event so labels
+/// differ across rounds while threads, locks, locations and sites repeat.
+struct Round {
+    label: u64,
+}
+
+impl Round {
+    fn ev(&mut self, tid: u32, site: u32, kind: EventKind) -> Event {
+        self.label += 1;
+        Event {
+            label: Label(self.label),
+            tid: ThreadId(tid),
+            span: Span::new(site * 10, site * 10 + 1),
+            kind,
+        }
+    }
+
+    fn access(&mut self, tid: u32, site: u32, field: i64, write: bool) -> Event {
+        let obj = ObjId(SHARED);
+        let field = FieldKey::Elem(field);
+        let kind = if write {
+            EventKind::Write {
+                inv: InvId(0),
+                obj_var: VarId(0),
+                obj,
+                field,
+                src_var: VarId(1),
+                value: Value::Int(0),
+            }
+        } else {
+            EventKind::Read {
+                inv: InvId(0),
+                dst: VarId(0),
+                obj_var: VarId(0),
+                obj,
+                field,
+                value: Value::Int(0),
+            }
+        };
+        self.ev(tid, site, kind)
+    }
+
+    fn lock(&mut self, tid: u32) -> Event {
+        let kind = EventKind::Lock {
+            inv: InvId(0),
+            var: None,
+            obj: ObjId(LOCK),
+        };
+        self.ev(tid, 0, kind)
+    }
+
+    fn unlock(&mut self, tid: u32) -> Event {
+        let kind = EventKind::Unlock {
+            inv: InvId(0),
+            obj: ObjId(LOCK),
+        };
+        self.ev(tid, 0, kind)
+    }
+
+    /// Feeds one round to `sink`: each thread writes one element under
+    /// the lock and reads and writes the other without it.
+    fn feed(&mut self, sink: &mut dyn EventSink) {
+        let events = [
+            self.lock(1),
+            self.access(1, 1, 0, true),
+            self.access(1, 2, 1, false),
+            self.unlock(1),
+            self.access(2, 3, 0, false),
+            self.access(2, 4, 1, true),
+            self.lock(2),
+            self.access(2, 5, 0, true),
+            self.unlock(2),
+            self.access(1, 6, 0, false),
+            self.access(1, 7, 1, true),
+        ];
+        for ev in &events {
+            sink.event(ev);
+        }
+    }
+}
+
+/// Warms `sink` up, then counts the allocations of `ROUNDS` more rounds.
+fn steady_state_allocations(sink: &mut dyn EventSink) -> u64 {
+    let mut round = Round { label: 0 };
+    for child in [1, 2] {
+        let spawn = round.ev(
+            0,
+            0,
+            EventKind::ThreadSpawn {
+                child: ThreadId(child),
+            },
+        );
+        sink.event(&spawn);
+    }
+    round.feed(sink);
+    round.feed(sink);
+    allocations_during(|| {
+        for _ in 0..ROUNDS {
+            round.feed(sink);
+        }
+    })
+}
+
+#[test]
+fn counting_allocator_sees_allocations() {
+    let n = allocations_during(|| drop(std::hint::black_box(vec![1u8; 16])));
+    assert_eq!(n, 1, "the counting allocator must observe a Vec allocation");
+}
+
+#[test]
+fn fasttrack_steady_state_allocates_nothing() {
+    let mut d = FastTrackDetector::new();
+    let n = steady_state_allocations(&mut d);
+    assert!(!d.races().is_empty(), "the pattern must exercise reporting");
+    assert_eq!(n, 0, "FastTrack allocated {n} times in {ROUNDS} rounds");
+}
+
+#[test]
+fn lockset_steady_state_allocates_nothing() {
+    let mut d = LocksetDetector::new();
+    let n = steady_state_allocations(&mut d);
+    assert!(!d.races().is_empty(), "the pattern must exercise reporting");
+    assert_eq!(n, 0, "lockset allocated {n} times in {ROUNDS} rounds");
+}

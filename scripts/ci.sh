@@ -27,6 +27,11 @@ echo "==> engine differential suite (release, full 64-class lattice)"
 # seeded difftest lattice at threads 1/2/8.
 NARADA_ENGINE_FULL=1 cargo test -q --release -p narada-vm --test engine_differential
 
+echo "==> detector race-list fixture suite (release, every C1-C9 detection trial)"
+# Each detector's ordered race list per detection trial at the `narada
+# detect` defaults must equal the committed fixture.
+NARADA_RACELIST_FULL=1 cargo test -q --release -p narada-detect --test race_lists
+
 echo "==> detector_shootout example smoke test"
 cargo run -q --release --example detector_shootout > /dev/null
 

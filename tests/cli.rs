@@ -509,6 +509,37 @@ fn detect_manifest_records_gave_up() {
 }
 
 #[test]
+fn detect_manifest_splits_trial_outcomes() {
+    let dir = std::env::temp_dir().join("narada-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("outcomes.json");
+    let out = narada(&["detect", "C1", "--manifest", manifest.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    let m = narada::RunManifest::parse(&text).expect("manifest parses");
+    // An outcome counter is absent until it is first counted.
+    let scalar = |key: &str| match m.metric(key) {
+        Some(narada::obs::MetricValue::Counter(n) | narada::obs::MetricValue::Gauge(n)) => *n,
+        None => 0,
+        other => panic!("{key}: expected a scalar, got {other:?}"),
+    };
+    let outcomes = ["trial.completed", "trial.step_limit", "trial.failed"];
+    let sum: u64 = outcomes.iter().map(|k| scalar(k)).sum();
+    assert_eq!(
+        sum,
+        scalar("detect.trials") + scalar("detect.confirm_trials"),
+        "every trial ends with exactly one outcome"
+    );
+    assert!(scalar("trial.completed") > 0, "{text}");
+    // Test 60's trials 1, 3 and 4 run to the 2M-step budget.
+    assert!(scalar("trial.step_limit") >= 3, "{text}");
+}
+
+#[test]
 fn gen_emits_compilable_novel_suite() {
     let path = write_fixture("gen.mj", FIXTURE);
     let out = narada(&[
