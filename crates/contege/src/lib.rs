@@ -490,7 +490,7 @@ fn run_once(
     };
     Some(match outcome {
         RunOutcome::Deadlock { .. } => Outcome::Deadlock,
-        RunOutcome::StepLimit => Outcome::Clean,
+        RunOutcome::StepLimit | RunOutcome::Saturated => Outcome::Clean,
         RunOutcome::Completed => {
             let crash = tids.iter().find_map(|&t| match machine.thread_status(t) {
                 ThreadStatus::Failed(e) => Some(e.to_string()),

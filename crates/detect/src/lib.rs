@@ -24,6 +24,7 @@ pub mod minimize;
 pub mod race;
 pub mod racefuzzer;
 pub mod report;
+pub mod saturation;
 pub mod vclock;
 
 pub use djit::DjitDetector;
@@ -38,6 +39,7 @@ pub use report::{
     evaluate_suite, evaluate_suite_full, evaluate_suite_observed, evaluate_test,
     evaluate_test_indexed, evaluate_test_observed, ClassDetection, DetectConfig, TestReport,
 };
+pub use saturation::SaturationWatch;
 pub use vclock::{Epoch, VectorClock};
 // Re-exported so explorer-mode consumers (CLI, difftest, serve, bench)
 // need no direct narada-explore dependency.

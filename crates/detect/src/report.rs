@@ -26,6 +26,7 @@ use crate::lockset::LocksetDetector;
 use crate::minimize::minimize_schedule;
 use crate::race::{CoarseRaceKey, MethodIndex, RaceReport, SchedProvenance, StaticRaceKey};
 use crate::racefuzzer::{ConfirmedRace, RaceFuzzerScheduler};
+use crate::saturation::SaturationWatch;
 use narada_core::parallel::{parallel_map, parallel_map_with};
 use narada_core::synth::{execute_plan, execute_plan_suffix, ExecReport};
 use narada_core::TestPlan;
@@ -36,7 +37,7 @@ use narada_obs::{span, Obs, TRIAL_BUCKETS};
 use narada_vm::rng::derive_seed;
 use narada_vm::{
     Engine, EventSink, Machine, MachineMark, MachineOptions, ObservedScheduler, RecordingScheduler,
-    RunOutcome, ScheduleStrategy, TeeSink,
+    RunOutcome, ScheduleStrategy,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -140,16 +141,19 @@ fn trial_machine<'p>(
 }
 
 /// Counts one trial's outcome: every thread finished
-/// (`trial.completed`), the step budget ran out (`trial.step_limit`), or
-/// the trial failed (`trial.failed`: a setup error or a deadlock). Every
-/// detection trial and confirmation attempt counts exactly one, so the
-/// three sum to `detect.trials + detect.confirm_trials`. A counter
+/// (`trial.completed`), the step budget ran out (`trial.step_limit`), the
+/// saturation cut ended it (`trial.saturated`, detection trials only; see
+/// [`SaturationWatch`]), or the trial failed (`trial.failed`: a setup
+/// error or a deadlock). Every detection trial and confirmation attempt
+/// counts exactly one, so the four sum to `detect.trials +
+/// detect.confirm_trials`. A counter
 /// appears in the manifest once it is non-zero: each key a job manifest
 /// carries is paid for in every served job's progress frames.
 fn count_outcome<E>(obs: &Obs, run: &Result<ExecReport, E>) {
     let key = match run {
         Ok(r) if r.outcome == RunOutcome::Completed => "trial.completed",
         Ok(r) if r.outcome == RunOutcome::StepLimit => "trial.step_limit",
+        Ok(r) if r.outcome == RunOutcome::Saturated => "trial.saturated",
         _ => "trial.failed",
     };
     obs.metrics.counter(key).inc();
@@ -201,10 +205,7 @@ fn detection_trial(
     let mut machine = trial_machine(prog, mir, cfg, machine_seed);
     let mut lockset = LocksetDetector::new();
     let mut hb = FastTrackDetector::new();
-    let mut sink = TeeSink {
-        a: &mut lockset,
-        b: &mut hb,
-    };
+    let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
     let mut inner = cfg.strategy.build(sched_seed, cfg.pct_horizon);
     let mut observed = ObservedScheduler::new(&mut *inner, &obs.metrics);
     let mut sched = RecordingScheduler::new(&mut observed);
@@ -267,10 +268,7 @@ fn detection_trial_fork(
     machine.rewind(mark);
     machine.reseed(machine_seed);
     let (mut lockset, mut hb) = protos.clone();
-    let mut sink = TeeSink {
-        a: &mut lockset,
-        b: &mut hb,
-    };
+    let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
     let mut inner = cfg.strategy.build(sched_seed, cfg.pct_horizon);
     let mut observed = ObservedScheduler::new(&mut *inner, &obs.metrics);
     let mut sched = RecordingScheduler::new(&mut observed);
@@ -459,7 +457,7 @@ pub fn evaluate_test_indexed(
 /// `detect.trials_to_first_confirm` histogram, scheduler decision
 /// counters, `racefuzzer.gave_up`, and each trial's and confirmation
 /// attempt's outcome (`trial.completed`, `trial.step_limit`,
-/// `trial.failed`). Exploration coverage lands here
+/// `trial.saturated`, `trial.failed`). Exploration coverage lands here
 /// too: `explore.change_points_probed` (PCT change points actually
 /// consumed across trials) and `explore.schedule_novelty` (distinct
 /// manifested schedule digests, summed per test). Every count is a

@@ -9,17 +9,21 @@
 //! read/write kinds, the object and the field, so any change to what a
 //! detector reports, or to the order it reports it in, moves a digest.
 //!
+//! Trials run under the detection pass's [`SaturationWatch`], so the
+//! fixture, recorded with every trial run to the full step budget, also
+//! pins that the saturation cut drops no race.
+//!
 //! Quick mode checks a slice: the first three tests of every class plus
-//! C1 test 60, whose trials 1, 3 and 4 run to the full step budget. Set
+//! C1 test 60, whose trials 1, 3 and 4 livelock and are cut. Set
 //! `NARADA_RACELIST_FULL=1` for every trial (the CI release leg), and
 //! `UPDATE_GOLDEN=1` to rewrite the fixture from the current detectors.
 
 use narada_core::digest::Fnv1a;
 use narada_core::synth::execute_plan;
 use narada_core::{synthesize_source, SynthesisOptions};
-use narada_detect::{FastTrackDetector, LocksetDetector, RaceReport};
+use narada_detect::{FastTrackDetector, LocksetDetector, RaceReport, SaturationWatch};
 use narada_vm::rng::derive_seed;
-use narada_vm::{Machine, MachineOptions, ScheduleStrategy, TeeSink};
+use narada_vm::{Machine, MachineOptions, ScheduleStrategy};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -88,10 +92,7 @@ fn class_lines(
             let mut machine = Machine::new(&prog, &mir, opts);
             let mut lockset = LocksetDetector::new();
             let mut hb = FastTrackDetector::new();
-            let mut sink = TeeSink {
-                a: &mut lockset,
-                b: &mut hb,
-            };
+            let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
             let mut sched = ScheduleStrategy::Random.build(sched_seed, 1_000);
             let run = execute_plan(
                 &mut machine,

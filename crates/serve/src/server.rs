@@ -804,13 +804,21 @@ fn handle_fetch(req: &Json, shared: &Shared, writer: &mut TcpStream) -> std::io:
             }
             return write_frame(writer, &resp);
         }
-        // Park until something changes, then re-check.
+        // Park until something changes, then re-check. A change that
+        // landed since the snapshot above has already notified, so it is
+        // checked under the lock rather than waited for.
         let Ok(state) = shared.state.lock() else {
             return write_frame(writer, &error_frame("state poisoned"));
         };
-        let _ = shared
-            .changed
-            .wait_timeout(state, Duration::from_millis(200))
-            .unwrap();
+        let changed = state
+            .jobs
+            .get(id as usize)
+            .is_some_and(|job| job.events.len() > sent || job.status.terminal());
+        if !changed {
+            let _ = shared
+                .changed
+                .wait_timeout(state, Duration::from_millis(200))
+                .unwrap();
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end acceptance tests for the detection service: byte-identity
 //! with the batch pipeline (cold, warm, and across worker counts),
-//! streamed progress events, and lossless mid-queue shutdown.
+//! streamed progress events, prompt `fetch --wait` wake-ups, and
+//! lossless mid-queue shutdown.
 
 use narada_detect::{evaluate_suite_full, DetectConfig};
 use narada_lang::lower::lower_program;
@@ -387,6 +388,33 @@ fn event_log_records_job_lifecycle_in_valid_jsonl() {
             .any(|l| l.contains("\"family\":\"program\"") && l.contains("\"kind\":\"hit\"")),
         "warm job must log a program-cache hit"
     );
+    server.stop();
+}
+
+#[test]
+fn fetch_wait_returns_without_a_lost_wakeup_stall() {
+    // A job that finishes between `fetch`'s snapshot and its wait must be
+    // seen at once, not after the 200 ms re-check timeout. A tiny class
+    // finishes within that window often enough that 50 cycles catch it.
+    const TINY: &str = r#"
+        class Cell { int v; void put(int x) { this.v = x; } int get() { return this.v; } }
+        test seed { var c = new Cell(); c.put(1); var g = c.get(); }
+    "#;
+    let opts = test_opts();
+    let server = TestServer::start(1, false);
+    server.run(TINY, &opts); // warm the program cache
+    let mut client = server.client();
+    for cycle in 0..50 {
+        let start = std::time::Instant::now();
+        let job = client.submit(TINY, &opts).expect("submit");
+        let resp = client.fetch(job, true, &mut |_| {}).expect("fetch");
+        let took = start.elapsed();
+        assert_eq!(resp.get("status").and_then(|s| s.as_str()), Some("done"));
+        assert!(
+            took < Duration::from_millis(150),
+            "cycle {cycle}: submit + fetch --wait took {took:?}"
+        );
+    }
     server.stop();
 }
 

@@ -264,6 +264,20 @@ pub trait EventSink {
     fn wants_events(&self) -> bool {
         true
     }
+
+    /// Saturation hook of [`Machine::run_threads`](crate::Machine::run_threads),
+    /// asked before each scheduling decision once a single thread has been
+    /// the only live one for `lone` >= [`SATURATION_WINDOW`] decisions in a
+    /// row; `lone == SATURATION_WINDOW` marks the start of a new lone
+    /// stretch. Returning `true` ends the run with
+    /// [`RunOutcome::Saturated`](crate::RunOutcome::Saturated). Defaults to
+    /// `false`, so a sink that does not opt in is never cut; wrapping
+    /// sinks such as [`TeeSink`] do not forward it.
+    ///
+    /// [`SATURATION_WINDOW`]: crate::machine::SATURATION_WINDOW
+    fn saturated(&mut self, _lone: u64) -> bool {
+        false
+    }
 }
 
 /// Sink that discards everything.

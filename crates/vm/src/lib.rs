@@ -52,7 +52,7 @@ pub use event::{
 pub use heap::{Heap, HeapMark, Object, ObjectData};
 pub use machine::{
     CallSite, Machine, MachineMark, MachineOptions, MachineSnapshot, PendingInvoke, Preview,
-    RunOutcome, ThreadStatus,
+    RunOutcome, ThreadStatus, SATURATION_WINDOW,
 };
 pub use render::{render_schedule_summary, TraceRenderer};
 pub use rng::{derive_seed, splitmix64, SplitMix64};

@@ -160,7 +160,16 @@ pub enum RunOutcome {
     },
     /// The global step budget ran out before completion.
     StepLimit,
+    /// The sink reported saturation: one thread had run alone for
+    /// [`SATURATION_WINDOW`] decisions and fed it nothing new (see
+    /// [`EventSink::saturated`]).
+    Saturated,
 }
+
+/// Consecutive scheduling decisions a single live thread must take, and
+/// quiet events a saturation-watching sink must see, before
+/// [`Machine::run_threads`] may end a run as [`RunOutcome::Saturated`].
+pub const SATURATION_WINDOW: u64 = 20_000;
 
 /// A client-level call site observed by [`Machine::run_test_until_call`].
 #[derive(Debug, Clone)]
@@ -441,6 +450,13 @@ impl<'p> Machine<'p> {
             .filter(|(_, t)| t.status == ThreadStatus::Runnable)
             .map(|(i, _)| ThreadId(i as u32))
             .collect()
+    }
+
+    /// Whether any thread waits for a monitor.
+    fn any_blocked(&self) -> bool {
+        self.threads
+            .iter()
+            .any(|t| matches!(t.status, ThreadStatus::Blocked(_)))
     }
 
     /// Monitors currently held by a thread (all frames, innermost last).
@@ -773,7 +789,13 @@ impl<'p> Machine<'p> {
     }
 
     /// Runs all runnable threads under `scheduler` until completion,
-    /// deadlock, or the step `budget` is exhausted.
+    /// deadlock, or the step `budget` is exhausted, or until `sink`
+    /// reports saturation.
+    ///
+    /// Saturation is checked only while one thread is the sole live one
+    /// (runnable, with none blocked): once [`SATURATION_WINDOW`] such
+    /// decisions run in a row, `sink.saturated` is asked before each of
+    /// them. Any decision with another live thread resets the count.
     pub fn run_threads(
         &mut self,
         scheduler: &mut dyn crate::Scheduler,
@@ -781,6 +803,7 @@ impl<'p> Machine<'p> {
         budget: u64,
     ) -> RunOutcome {
         let mut steps = 0u64;
+        let mut lone = 0u64;
         loop {
             let runnable = self.runnable_threads();
             if runnable.is_empty() {
@@ -798,6 +821,14 @@ impl<'p> Machine<'p> {
             }
             if steps >= budget {
                 return RunOutcome::StepLimit;
+            }
+            if runnable.len() == 1 && !self.any_blocked() {
+                lone += 1;
+                if lone >= SATURATION_WINDOW && sink.saturated(lone) {
+                    return RunOutcome::Saturated;
+                }
+            } else {
+                lone = 0;
             }
             let tid = scheduler.choose(self, &runnable);
             debug_assert!(runnable.contains(&tid), "scheduler chose unrunnable thread");

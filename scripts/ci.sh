@@ -32,6 +32,11 @@ echo "==> detector race-list fixture suite (release, every C1-C9 detection trial
 # detect` defaults must equal the committed fixture.
 NARADA_RACELIST_FULL=1 cargo test -q --release -p narada-detect --test race_lists
 
+echo "==> report-digest gate (release, narada detect C1-C9 vs the corpus-detect goldens)"
+# Each class's `narada detect --threads 2 --report-out` document must hash
+# to the repository benchmark's golden digest: no verdict or race line moves.
+NARADA_DIGEST_FULL=1 cargo test -q --release --test report_digests
+
 echo "==> detector_shootout example smoke test"
 cargo run -q --release --example detector_shootout > /dev/null
 

@@ -34,6 +34,35 @@ use narada::{synthesize, Obs, RunManifest, SynthesisOptions};
 use std::path::Path;
 use std::process::ExitCode;
 
+// Every `print!`/`println!` below goes through `write_stdout`, which
+// ends the process cleanly when stdout is a closed pipe (`narada synth
+// C1 --render | head -1`); the std macros panic there.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// Writes to stdout; a reader that hung up ends the process with exit 0,
+/// any other write error panics as `print!` would.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {

@@ -527,7 +527,12 @@ fn detect_manifest_splits_trial_outcomes() {
         None => 0,
         other => panic!("{key}: expected a scalar, got {other:?}"),
     };
-    let outcomes = ["trial.completed", "trial.step_limit", "trial.failed"];
+    let outcomes = [
+        "trial.completed",
+        "trial.step_limit",
+        "trial.saturated",
+        "trial.failed",
+    ];
     let sum: u64 = outcomes.iter().map(|k| scalar(k)).sum();
     assert_eq!(
         sum,
@@ -535,8 +540,35 @@ fn detect_manifest_splits_trial_outcomes() {
         "every trial ends with exactly one outcome"
     );
     assert!(scalar("trial.completed") > 0, "{text}");
-    // Test 60's trials 1, 3 and 4 run to the 2M-step budget.
-    assert!(scalar("trial.step_limit") >= 3, "{text}");
+    // Test 60's trials 1, 3 and 4 livelock; the saturation cut ends them
+    // long before the 2M-step budget.
+    assert_eq!(scalar("trial.saturated"), 3, "{text}");
+    assert_eq!(scalar("trial.step_limit"), 0, "{text}");
+    assert!(scalar("sched.decisions") < 200_000, "{text}");
+}
+
+#[test]
+fn closed_stdout_pipe_exits_cleanly() {
+    use std::io::BufRead;
+    // `pairs C6 --json` writes over three pipe buffers, so dropping the
+    // reader after one line always leaves the writer a closed pipe.
+    for args in [&["synth", "C1", "--render"][..], &["pairs", "C6", "--json"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_narada"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        std::io::BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut first)
+            .unwrap();
+        assert!(!first.is_empty(), "{args:?}: no output");
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
