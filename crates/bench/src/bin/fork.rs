@@ -21,7 +21,10 @@
 use narada_bench::render_table;
 use narada_core::{execute_plan, synthesize, SynthesisOptions, TestPlan};
 use narada_corpus::by_id;
-use narada_detect::{evaluate_suite_full, ClassDetection, DetectConfig, ExploreMode, TestReport};
+use narada_detect::{
+    evaluate_suite_full, evaluate_test_observed, ClassDetection, DetectConfig, ExploreMode,
+    TestReport,
+};
 use narada_explore::prepare_fork_point;
 use narada_lang::hir::{Program, TestId};
 use narada_lang::lower::lower_program;
@@ -218,55 +221,67 @@ fn main() {
     };
 
     // One timed detection sweep per mode per repetition; the first
-    // repetition's Obs carries the (deterministic) metric story.
+    // repetition's verdicts are compared across modes.
     let run_mode = |mode: ExploreMode| {
         let mut walls = Vec::new();
-        let mut kept: Option<(String, Obs)> = None;
+        let mut kept: Option<String> = None;
         for _ in 0..reps {
-            let rep_obs = Obs::new();
             let start = std::time::Instant::now();
             let (reports, agg) =
-                evaluate_suite_full(&prog, &mir, &seeds, &screened, &cfg(mode), &rep_obs);
+                evaluate_suite_full(&prog, &mir, &seeds, &screened, &cfg(mode), &Obs::new());
             walls.push(start.elapsed());
             if kept.is_none() {
-                kept = Some((render_verdicts(&reports, &agg), rep_obs));
+                kept = Some(render_verdicts(&reports, &agg));
             }
         }
-        let (verdicts, first_obs) = kept.expect("at least one repetition");
-        (verdicts, first_obs, walls)
+        (kept.expect("at least one repetition"), walls)
     };
-    let (rerun_verdicts, _, rerun_walls) = run_mode(ExploreMode::Rerun);
-    let (fork_verdicts, fork_obs, fork_walls) = run_mode(ExploreMode::Fork);
+    let (rerun_verdicts, rerun_walls) = run_mode(ExploreMode::Rerun);
+    let (fork_verdicts, fork_walls) = run_mode(ExploreMode::Fork);
     assert_eq!(
         fork_verdicts, rerun_verdicts,
         "fork explorer diverged from rerun — the shootout compares nothing"
     );
 
-    // Prefix-step accounting. The fork explorer executed each forked
-    // test's prefix exactly once; re-measuring the fork points gives the
-    // exact step count. Rerun executed those same prefixes once per
-    // probe: saved + executed.
-    let counter = |name: &str| match fork_obs.metrics.value(name) {
+    // Prefix-step accounting, plan by plan. A plan that forks executes
+    // its prefix once; rerun executes it once per probe (every detection
+    // trial and confirmation attempt). The fork point is re-prepared to
+    // count the prefix's steps, and the plan's probes are re-counted from
+    // a run of its own (the counts are deterministic).
+    let counter = |obs: &Obs, name: &str| match obs.metrics.value(name) {
         Some(MetricValue::Counter(v)) => v,
         _ => 0,
     };
-    let saved = counter("explore.prefix_steps_saved");
-    let forks = counter("explore.forks");
-    let probes = counter("explore.probes");
-    let fork_prefix_steps: u64 = screened
-        .iter()
-        .filter_map(|plan| {
-            let mut m = Machine::new(
-                &prog,
-                &mir,
-                MachineOptions {
-                    seed: derive_seed(42, &[1, 0, 0]),
-                    ..MachineOptions::default()
-                },
-            );
-            prepare_fork_point(&mut m, &seeds, plan).map(|fp| fp.prefix_steps())
-        })
-        .sum();
+    let (mut forks, mut probes, mut saved, mut fork_prefix_steps) = (0u64, 0u64, 0u64, 0u64);
+    for (i, plan) in screened.iter().enumerate() {
+        let mut m = Machine::new(
+            &prog,
+            &mir,
+            MachineOptions {
+                seed: derive_seed(42, &[1, 0, 0]),
+                ..MachineOptions::default()
+            },
+        );
+        let Ok(fp) = prepare_fork_point(&mut m, &seeds, plan, &mut NullSink) else {
+            continue;
+        };
+        let plan_obs = Obs::new();
+        evaluate_test_observed(
+            &prog,
+            &mir,
+            &seeds,
+            plan,
+            &cfg(ExploreMode::Fork),
+            i as u64,
+            &plan_obs,
+        );
+        let plan_probes =
+            counter(&plan_obs, "detect.trials") + counter(&plan_obs, "detect.confirm_trials");
+        forks += 1;
+        probes += plan_probes;
+        fork_prefix_steps += fp.prefix_steps;
+        saved += fp.prefix_steps * plan_probes.saturating_sub(1);
+    }
     let rerun_prefix_steps = saved + fork_prefix_steps;
     assert!(forks > 0, "no plan ever forked — nothing was measured");
     let ratio = rerun_prefix_steps as f64 / fork_prefix_steps.max(1) as f64;

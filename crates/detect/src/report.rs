@@ -14,12 +14,14 @@
 //! ## Parallel trial runner
 //!
 //! Every schedule trial (and every confirmation target) is an independent
-//! job: it builds its own [`Machine`], detectors, and scheduler, and its
-//! randomness comes from a seed derived from *job identity* —
-//! `derive_seed(cfg.seed, &[stage, test, trial])` — never from a shared
-//! generator. Jobs are sharded over the worker pool with
-//! [`narada_core::parallel::parallel_map`] and merged in job order, so
-//! detection output is byte-identical at any `threads` value.
+//! job: it gets its own detectors and scheduler, and a machine that is
+//! either the worker's one machine rewound to the test's fork point or a
+//! fresh one (see [`ExploreMode`]). Its randomness comes from a seed
+//! derived from *job identity* — `derive_seed(cfg.seed, &[stage, test,
+//! trial])` — never from a shared generator. Jobs are sharded over the
+//! worker pool with [`narada_core::parallel::parallel_map_with`] and
+//! merged in job order, so detection output is byte-identical at any
+//! `threads` value.
 
 use crate::fasttrack::FastTrackDetector;
 use crate::lockset::LocksetDetector;
@@ -28,19 +30,18 @@ use crate::race::{CoarseRaceKey, MethodIndex, RaceReport, SchedProvenance, Stati
 use crate::racefuzzer::{ConfirmedRace, RaceFuzzerScheduler};
 use crate::saturation::SaturationWatch;
 use narada_core::parallel::{parallel_map, parallel_map_with};
-use narada_core::synth::{execute_plan, execute_plan_suffix, ExecReport};
+use narada_core::synth::{execute_plan, execute_plan_suffix, ExecError, ExecReport};
 use narada_core::TestPlan;
-use narada_explore::{prepare_fork_point, ExploreMode, ForkPoint};
+use narada_explore::{prepare_fork_point, ExploreMode, ForkPoint, NoFork};
 use narada_lang::hir::{Program, TestId};
 use narada_lang::mir::MirProgram;
 use narada_obs::{span, Obs, TRIAL_BUCKETS};
 use narada_vm::rng::derive_seed;
 use narada_vm::{
-    Engine, EventSink, Machine, MachineMark, MachineOptions, ObservedScheduler, RecordingScheduler,
-    RunOutcome, ScheduleStrategy,
+    Engine, EventSink, Machine, MachineMark, MachineOptions, NullSink, ObservedScheduler,
+    RecordingScheduler, RunOutcome, ScheduleStrategy, Scheduler, TeeSink,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Seed-derivation stage tags (arbitrary distinct constants; changing one
@@ -91,12 +92,12 @@ pub struct DetectConfig {
     /// [`Engine::TreeWalk`]; purely a throughput knob (compilation is
     /// deterministic, so output is byte-identical either way).
     pub code: Option<std::sync::Arc<narada_vm::BcProgram>>,
-    /// How trials explore schedule suffixes (the CLI's `--explore`):
-    /// re-execute each trial from `main()`, or run the shared prefix once
-    /// and probe suffixes from copy-on-write forks. Verdicts, trace
-    /// digests, and schedules are byte-identical across modes (the
-    /// fork-vs-rerun differential suite); manifests differ only in the
-    /// fork-only `explore.*` counters
+    /// How trials explore schedule suffixes (the CLI's `--explore`): run
+    /// the shared prefix once and probe suffixes from copy-on-write
+    /// forks (the default), or re-execute each trial from `main()` (the
+    /// reference oracle). Verdicts, trace digests, and schedules are
+    /// byte-identical across modes (the fork-vs-rerun differential
+    /// suite); manifests differ only in the fork-only counter
     /// ([`narada_explore::FORK_ONLY_METRICS`]).
     pub explore: ExploreMode,
 }
@@ -114,7 +115,7 @@ impl Default for DetectConfig {
             minimize: false,
             engine: Engine::TreeWalk,
             code: None,
-            explore: ExploreMode::Rerun,
+            explore: ExploreMode::default(),
         }
     }
 }
@@ -184,255 +185,204 @@ impl TestReport {
     }
 }
 
-/// One detection-pass trial: a fresh machine + detectors under a random
-/// schedule derived from `(base_seed, test, trial)`. Pure function of its
-/// arguments — the unit of work the parallel runner shards. Returns the
-/// trial's race reports plus the manifested schedule's digest (the
-/// novelty-telemetry input).
-#[allow(clippy::too_many_arguments)]
-fn detection_trial(
-    prog: &Program,
-    mir: &MirProgram,
-    seeds: &[TestId],
-    plan: &TestPlan,
-    cfg: &DetectConfig,
-    test_idx: u64,
-    trial: u64,
-    obs: &Obs,
-) -> Result<(Vec<RaceReport>, u64), String> {
-    let machine_seed = derive_seed(cfg.seed, &[STAGE_DETECT_MACHINE, test_idx, trial]);
-    let sched_seed = derive_seed(cfg.seed, &[STAGE_DETECT_SCHED, test_idx, trial]);
-    let mut machine = trial_machine(prog, mir, cfg, machine_seed);
-    let mut lockset = LocksetDetector::new();
-    let mut hb = FastTrackDetector::new();
-    let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
-    let mut inner = cfg.strategy.build(sched_seed, cfg.pct_horizon);
-    let mut observed = ObservedScheduler::new(&mut *inner, &obs.metrics);
-    let mut sched = RecordingScheduler::new(&mut observed);
-    let run = execute_plan(&mut machine, seeds, plan, &mut sched, &mut sink, cfg.budget);
-    count_outcome(obs, &run);
-    run.map_err(|e| e.to_string())?;
-    // Stamp every report with the manifesting run's identity so rendered
-    // races name their replayable schedule.
-    let schedule = sched.to_schedule(machine_seed);
-    // The recording/observing wrappers released the inner scheduler above
-    // (last use was `to_schedule`); directed strategies report how many
-    // priority-change points this run actually consumed. `add(0)` still
-    // registers the counter, so undirected runs surface an explicit 0.
-    obs.metrics
-        .counter("explore.change_points_probed")
-        .add(inner.change_points_probed());
-    let schedule_id = schedule.id();
-    let provenance = SchedProvenance {
-        scheduler: schedule.scheduler.clone(),
-        machine_seed,
-        sched_seed,
-        schedule_id,
-    };
-    let races = lockset
-        .races()
-        .iter()
-        .chain(hb.races())
-        .cloned()
-        .map(|mut r| {
-            r.provenance = Some(provenance.clone());
-            r
-        })
-        .collect();
-    Ok((races, schedule_id))
+/// A test's fork point plus the detector prototypes its prefix was
+/// streamed into. Each detection probe clones the prototypes instead of
+/// re-feeding the prefix (the detectors are deterministic event-stream
+/// state machines, so a clone is observationally a re-feed).
+struct Forked {
+    fp: ForkPoint,
+    protos: (LocksetDetector, FastTrackDetector),
 }
 
-/// [`detection_trial`]'s fork-explorer twin. The worker's machine is
-/// rewound to the shared fork point and reseeded with this trial's
-/// machine seed (prefix is seed-independent — zero RNG draws, checked at
-/// fork-point prep — so this reproduces exactly the state a rerun trial
-/// reaches there); detectors are clones of prototypes that already
-/// observed the prefix trace. Only the concurrent suffix executes. Every
-/// step below the rewind mirrors [`detection_trial`] line for line —
-/// schedules record suffix-only decisions in both modes — which the
-/// fork-vs-rerun differential suite locks in.
-#[allow(clippy::too_many_arguments)]
-fn detection_trial_fork(
-    machine: &mut Machine<'_>,
-    mark: &MachineMark,
-    plan: &TestPlan,
-    fp: &ForkPoint,
-    protos: &(LocksetDetector, FastTrackDetector),
-    cfg: &DetectConfig,
-    test_idx: u64,
-    trial: u64,
-    obs: &Obs,
-) -> Result<(Vec<RaceReport>, u64), String> {
-    let machine_seed = derive_seed(cfg.seed, &[STAGE_DETECT_MACHINE, test_idx, trial]);
-    let sched_seed = derive_seed(cfg.seed, &[STAGE_DETECT_SCHED, test_idx, trial]);
-    machine.rewind(mark);
-    machine.reseed(machine_seed);
-    let (mut lockset, mut hb) = protos.clone();
-    let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
-    let mut inner = cfg.strategy.build(sched_seed, cfg.pct_horizon);
-    let mut observed = ObservedScheduler::new(&mut *inner, &obs.metrics);
-    let mut sched = RecordingScheduler::new(&mut observed);
-    let run = execute_plan_suffix(machine, plan, &fp.prefix, &mut sched, &mut sink, cfg.budget);
-    count_outcome(obs, &run);
-    run.map_err(|e| e.to_string())?;
-    let schedule = sched.to_schedule(machine_seed);
-    obs.metrics
-        .counter("explore.change_points_probed")
-        .add(inner.change_points_probed());
-    let schedule_id = schedule.id();
-    let provenance = SchedProvenance {
-        scheduler: schedule.scheduler.clone(),
-        machine_seed,
-        sched_seed,
-        schedule_id,
-    };
-    let races = lockset
-        .races()
-        .iter()
-        .chain(hb.races())
-        .cloned()
-        .map(|mut r| {
-            r.provenance = Some(provenance.clone());
-            r
-        })
-        .collect();
-    Ok((races, schedule_id))
+/// A *fork start*: one worker's machine, restored from the test's fork
+/// point once and rewound to `mark` and reseeded before every probe, so
+/// only the concurrent suffix executes. A worker whose start is `None`
+/// has a *fresh start* instead: a new machine per trial, running the
+/// whole plan from `main()`. That serves both the automatic fallback
+/// (the prefix failed or drew from the RNG) and [`ExploreMode::Rerun`].
+struct ForkStart<'a, 'p> {
+    machine: Machine<'p>,
+    mark: MachineMark,
+    forked: &'a Forked,
 }
 
-/// One confirmation job: directed re-execution attempts targeting each
-/// witnessing site pair of a single coarse race, first confirmation wins.
-#[allow(clippy::too_many_arguments)]
-fn confirm_race(
-    prog: &Program,
-    mir: &MirProgram,
-    seeds: &[TestId],
-    plan: &TestPlan,
-    cfg: &DetectConfig,
+/// One test's detection protocol: everything its trials and
+/// confirmation attempts share.
+struct TestRun<'a, 'p> {
+    prog: &'p Program,
+    mir: &'p MirProgram,
+    seeds: &'a [TestId],
+    plan: &'a TestPlan,
+    cfg: &'a DetectConfig,
     test_idx: u64,
-    fine_keys: &[StaticRaceKey],
-    obs: &Obs,
-) -> Option<ConfirmedRace> {
-    let mut attempts = 0u64;
-    for fine in fine_keys {
-        for trial in 0..cfg.confirm_trials as u64 {
-            attempts += 1;
-            let machine_seed = derive_seed(cfg.seed, &[STAGE_CONFIRM_MACHINE, test_idx, trial]);
-            let mut machine = trial_machine(prog, mir, cfg, machine_seed);
-            let mut sched = RaceFuzzerScheduler::new(
-                *fine,
-                derive_seed(cfg.seed, &[STAGE_CONFIRM_SCHED, test_idx, trial]),
-            );
-            let mut observed = ObservedScheduler::new(&mut sched, &obs.metrics);
-            let mut rec = RecordingScheduler::new(&mut observed);
-            let mut sink = narada_vm::NullSink;
-            let run = execute_plan(&mut machine, seeds, plan, &mut rec, &mut sink, cfg.budget);
-            let schedule = rec.to_schedule(machine_seed);
-            obs.metrics.counter("detect.confirm_trials").inc();
-            count_outcome(obs, &run);
-            obs.metrics
-                .counter("racefuzzer.gave_up")
-                .add(sched.gave_up as u64);
-            if run.is_err() {
-                continue;
+    obs: &'a Obs,
+    /// `None` when the test runs from fresh starts.
+    forked: Option<Forked>,
+}
+
+impl<'a, 'p> TestRun<'a, 'p> {
+    /// Materializes one worker's start point (the per-worker state of
+    /// `parallel_map_with`).
+    fn start(&self) -> Option<ForkStart<'_, 'p>> {
+        self.forked.as_ref().map(|forked| {
+            let mut machine = trial_machine(self.prog, self.mir, self.cfg, self.cfg.seed);
+            machine.restore(&forked.fp.snapshot);
+            let mark = machine.mark();
+            ForkStart {
+                machine,
+                mark,
+                forked,
             }
-            if let Some(mut c) = sched.confirmed.into_iter().find(|c| c.key == *fine) {
-                obs.metrics
-                    .histogram("detect.trials_to_first_confirm", TRIAL_BUCKETS)
-                    .observe(attempts);
-                // Attach the replayable interleaving; shrink it first when
-                // fixtures are being committed.
-                c.schedule = Some(match cfg.minimize {
-                    true => {
-                        match minimize_schedule(
-                            prog, mir, seeds, plan, cfg.budget, fine, &schedule, cfg.engine,
-                        ) {
-                            Some(m) => {
-                                obs.metrics.counter("minimize.probes").add(m.probes as u64);
-                                m.schedule
-                            }
-                            None => schedule,
-                        }
-                    }
-                    false => schedule,
-                });
-                return Some(c);
+        })
+    }
+
+    /// Detectors for one detection trial: clones of the prototypes that
+    /// already observed the prefix, or fresh ones that will.
+    fn detectors(&self) -> (LocksetDetector, FastTrackDetector) {
+        match &self.forked {
+            Some(f) => f.protos.clone(),
+            None => (LocksetDetector::new(), FastTrackDetector::new()),
+        }
+    }
+
+    /// Runs the plan once from `start` under machine seed `machine_seed`.
+    /// A fork start reproduces exactly the state a fresh start reaches at
+    /// the fork point (the prefix drew no RNG, checked when the fork
+    /// point was prepared), and schedulers are consulted only in the
+    /// suffix, so both record the same suffix-only schedules.
+    fn execute(
+        &self,
+        start: &mut Option<ForkStart<'_, 'p>>,
+        machine_seed: u64,
+        sched: &mut dyn Scheduler,
+        sink: &mut dyn EventSink,
+    ) -> Result<ExecReport, ExecError> {
+        let budget = self.cfg.budget;
+        match start {
+            Some(s) => {
+                s.machine.rewind(&s.mark);
+                s.machine.reseed(machine_seed);
+                let prefix = &s.forked.fp.prefix;
+                execute_plan_suffix(&mut s.machine, self.plan, prefix, sched, sink, budget)
+            }
+            None => {
+                let mut machine = trial_machine(self.prog, self.mir, self.cfg, machine_seed);
+                execute_plan(&mut machine, self.seeds, self.plan, sched, sink, budget)
             }
         }
     }
-    None
-}
 
-/// [`confirm_race`]'s fork-explorer twin: each directed attempt rewinds
-/// the job's machine to the fork point and reseeds it with the attempt's
-/// machine seed instead of re-executing the prefix. Also returns how many
-/// probes actually ran (attempts until first confirmation — a
-/// deterministic count, so `explore.probes` stays thread-invariant).
-/// Every step mirrors [`confirm_race`] line for line; minimization, when
-/// enabled, reuses the shared full-re-execution `minimize_schedule`
-/// (schedules are suffix-only in both modes, so it replays them
-/// unchanged).
-#[allow(clippy::too_many_arguments)]
-fn confirm_race_fork(
-    machine: &mut Machine<'_>,
-    mark: &MachineMark,
-    prog: &Program,
-    mir: &MirProgram,
-    seeds: &[TestId],
-    plan: &TestPlan,
-    fp: &ForkPoint,
-    cfg: &DetectConfig,
-    test_idx: u64,
-    fine_keys: &[StaticRaceKey],
-    obs: &Obs,
-) -> (Option<ConfirmedRace>, u64) {
-    let mut attempts = 0u64;
-    for fine in fine_keys {
-        for trial in 0..cfg.confirm_trials as u64 {
-            attempts += 1;
-            let machine_seed = derive_seed(cfg.seed, &[STAGE_CONFIRM_MACHINE, test_idx, trial]);
-            machine.rewind(mark);
-            machine.reseed(machine_seed);
-            let mut sched = RaceFuzzerScheduler::new(
-                *fine,
-                derive_seed(cfg.seed, &[STAGE_CONFIRM_SCHED, test_idx, trial]),
-            );
-            let mut observed = ObservedScheduler::new(&mut sched, &obs.metrics);
-            let mut rec = RecordingScheduler::new(&mut observed);
-            let mut sink = narada_vm::NullSink;
-            let run =
-                execute_plan_suffix(machine, plan, &fp.prefix, &mut rec, &mut sink, cfg.budget);
-            let schedule = rec.to_schedule(machine_seed);
-            obs.metrics.counter("detect.confirm_trials").inc();
-            count_outcome(obs, &run);
-            obs.metrics
-                .counter("racefuzzer.gave_up")
-                .add(sched.gave_up as u64);
-            if run.is_err() {
-                continue;
-            }
-            if let Some(mut c) = sched.confirmed.into_iter().find(|c| c.key == *fine) {
+    /// One detection-pass trial: detectors under a random schedule
+    /// derived from `(base_seed, test, trial)`. A pure function of its
+    /// arguments, the unit of work the parallel runner shards. Returns
+    /// the trial's race reports plus the manifested schedule's digest
+    /// (the novelty-telemetry input).
+    fn detection_trial(
+        &self,
+        start: &mut Option<ForkStart<'_, 'p>>,
+        trial: u64,
+    ) -> Result<(Vec<RaceReport>, u64), String> {
+        let (cfg, obs) = (self.cfg, self.obs);
+        let machine_seed = derive_seed(cfg.seed, &[STAGE_DETECT_MACHINE, self.test_idx, trial]);
+        let sched_seed = derive_seed(cfg.seed, &[STAGE_DETECT_SCHED, self.test_idx, trial]);
+        let (mut lockset, mut hb) = self.detectors();
+        let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
+        let mut inner = cfg.strategy.build(sched_seed, cfg.pct_horizon);
+        let mut observed = ObservedScheduler::new(&mut *inner, &obs.metrics);
+        let mut sched = RecordingScheduler::new(&mut observed);
+        let run = self.execute(start, machine_seed, &mut sched, &mut sink);
+        count_outcome(obs, &run);
+        run.map_err(|e| e.to_string())?;
+        // Stamp every report with the manifesting run's identity so
+        // rendered races name their replayable schedule.
+        let schedule = sched.to_schedule(machine_seed);
+        // The recording/observing wrappers released the inner scheduler
+        // above (last use was `to_schedule`); directed strategies report
+        // how many priority-change points this run actually consumed.
+        // `add(0)` still registers the counter, so undirected runs
+        // surface an explicit 0.
+        obs.metrics
+            .counter("explore.change_points_probed")
+            .add(inner.change_points_probed());
+        let schedule_id = schedule.id();
+        let provenance = SchedProvenance {
+            scheduler: schedule.scheduler.clone(),
+            machine_seed,
+            sched_seed,
+            schedule_id,
+        };
+        let races = lockset
+            .races()
+            .iter()
+            .chain(hb.races())
+            .cloned()
+            .map(|mut r| {
+                r.provenance = Some(provenance.clone());
+                r
+            })
+            .collect();
+        Ok((races, schedule_id))
+    }
+
+    /// One confirmation job: directed attempts targeting each witnessing
+    /// site pair of a single coarse race, first confirmation wins.
+    /// Minimization, when enabled, replays the confirming schedule from
+    /// `main()` (schedules are suffix-only from either start).
+    fn confirm_race(
+        &self,
+        start: &mut Option<ForkStart<'_, 'p>>,
+        fine_keys: &[StaticRaceKey],
+    ) -> Option<ConfirmedRace> {
+        let (cfg, obs) = (self.cfg, self.obs);
+        let mut attempts = 0u64;
+        for fine in fine_keys {
+            for trial in 0..cfg.confirm_trials as u64 {
+                attempts += 1;
+                let machine_seed =
+                    derive_seed(cfg.seed, &[STAGE_CONFIRM_MACHINE, self.test_idx, trial]);
+                let mut sched = RaceFuzzerScheduler::new(
+                    *fine,
+                    derive_seed(cfg.seed, &[STAGE_CONFIRM_SCHED, self.test_idx, trial]),
+                );
+                let mut observed = ObservedScheduler::new(&mut sched, &obs.metrics);
+                let mut rec = RecordingScheduler::new(&mut observed);
+                let run = self.execute(start, machine_seed, &mut rec, &mut NullSink);
+                let schedule = rec.to_schedule(machine_seed);
+                obs.metrics.counter("detect.confirm_trials").inc();
+                count_outcome(obs, &run);
                 obs.metrics
-                    .histogram("detect.trials_to_first_confirm", TRIAL_BUCKETS)
-                    .observe(attempts);
-                c.schedule = Some(match cfg.minimize {
-                    true => {
-                        match minimize_schedule(
-                            prog, mir, seeds, plan, cfg.budget, fine, &schedule, cfg.engine,
-                        ) {
-                            Some(m) => {
-                                obs.metrics.counter("minimize.probes").add(m.probes as u64);
-                                m.schedule
+                    .counter("racefuzzer.gave_up")
+                    .add(sched.gave_up as u64);
+                if run.is_err() {
+                    continue;
+                }
+                if let Some(mut c) = sched.confirmed.into_iter().find(|c| c.key == *fine) {
+                    obs.metrics
+                        .histogram("detect.trials_to_first_confirm", TRIAL_BUCKETS)
+                        .observe(attempts);
+                    // Attach the replayable interleaving; shrink it first
+                    // when fixtures are being committed.
+                    c.schedule = Some(match cfg.minimize {
+                        true => {
+                            match minimize_schedule(
+                                self.prog, self.mir, self.seeds, self.plan, cfg.budget, fine,
+                                &schedule, cfg.engine,
+                            ) {
+                                Some(m) => {
+                                    obs.metrics.counter("minimize.probes").add(m.probes as u64);
+                                    m.schedule
+                                }
+                                None => schedule,
                             }
-                            None => schedule,
                         }
-                    }
-                    false => schedule,
-                });
-                return (Some(c), attempts);
+                        false => schedule,
+                    });
+                    return Some(c);
+                }
             }
         }
+        None
     }
-    (None, attempts)
 }
 
 /// Runs the full detection protocol on one synthesized test plan.
@@ -482,82 +432,61 @@ pub fn evaluate_test_observed(
     // exploration-diversity signal (`explore.schedule_novelty`).
     let mut sched_ids: BTreeSet<u64> = BTreeSet::new();
 
-    // Fork-mode prefix sharing: materialize the fork point once per test.
-    // `None` — prefix failed or consumed RNG draws — falls back to the
-    // rerun path wholesale, whose trial/error semantics are the
-    // byte-compat reference. The attempt itself touches no shared
-    // telemetry (fork-only fallback counter aside), so fallback manifests
-    // match plain rerun manifests exactly.
-    let fork: Option<Arc<ForkPoint>> = match cfg.explore {
+    // Fork-mode prefix sharing: run the prefix once per test, streaming
+    // its events into the detector prototypes. A test that cannot fork
+    // (the prefix failed or drew from the RNG) runs from fresh starts,
+    // whose trial/error semantics are the rerun reference; the attempt
+    // touches no shared telemetry beyond the RNG fallback counter, so
+    // its manifests match plain rerun manifests.
+    let forked = match cfg.explore {
         ExploreMode::Rerun => None,
         ExploreMode::Fork => {
             let seed0 = derive_seed(cfg.seed, &[STAGE_DETECT_MACHINE, test_idx, 0]);
-            let mut m = trial_machine(prog, mir, cfg, seed0);
-            match prepare_fork_point(&mut m, seeds, plan) {
-                Some(fp) => Some(Arc::new(fp)),
-                None => {
+            let mut machine = trial_machine(prog, mir, cfg, seed0);
+            let (mut lockset, mut hb) = (LocksetDetector::new(), FastTrackDetector::new());
+            let mut tee = TeeSink {
+                a: &mut lockset,
+                b: &mut hb,
+            };
+            match prepare_fork_point(&mut machine, seeds, plan, &mut tee) {
+                Ok(fp) => Some(Forked {
+                    fp,
+                    protos: (lockset, hb),
+                }),
+                Err(NoFork::PrefixDrewRng) => {
                     obs.metrics.counter("explore.prefix_rng_fallbacks").inc();
                     None
                 }
+                Err(NoFork::PrefixFailed) => None,
             }
         }
     };
-    if let Some(fp) = &fork {
-        obs.metrics.counter("explore.forks").inc();
-        obs.metrics
-            .counter("explore.snapshot_bytes")
-            .add(fp.snapshot.approx_bytes());
-    }
+    let run = TestRun {
+        prog,
+        mir,
+        seeds,
+        plan,
+        cfg,
+        test_idx,
+        obs,
+        forked,
+    };
 
     // Pass 1: random schedules with passive detectors, sharded per trial;
     // the merge below consumes results in trial order.
     let detect_span = span!(obs.tracer, "detect.test", test = test_idx);
     let detect_span_id = detect_span.id();
     let trials: Vec<u64> = (0..cfg.schedule_trials as u64).collect();
-    let trial_results = match &fork {
-        None => parallel_map(cfg.threads, &trials, |_, &trial| {
+    let trial_results = parallel_map_with(
+        cfg.threads,
+        &trials,
+        || run.start(),
+        |start, _, &trial| {
             let mut s = obs.tracer.span_under("detect.trial", detect_span_id);
             s.attr("trial", &trial);
-            detection_trial(prog, mir, seeds, plan, cfg, test_idx, trial, obs)
-        }),
-        Some(fp) => {
-            // Prototype detectors observe the prefix trace once; each
-            // probe clones them instead of re-feeding (the detectors are
-            // deterministic event-stream state machines, so a clone is
-            // observationally a re-feed).
-            let mut protos = (LocksetDetector::new(), FastTrackDetector::new());
-            for ev in &fp.prefix_events {
-                protos.0.event(ev);
-                protos.1.event(ev);
-            }
-            let results = parallel_map_with(
-                cfg.threads,
-                &trials,
-                || {
-                    // One materialization per worker that claims work;
-                    // probes rewind it in place.
-                    let mut m = trial_machine(prog, mir, cfg, cfg.seed);
-                    m.restore(&fp.snapshot);
-                    let mark = m.mark();
-                    (m, mark)
-                },
-                |(m, mark), _, &trial| {
-                    let mut s = obs.tracer.span_under("detect.trial", detect_span_id);
-                    s.attr("trial", &trial);
-                    detection_trial_fork(m, mark, plan, fp, &protos, cfg, test_idx, trial, obs)
-                },
-            );
-            obs.metrics
-                .counter("explore.probes")
-                .add(trials.len() as u64);
-            // Rerun would have executed the prefix once per trial; fork
-            // executed it once per test.
-            obs.metrics
-                .counter("explore.prefix_steps_saved")
-                .add(fp.prefix_steps() * (trials.len() as u64).saturating_sub(1));
-            results
-        }
-    };
+            run.detection_trial(start, trial)
+        },
+    );
     obs.metrics
         .counter("detect.trials")
         .add(trials.len() as u64);
@@ -592,36 +521,15 @@ pub fn evaluate_test_observed(
     // Pass 2: directed confirmation, one job per coarse race, merged in
     // key order.
     let targets: Vec<(CoarseRaceKey, Vec<StaticRaceKey>)> = detected.into_iter().collect();
-    let confirmations = match &fork {
-        None => parallel_map(cfg.threads, &targets, |_, (_, fine_keys)| {
+    let confirmations = parallel_map_with(
+        cfg.threads,
+        &targets,
+        || run.start(),
+        |start, _, (_, fine_keys)| {
             let _s = obs.tracer.span_under("detect.confirm", detect_span_id);
-            confirm_race(prog, mir, seeds, plan, cfg, test_idx, fine_keys, obs)
-        }),
-        Some(fp) => {
-            // Each confirmation job is its own fork-tree leaf: one
-            // materialization, then rewind-per-attempt.
-            let results = parallel_map(cfg.threads, &targets, |_, (_, fine_keys)| {
-                let _s = obs.tracer.span_under("detect.confirm", detect_span_id);
-                let mut m = trial_machine(prog, mir, cfg, cfg.seed);
-                m.restore(&fp.snapshot);
-                let mark = m.mark();
-                confirm_race_fork(
-                    &mut m, &mark, prog, mir, seeds, plan, fp, cfg, test_idx, fine_keys, obs,
-                )
-            });
-            let mut confirmed = Vec::with_capacity(results.len());
-            let mut attempts_total = 0u64;
-            for (c, attempts) in results {
-                attempts_total += attempts;
-                confirmed.push(c);
-            }
-            obs.metrics.counter("explore.probes").add(attempts_total);
-            obs.metrics
-                .counter("explore.prefix_steps_saved")
-                .add(fp.prefix_steps() * attempts_total);
-            confirmed
-        }
-    };
+            run.confirm_race(start, fine_keys)
+        },
+    );
     for ((coarse, _), confirmed) in targets.iter().zip(confirmations) {
         if let Some(c) = confirmed {
             report.reproduced.push((*coarse, c));

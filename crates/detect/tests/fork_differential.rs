@@ -1,31 +1,36 @@
 //! Differential fork-vs-rerun harness (the explorer half of the engine
 //! differential suite).
 //!
-//! The snapshot-forking explorer is only allowed to exist because it is
-//! provably the same exploration: every test here runs identical
-//! detection workloads under `ExploreMode::Rerun` and
-//! `ExploreMode::Fork` and demands byte-identical observable output —
-//! per-test verdicts (detected keys, confirmed races with their full
-//! replayable schedules and provenance digests), setup-error strings,
-//! and run-manifest metric sections, the latter compared after removing
-//! the fork-only `explore.*` counters (`FORK_ONLY_METRICS`) that rerun
-//! mode by construction never emits. Fork-mode output must additionally
-//! be byte-identical at `--threads 1/2/8` (the fork tree is sharded
-//! across workers with per-worker machine state — worker count must not
-//! leak).
+//! The snapshot-forking explorer is the default trial path, and it is
+//! only allowed to be because it is provably the same exploration as the
+//! re-execution oracle: every test here runs identical detection
+//! workloads under `ExploreMode::Rerun` and `ExploreMode::Fork` and
+//! demands byte-identical observable output — per-test verdicts
+//! (detected keys, confirmed races with their full replayable schedules
+//! and provenance digests), setup-error strings, and run-manifest metric
+//! sections, the latter compared after removing the one fork-only
+//! counter (`FORK_ONLY_METRICS`: `explore.prefix_rng_fallbacks`, present
+//! only when a test's prefix drew from the RNG). Fork-mode output must
+//! additionally be byte-identical at `--threads 1/2/8` (the fork tree is
+//! sharded across workers with per-worker machine state — worker count
+//! must not leak). Two small classes pin the fallback to fresh starts:
+//! one whose prefix calls `rand()`, one whose capture misses.
 //!
 //! Quick mode covers C1–C5 and an 8-class difftest slice; set
 //! `NARADA_FORK_FULL=1` for the C1–C9 × threads 1/2/8 matrix and the
 //! 32-class slice (the CI sweep in `scripts/ci.sh` runs the same shapes
 //! through the binaries).
 
-use narada_core::{synthesize_source, SynthesisOptions};
+use narada_core::{synthesize_source, SynthesisOptions, SynthesisOutput};
 use narada_detect::{
     evaluate_suite_full, ClassDetection, DetectConfig, ExploreMode, TestReport, FORK_ONLY_METRICS,
 };
 use narada_difftest::{run_sweep, DiffConfig};
-use narada_obs::{Obs, RunManifest};
-use narada_vm::{Engine, ScheduleStrategy};
+use narada_explore::prepare_fork_point;
+use narada_lang::hir::{Program, TestId};
+use narada_lang::mir::MirProgram;
+use narada_obs::{MetricValue, Obs, RunManifest};
+use narada_vm::{Engine, Machine, MachineOptions, NullSink, ScheduleStrategy};
 
 fn full() -> bool {
     std::env::var("NARADA_FORK_FULL").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -78,6 +83,41 @@ fn render_metrics(obs: &Obs, scrub_fork_only: bool) -> String {
     m.metrics_json().to_compact()
 }
 
+fn synth(source: &str) -> (Program, MirProgram, SynthesisOutput) {
+    synthesize_source(
+        source,
+        &SynthesisOptions {
+            threads: 1,
+            ..SynthesisOptions::default()
+        },
+    )
+    .unwrap_or_else(|e| panic!("synthesis failed: {e:?}"))
+}
+
+/// One full detection run over a synthesized suite, collecting objects
+/// from `seeds`.
+fn run_suite(
+    (prog, mir, out): &(Program, MirProgram, SynthesisOutput),
+    seeds: &[TestId],
+    explore: ExploreMode,
+    threads: usize,
+    engine: Engine,
+) -> (String, String, String, Obs) {
+    let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
+    let obs = Obs::new();
+    let c = DetectConfig {
+        engine,
+        ..cfg(explore, threads)
+    };
+    let (reports, agg) = evaluate_suite_full(prog, mir, seeds, &plans, &c, &obs);
+    (
+        render_verdicts(&reports, &agg),
+        render_metrics(&obs, false),
+        render_metrics(&obs, true),
+        obs,
+    )
+}
+
 /// One full detection run over a class's synthesized suite.
 fn run_class(
     entry: &narada_corpus::CorpusEntry,
@@ -85,28 +125,23 @@ fn run_class(
     threads: usize,
     engine: Engine,
 ) -> (String, String, String, Obs) {
-    let (prog, mir, out) = synthesize_source(
-        entry.source,
-        &SynthesisOptions {
-            threads: 1,
-            ..SynthesisOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{}: synthesis failed: {e:?}", entry.id));
+    let suite = synth(entry.source);
+    let seeds: Vec<_> = suite.0.tests.iter().map(|t| t.id).collect();
+    run_suite(&suite, &seeds, explore, threads, engine)
+}
+
+/// How many of the class's synthesized plans reach a fork point: proof
+/// that a fork-mode run actually probed from forks.
+fn plans_that_fork(source: &str) -> usize {
+    let (prog, mir, out) = synth(source);
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
-    let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-    let obs = Obs::new();
-    let c = DetectConfig {
-        engine,
-        ..cfg(explore, threads)
-    };
-    let (reports, agg) = evaluate_suite_full(&prog, &mir, &seeds, &plans, &c, &obs);
-    (
-        render_verdicts(&reports, &agg),
-        render_metrics(&obs, false),
-        render_metrics(&obs, true),
-        obs,
-    )
+    out.tests
+        .iter()
+        .filter(|t| {
+            let mut m = Machine::new(&prog, &mir, MachineOptions::default());
+            prepare_fork_point(&mut m, &seeds, &t.plan, &mut NullSink).is_ok()
+        })
+        .count()
 }
 
 /// The acceptance matrix: fork verdicts/manifests byte-identical to
@@ -120,6 +155,7 @@ fn fork_matches_rerun_on_corpus() {
     let thread_counts: &[usize] = &[1, 2, 8];
     let mut forked_somewhere = false;
     for entry in entries.iter().take(take) {
+        forked_somewhere |= plans_that_fork(entry.source) > 0;
         let (rerun_verdicts, rerun_metrics, rerun_scrubbed, rerun_obs) =
             run_class(entry, ExploreMode::Rerun, 1, Engine::TreeWalk);
         // Rerun mode must emit no fork-only counter at all.
@@ -145,12 +181,7 @@ fn fork_matches_rerun_on_corpus() {
             );
             let unscrubbed = render_metrics(&obs, false);
             match &fork_baseline {
-                None => {
-                    if unscrubbed.contains("\"explore.forks\"") {
-                        forked_somewhere = true;
-                    }
-                    fork_baseline = Some((verdicts, unscrubbed));
-                }
+                None => fork_baseline = Some((verdicts, unscrubbed)),
                 Some((base_v, base_m)) => {
                     assert_eq!(&verdicts, base_v, "{}: threads={threads}", entry.id);
                     assert_eq!(
@@ -194,14 +225,15 @@ fn fork_matches_rerun_bytecode() {
     }
 }
 
-/// Table-3 comparability (satellite): `detect.trials_to_first_confirm`
-/// must be identical across modes — probes are counted separately in
-/// `explore.probes`, never folded into the confirm histogram.
+/// Table-3 comparability: `detect.trials_to_first_confirm` must be
+/// identical across modes. And a fork run adds no always-on key to the
+/// manifest: on C1, whose every prefix forks, the whole metric section
+/// equals rerun's, unscrubbed.
 #[test]
 fn trials_to_first_confirm_comparable_across_modes() {
     let entry = narada_corpus::c1();
     let (_, rerun_metrics, _, _) = run_class(&entry, ExploreMode::Rerun, 1, Engine::TreeWalk);
-    let (_, fork_metrics, _, fork_obs) = run_class(&entry, ExploreMode::Fork, 1, Engine::TreeWalk);
+    let (_, fork_metrics, _, _) = run_class(&entry, ExploreMode::Fork, 1, Engine::TreeWalk);
     let histo = "\"detect.trials_to_first_confirm\"";
     assert!(rerun_metrics.contains(histo), "{rerun_metrics}");
     let extract = |s: &str| {
@@ -209,11 +241,101 @@ fn trials_to_first_confirm_comparable_across_modes() {
         s[i..s[i..].find('}').map_or(s.len(), |j| i + j + 1)].to_string()
     };
     assert_eq!(extract(&rerun_metrics), extract(&fork_metrics));
-    // And the probe count is surfaced distinctly.
-    let m = RunManifest::from_obs("probes", 1, &fork_obs);
+    let (_, _, out) = synth(entry.source);
+    assert_eq!(plans_that_fork(entry.source), out.tests.len());
+    assert_eq!(fork_metrics, rerun_metrics);
+}
+
+/// A seed test that calls `rand()` before reaching the racy calls: its
+/// prefix is seed-dependent, so no plan can fork.
+const RNG_PREFIX: &str = r#"
+    class Cell {
+        int v;
+        void put(int x) { this.v = x; }
+        int get() { return this.v; }
+    }
+    test seed { var c = new Cell(); var r = rand(); c.put(r); var g = c.get(); }
+"#;
+
+/// `use_cell` is the only seed test that calls `Cell`'s methods; object
+/// collection from `bystander` alone misses every capture.
+const CAPTURE_MISS: &str = r#"
+    class Cell {
+        int v;
+        void put(int x) { this.v = x; }
+        int get() { return this.v; }
+    }
+    test use_cell { var c = new Cell(); c.put(1); var g = c.get(); }
+    test bystander { var c = new Cell(); }
+"#;
+
+/// Runs `suite` under the default explorer at threads 1/2/8 and demands
+/// the rerun oracle's verdicts, setup errors and scrubbed manifest, plus
+/// a thread-invariant unscrubbed manifest. Returns the default run's
+/// verdicts and unscrubbed manifest.
+fn assert_fallback_matches_rerun(
+    name: &str,
+    suite: &(Program, MirProgram, SynthesisOutput),
+    seeds: &[TestId],
+) -> (String, String, Obs) {
+    assert!(!suite.2.tests.is_empty(), "{name}: nothing synthesized");
+    let (rerun_verdicts, rerun_metrics, _, _) =
+        run_suite(suite, seeds, ExploreMode::Rerun, 1, Engine::TreeWalk);
+    let mut baseline: Option<(String, String, Obs)> = None;
+    for threads in [1, 2, 8] {
+        let (verdicts, unscrubbed, scrubbed, obs) = run_suite(
+            suite,
+            seeds,
+            ExploreMode::default(),
+            threads,
+            Engine::TreeWalk,
+        );
+        assert_eq!(verdicts, rerun_verdicts, "{name}: threads={threads}");
+        assert_eq!(scrubbed, rerun_metrics, "{name}: threads={threads}");
+        match &baseline {
+            None => baseline = Some((verdicts, unscrubbed, obs)),
+            Some((v, m, _)) => {
+                assert_eq!(&verdicts, v, "{name}: threads={threads}");
+                assert_eq!(&unscrubbed, m, "{name}: threads={threads}");
+            }
+        }
+    }
+    baseline.expect("three runs")
+}
+
+#[test]
+fn rng_drawing_prefix_falls_back_to_rerun() {
+    assert_eq!(ExploreMode::default(), ExploreMode::Fork);
+    let suite = synth(RNG_PREFIX);
+    let seeds: Vec<_> = suite.0.tests.iter().map(|t| t.id).collect();
+    assert_eq!(plans_that_fork(RNG_PREFIX), 0, "every prefix draws");
+    let (_, _, obs) = assert_fallback_matches_rerun("rng", &suite, &seeds);
+    assert_eq!(
+        obs.metrics.value("explore.prefix_rng_fallbacks"),
+        Some(MetricValue::Counter(suite.2.tests.len() as u64)),
+        "one RNG fallback per synthesized test"
+    );
+}
+
+#[test]
+fn capture_miss_falls_back_to_rerun() {
+    let suite = synth(CAPTURE_MISS);
+    let bystander: Vec<_> = suite
+        .0
+        .tests
+        .iter()
+        .filter(|t| t.name == "bystander")
+        .map(|t| t.id)
+        .collect();
+    assert_eq!(bystander.len(), 1);
+    let (verdicts, unscrubbed, _) = assert_fallback_matches_rerun("capture", &suite, &bystander);
     assert!(
-        m.metric("explore.probes").is_some(),
-        "fork runs must count probes"
+        verdicts.contains("no seed invocation of Cell."),
+        "every test must report its capture miss: {verdicts}"
+    );
+    assert!(
+        !unscrubbed.contains("explore.prefix_rng_fallbacks"),
+        "a failed prefix is not an RNG fallback: {unscrubbed}"
     );
 }
 

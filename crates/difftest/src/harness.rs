@@ -70,7 +70,7 @@ impl Default for DiffConfig {
             budget: 2_000_000,
             inject_unsound: false,
             engine: Engine::TreeWalk,
-            explore: ExploreMode::Rerun,
+            explore: ExploreMode::default(),
         }
     }
 }

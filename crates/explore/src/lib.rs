@@ -9,18 +9,21 @@
 //!
 //! The pieces:
 //!
-//! - [`ForkPoint`] — a test's shared prefix materialized once:
-//!   an owned [`MachineSnapshot`] of the machine suspended right before
-//!   the racy invocations, the resolved [`PlanPrefix`] context, and the
-//!   prefix's event trace (re-fed to per-trial detectors instead of
-//!   re-executed). Built by [`prepare_fork_point`].
+//! - [`ForkPoint`] — a test's shared prefix materialized once: an owned
+//!   [`MachineSnapshot`] of the machine suspended right before the racy
+//!   invocations, the resolved [`PlanPrefix`] context, and the prefix's
+//!   event count. The prefix's events are streamed into the caller's sink
+//!   while it runs (the detection pipeline passes its prototype
+//!   detectors) and never recorded. Built by [`prepare_fork_point`].
 //! - Probes are sharded by `narada_core::parallel::parallel_map_with`:
 //!   each worker materializes one machine from the shared snapshot and
 //!   rewinds it between probes instead of rebuilding per probe. Results
 //!   merge in item order, so output is byte-identical at any worker
 //!   count.
 //! - [`ExploreMode`] — the `--explore fork|rerun` knob threaded through
-//!   `DetectConfig`, `difftest`, and `narada serve` job options.
+//!   `DetectConfig`, `difftest`, and `narada serve` job options. Fork is
+//!   the default; rerun is the reference oracle the fork differential
+//!   suite compares against.
 //!
 //! ## Determinism argument
 //!
@@ -37,27 +40,31 @@
 //!
 //! ## Memory bounds
 //!
-//! One owned snapshot per test (heap payload + thread stacks,
-//! `MachineSnapshot::approx_bytes`, surfaced as `explore.snapshot_bytes`)
-//! plus one materialized machine per live worker. Probes themselves are
-//! O(mutated objects): the VM's copy-on-write undo log
+//! One owned snapshot per test (heap payload + thread stacks) plus
+//! whatever state the caller's prefix sink keeps (for detection, two
+//! detector prototypes) plus one materialized machine per live worker.
+//! No event trace is held: a fork point's size does not grow with the
+//! prefix's length. Probes
+//! themselves are O(mutated objects): the VM's copy-on-write undo log
 //! (`Heap::mark`/`rewind`) restores only what the probe touched.
 
-use narada_core::synth::{execute_plan_prefix, ExecError, PlanPrefix};
+use narada_core::synth::{execute_plan_prefix, PlanPrefix};
 use narada_core::TestPlan;
 use narada_lang::hir::TestId;
-use narada_vm::{Event, Machine, MachineSnapshot, VecSink};
+use narada_vm::{Event, EventSink, Machine, MachineSnapshot};
 use std::fmt;
 
 /// How the detection trial loops explore schedule suffixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExploreMode {
-    /// Re-execute the whole test from `main()` for every trial (the
-    /// original explorer; the byte-compat baseline).
-    #[default]
+    /// Re-execute the whole test from `main()` for every trial: the
+    /// reference oracle the fork differential suite, `bench --bin fork`
+    /// and the CI cross-check compare [`ExploreMode::Fork`] against.
     Rerun,
     /// Run the shared prefix once per test, snapshot at the fork point,
-    /// and probe suffixes from copy-on-write forks.
+    /// and probe suffixes from copy-on-write forks (the default). A test
+    /// whose prefix fails or draws from the RNG falls back to rerun.
+    #[default]
     Fork,
 }
 
@@ -88,20 +95,17 @@ impl fmt::Display for ExploreMode {
 
 /// Metrics only the fork explorer emits. Rerun-mode manifests never
 /// contain them, so cross-mode manifest comparisons (the fork-vs-rerun
-/// differential suite, `scripts/ci.sh`) filter these names before
-/// demanding byte-identity; within one mode manifests are identical at
-/// any `--threads` with no filtering.
-pub const FORK_ONLY_METRICS: &[&str] = &[
-    "explore.forks",
-    "explore.probes",
-    "explore.snapshot_bytes",
-    "explore.prefix_steps_saved",
-    "explore.prefix_rng_fallbacks",
-];
+/// differential suite) filter these names before demanding
+/// byte-identity; within one mode manifests are identical at any
+/// `--threads` with no filtering. The one name appears only when a test
+/// took the slow path: its prefix drew from the RNG, so it could not
+/// fork.
+pub const FORK_ONLY_METRICS: &[&str] = &["explore.prefix_rng_fallbacks"];
 
 /// A test's shared prefix, materialized once: the machine state at the
-/// fork point plus everything a suffix probe needs. `Arc`-share across
-/// workers; each worker restores its own machine from the snapshot.
+/// fork point plus everything a suffix probe needs. Shared by reference
+/// across workers; each worker restores its own machine from the
+/// snapshot.
 #[derive(Debug, Clone)]
 pub struct ForkPoint {
     /// Machine state suspended right before the racy invocations.
@@ -109,46 +113,64 @@ pub struct ForkPoint {
     /// Resolved captures and built objects for suffix argument
     /// resolution.
     pub prefix: PlanPrefix,
-    /// The prefix's event trace, in order — fed to per-trial detector
-    /// clones so they observe exactly what a full re-execution would
-    /// have shown them.
-    pub prefix_events: Vec<Event>,
+    /// Events the prefix emitted: the steps each probe skips.
+    pub prefix_steps: u64,
 }
 
-impl ForkPoint {
-    /// Events the prefix emitted — the per-probe step count a fork saves
-    /// (`explore.prefix_steps_saved` = this × (probes − 1)).
-    pub fn prefix_steps(&self) -> u64 {
-        self.prefix_events.len() as u64
+/// Why [`prepare_fork_point`] could not fork a test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoFork {
+    /// The prefix failed; the rerun path reports the error with its own
+    /// exact semantics.
+    PrefixFailed,
+    /// The prefix consumed RNG draws, so one snapshot cannot serve every
+    /// trial seed (see the module docs).
+    PrefixDrewRng,
+}
+
+/// Counts the events it forwards. It always wants events, so the count
+/// is exact even over a sink that discards them.
+struct Counting<'a> {
+    inner: &'a mut dyn EventSink,
+    events: u64,
+}
+
+impl EventSink for Counting<'_> {
+    fn event(&mut self, ev: &Event) {
+        self.events += 1;
+        self.inner.event(ev);
     }
 }
 
-/// Runs the sequential prefix of `plan` on `machine` and captures a
-/// [`ForkPoint`] at the suspension point.
+/// Runs the sequential prefix of `plan` on `machine`, streaming its
+/// events into `sink`, and captures a [`ForkPoint`] at the suspension
+/// point.
 ///
-/// Returns `None` — *fall back to the re-execution explorer* — when the
-/// prefix fails (the rerun path reports such errors with its own exact
-/// semantics) or consumed RNG draws (a seed-dependent prefix cannot be
-/// shared across trial seeds; see the module docs). The attempt leaves no
-/// trace in any shared telemetry, so a fallback's manifests are
-/// indistinguishable from plain rerun mode up to the fork-only
-/// `explore.prefix_rng_fallbacks` counter its caller records.
+/// On `Err` — *fall back to the re-execution explorer* — `sink` has seen
+/// a partial or seed-dependent prefix and must be discarded. The attempt
+/// leaves no trace in any shared telemetry, so a fallback's manifests are
+/// indistinguishable from plain rerun mode up to the
+/// `explore.prefix_rng_fallbacks` counter its caller records for
+/// [`NoFork::PrefixDrewRng`].
 pub fn prepare_fork_point(
     machine: &mut Machine<'_>,
     seeds: &[TestId],
     plan: &TestPlan,
-) -> Option<ForkPoint> {
-    let mut sink = VecSink::new();
-    let prefix: Result<PlanPrefix, ExecError> =
-        execute_plan_prefix(machine, seeds, plan, &mut sink);
-    let prefix = prefix.ok()?;
+    sink: &mut dyn EventSink,
+) -> Result<ForkPoint, NoFork> {
+    let mut counting = Counting {
+        inner: sink,
+        events: 0,
+    };
+    let prefix = execute_plan_prefix(machine, seeds, plan, &mut counting)
+        .map_err(|_| NoFork::PrefixFailed)?;
     if machine.rng_draws() > 0 {
-        return None;
+        return Err(NoFork::PrefixDrewRng);
     }
-    Some(ForkPoint {
+    Ok(ForkPoint {
         snapshot: machine.snapshot(),
         prefix,
-        prefix_events: sink.events,
+        prefix_steps: counting.events,
     })
 }
 
@@ -162,7 +184,7 @@ mod tests {
             assert_eq!(ExploreMode::parse(mode.label()), Some(mode));
         }
         assert_eq!(ExploreMode::parse("bogus"), None);
-        assert_eq!(ExploreMode::default(), ExploreMode::Rerun);
+        assert_eq!(ExploreMode::default(), ExploreMode::Fork);
     }
 
     #[test]

@@ -53,8 +53,9 @@ pub struct JobOptions {
     pub pct_horizon: u64,
     /// Execution engine (bytecode jobs share the cached compilation).
     pub engine: Engine,
-    /// Trial explorer: rerun each trial from `main()` or probe from
-    /// copy-on-write snapshot forks. Result-neutral, like `threads`.
+    /// Trial explorer: probe from copy-on-write snapshot forks (the
+    /// default) or rerun each trial from `main()`. Result-neutral, like
+    /// `threads`.
     pub explore: ExploreMode,
     /// Drop statically-discharged pairs before derivation.
     pub static_filter: bool,
@@ -79,7 +80,7 @@ impl Default for JobOptions {
             strategy: ScheduleStrategy::Random,
             pct_horizon: 1_000,
             engine: Engine::TreeWalk,
-            explore: ExploreMode::Rerun,
+            explore: ExploreMode::default(),
             static_filter: false,
             static_rank: false,
             generate_seeds: false,
@@ -214,7 +215,7 @@ mod tests {
             confirms: 2,
             seed: 7,
             engine: Engine::Bytecode,
-            explore: ExploreMode::Fork,
+            explore: ExploreMode::Rerun,
             strategy: ScheduleStrategy::parse("pct:3").unwrap(),
             static_rank: true,
             ..JobOptions::default()

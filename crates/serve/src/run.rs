@@ -189,9 +189,6 @@ pub fn run_job(
     manifest.set_config("engine", opts.engine.label());
     manifest.set_config("strategy", opts.strategy.label());
     manifest.set_config("seed", opts.seed);
-    if let Some(t) = telemetry {
-        t.record_explore(opts.explore, &manifest);
-    }
     Ok(JobResult {
         report,
         summary,

@@ -433,28 +433,45 @@ fn flush_job(config: &ServeConfig, id: u64, done: &crate::run::JobResult) {
     }
 }
 
+/// The longest request line the daemon reads, newline included. It is
+/// far above any corpus class or generated difftest source (tens of
+/// KiB), so only a client that never ends its frame reaches it; the
+/// daemon answers such a line with an error frame and closes that
+/// connection instead of growing one buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 8 << 20;
+
+/// One read off a client connection.
+enum Incoming {
+    Request(Json),
+    /// The client hung up, or the server is stopping.
+    Closed,
+    /// The line ran past [`MAX_FRAME_BYTES`].
+    Oversized,
+}
+
 /// Reads the next request off an idle connection without pinning the
 /// server open: the stream carries a short read timeout, and every
 /// timeout re-checks the stop flag. Without this, one idle client
 /// would block `thread::scope`'s join — and therefore shutdown —
 /// forever. Partial lines survive timeouts because the byte buffer
-/// persists across `read_until` retries.
-fn next_request(
-    reader: &mut BufReader<TcpStream>,
-    shared: &Shared,
-) -> std::io::Result<Option<Json>> {
-    use std::io::BufRead;
+/// persists across `read_until` retries; the buffer never grows past
+/// one byte beyond [`MAX_FRAME_BYTES`].
+fn next_request(reader: &mut BufReader<TcpStream>, shared: &Shared) -> std::io::Result<Incoming> {
+    use std::io::{BufRead, Read};
     let mut bytes = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut bytes) {
-            Ok(0) => return Ok(None),
+        // Room for one byte past the cap tells an over-long line apart.
+        let room = (MAX_FRAME_BYTES + 1 - bytes.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut bytes) {
+            Ok(0) => return Ok(Incoming::Closed),
+            Ok(_) if bytes.len() > MAX_FRAME_BYTES => return Ok(Incoming::Oversized),
             Ok(_) => {
                 let line = String::from_utf8_lossy(&bytes);
                 if line.trim().is_empty() {
                     bytes.clear();
                     continue;
                 }
-                return Json::parse(&line).map(Some).map_err(|e| {
+                return Json::parse(&line).map(Incoming::Request).map_err(|e| {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
                 });
             }
@@ -465,7 +482,7 @@ fn next_request(
                 ) =>
             {
                 if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(None);
+                    return Ok(Incoming::Closed);
                 }
             }
             Err(e) => return Err(e),
@@ -481,7 +498,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
         .ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    while let Some(req) = next_request(&mut reader, shared)? {
+    loop {
+        let req = match next_request(&mut reader, shared)? {
+            Incoming::Request(req) => req,
+            Incoming::Closed => return Ok(()),
+            Incoming::Oversized => {
+                let msg = format!(
+                    "request frame longer than {MAX_FRAME_BYTES} bytes; closing the connection"
+                );
+                return write_frame(&mut writer, &error_frame(&msg));
+            }
+        };
         let cmd = req.get("cmd").and_then(|c| c.as_str()).unwrap_or("");
         match cmd {
             "ping" => {
@@ -550,7 +577,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
             }
         }
     }
-    Ok(())
 }
 
 fn handle_submit(req: &Json, shared: &Shared) -> Json {
@@ -708,7 +734,6 @@ fn build_status(shared: &Shared) -> Json {
         .with("jobs", jobs)
         .with("latency", t.latency_json())
         .with("cache", cache)
-        .with("explore", t.explore_json())
         .with(
             "workers",
             Json::obj()

@@ -8,10 +8,7 @@
 //! / `health` / `stats` verbs and the JSONL event log, and is never
 //! rendered into a manifest.
 
-use narada_detect::{ExploreMode, FORK_ONLY_METRICS};
-use narada_obs::{
-    EventLog, Histogram, Json, MetricValue, Metrics, RunManifest, LATENCY_BUCKETS_NS,
-};
+use narada_obs::{EventLog, Histogram, Json, Metrics, LATENCY_BUCKETS_NS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -116,42 +113,6 @@ impl ServerTelemetry {
         }
     }
 
-    /// Folds one finished job's explorer accounting into the
-    /// server-lifetime registry: a per-mode job count plus the cumulative
-    /// fork-only `explore.*` counters lifted out of the job's manifest
-    /// (rerun jobs by construction contribute nothing beyond their job
-    /// count). The sums feed the `explore` section of `watch`/`health`
-    /// frames and `narada top`.
-    pub fn record_explore(&self, mode: ExploreMode, manifest: &RunManifest) {
-        self.metrics
-            .counter(&format!("serve.explore.jobs.{}", mode.label()))
-            .inc();
-        for name in FORK_ONLY_METRICS {
-            if let Some(MetricValue::Counter(v)) = manifest.metric(name) {
-                self.metrics.counter(&format!("serve.{name}")).add(*v);
-            }
-        }
-    }
-
-    /// The `explore` section of `watch`/`health`/`top` frames: per-mode
-    /// job counts and the cumulative fork-explorer counters. Every key is
-    /// always present (zeros before any fork job) so scripted consumers
-    /// never branch on shape.
-    pub fn explore_json(&self) -> Json {
-        let c = |name: &str| Json::Int(self.metrics.counter(name).get() as i64);
-        let mut doc = Json::obj().with(
-            "jobs",
-            Json::obj()
-                .with("rerun", c("serve.explore.jobs.rerun"))
-                .with("fork", c("serve.explore.jobs.fork")),
-        );
-        for name in FORK_ONLY_METRICS {
-            let short = name.strip_prefix("explore.").unwrap_or(name);
-            doc.set(short, c(&format!("serve.{name}")));
-        }
-        doc
-    }
-
     /// The `latency` section of `watch`/`health`/`top` frames: job wall
     /// quantiles split cold vs warm, plus per-stage quantiles. Every key
     /// is always present (zeros when empty) so scripted consumers never
@@ -212,31 +173,6 @@ mod tests {
                 > Some(0)
         );
         assert!(doc.get("stages").and_then(|s| s.get("detect")).is_some());
-    }
-
-    #[test]
-    fn explore_json_has_stable_shape_and_sums_fork_counters() {
-        let t = ServerTelemetry::new(1, 1_000_000_000, None);
-        let doc = t.explore_json();
-        for key in ["forks", "probes", "snapshot_bytes", "prefix_steps_saved"] {
-            assert_eq!(doc.get(key).and_then(Json::as_i64), Some(0), "{key}");
-        }
-        let mut m = RunManifest::from_obs("job", 1, &narada_obs::Obs::new());
-        m.metrics
-            .push(("explore.forks".into(), MetricValue::Counter(3)));
-        m.metrics
-            .push(("explore.probes".into(), MetricValue::Counter(12)));
-        t.record_explore(ExploreMode::Fork, &m);
-        t.record_explore(
-            ExploreMode::Rerun,
-            &RunManifest::from_obs("job", 1, &narada_obs::Obs::new()),
-        );
-        let doc = t.explore_json();
-        assert_eq!(doc.get("forks").and_then(Json::as_i64), Some(3));
-        assert_eq!(doc.get("probes").and_then(Json::as_i64), Some(12));
-        let jobs = doc.get("jobs").unwrap();
-        assert_eq!(jobs.get("fork").and_then(Json::as_i64), Some(1));
-        assert_eq!(jobs.get("rerun").and_then(Json::as_i64), Some(1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end acceptance tests for the detection service: byte-identity
 //! with the batch pipeline (cold, warm, and across worker counts),
-//! streamed progress events, prompt `fetch --wait` wake-ups, and
-//! lossless mid-queue shutdown.
+//! streamed progress events, prompt `fetch --wait` wake-ups, lossless
+//! mid-queue shutdown, and the request-frame length cap.
 
 use narada_detect::{evaluate_suite_full, DetectConfig};
 use narada_lang::lower::lower_program;
@@ -430,4 +430,37 @@ fn submit_after_shutdown_is_refused() {
         Ok(mut c) => c.submit("class X { }", &JobOptions::default()).is_err(),
     };
     assert!(refused, "submission after shutdown must fail");
+}
+
+#[test]
+fn over_long_frame_is_refused_and_the_server_keeps_serving() {
+    use narada_serve::proto::read_frame;
+    use narada_serve::server::MAX_FRAME_BYTES;
+    use std::io::Write;
+
+    let server = TestServer::start(1, false);
+    // One byte past the cap, and no newline: a client that never ends its
+    // frame.
+    let mut raw = std::net::TcpStream::connect(&server.addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    raw.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+        .expect("write the over-long frame");
+    let mut reader = std::io::BufReader::new(raw);
+    let resp = read_frame(&mut reader)
+        .expect("read the answer")
+        .expect("an error frame before the close");
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+    let error = resp.get("error").and_then(|e| e.as_str()).unwrap_or("");
+    assert!(error.contains("longer than"), "{error}");
+    assert!(
+        matches!(read_frame(&mut reader), Ok(None) | Err(_)),
+        "the server must close the offending connection"
+    );
+
+    // Other clients are unaffected.
+    let pong = server.client().ping().expect("ping on a fresh connection");
+    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong:?}");
+    let c1 = narada_corpus::by_id("C1").expect("C1").source;
+    server.run(c1, &test_opts());
+    server.stop();
 }

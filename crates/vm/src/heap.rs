@@ -220,22 +220,6 @@ impl Heap {
         self.undo.len()
     }
 
-    /// Rough byte footprint of the live objects (payload slots plus fixed
-    /// per-object overhead) — the `explore.snapshot_bytes` input. An
-    /// estimate, not an allocator measurement, but a deterministic one.
-    pub fn approx_bytes(&self) -> u64 {
-        self.objects
-            .iter()
-            .map(|o| {
-                let slots = match &o.data {
-                    ObjectData::Instance { fields, .. } => fields.len(),
-                    ObjectData::Array { data, .. } => data.len(),
-                };
-                (std::mem::size_of::<Object>() + slots * std::mem::size_of::<Value>()) as u64
-            })
-            .sum()
-    }
-
     /// Deterministic full-state render: one line per object with payload,
     /// values, and monitor state, in allocation order. Two heaps render
     /// identically iff they are observationally identical — the byte
@@ -543,13 +527,5 @@ mod tests {
         assert!(heap.object(o).is_locked());
         heap.rewind(&mark);
         assert!(!heap.object(o).is_locked());
-    }
-
-    #[test]
-    fn approx_bytes_tracks_payload() {
-        let (_, mut heap) = heap_and_prog();
-        let empty = heap.approx_bytes();
-        heap.alloc_array(Ty::Int, 100);
-        assert!(heap.approx_bytes() > empty + 100 * std::mem::size_of::<Value>() as u64 / 2);
     }
 }

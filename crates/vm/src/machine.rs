@@ -225,26 +225,6 @@ pub struct MachineSnapshot {
     rng_draws: u64,
 }
 
-impl MachineSnapshot {
-    /// Rough byte footprint of the captured state (heap payload plus
-    /// fixed overhead) — the `explore.snapshot_bytes` input.
-    pub fn approx_bytes(&self) -> u64 {
-        let frames: usize = self
-            .threads
-            .iter()
-            .map(|t| {
-                t.frames
-                    .iter()
-                    .map(|f| f.regs.len() + f.held.len())
-                    .sum::<usize>()
-            })
-            .sum();
-        self.heap.approx_bytes()
-            + (frames * std::mem::size_of::<Value>()) as u64
-            + std::mem::size_of::<MachineSnapshot>() as u64
-    }
-}
-
 /// An in-place rewind point from [`Machine::mark`]: a copy-on-write
 /// [`HeapMark`] plus owned copies of the (small) non-heap state. Cheaper
 /// than restoring a [`MachineSnapshot`] because [`Machine::rewind`]

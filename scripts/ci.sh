@@ -70,11 +70,25 @@ cmp "$DIFF_DIR/t1.out" "$DIFF_DIR/bc-t1.out" \
     || { echo "difftest output differs between engines" >&2; exit 1; }
 rm -rf "$DIFF_DIR"
 
-echo "==> fork-vs-rerun explorer differential (C1-C5 + difftest slice, threads 1/2/8)"
+echo "==> fork-vs-rerun explorer differential (release, full C1-C9 matrix + fallback classes)"
+# The default explorer (fork) against the rerun oracle in-process:
+# verdicts, setup errors and manifests on C1-C9 at threads 1/2/8, both
+# engines, the difftest slice, and the two classes that must fall back.
+NARADA_FORK_FULL=1 cargo test -q --release -p narada-detect --test fork_differential
+
+echo "==> fork-vs-rerun explorer differential (binaries: C1-C9 at the defaults, C1-C5 + difftest slice, threads 1/2/8)"
 # The snapshot-forking explorer must be observably identical to the
 # re-execution explorer: same verdict lines on the manual corpus and the
 # same sweep digest on a generated-lattice slice, at every worker count.
 FORK_DIR="$(mktemp -d)"
+for c in C1 C2 C3 C4 C5 C6 C7 C8 C9; do
+    cargo run -q --release --bin narada -- detect "$c" --explore rerun > "$FORK_DIR/$c.oracle"
+    for t in 1 2 8; do
+        cargo run -q --release --bin narada -- detect "$c" --threads "$t" > "$FORK_DIR/$c.default"
+        cmp "$FORK_DIR/$c.oracle" "$FORK_DIR/$c.default" \
+            || { echo "detect $c (default explorer) diverges from --explore rerun at --threads $t" >&2; exit 1; }
+    done
+done
 for c in C1 C2 C3 C4 C5; do
     cargo run -q --release --bin narada -- detect "$c" --schedules 4 --confirms 3 \
         --explore rerun > "$FORK_DIR/$c.rerun"

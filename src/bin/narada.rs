@@ -156,14 +156,15 @@ and reports — the differential suite enforces it — so every command
 accepts either engine with identical output.
 `--strategy S` picks the exploration scheduler: pct[:DEPTH], random,
 sticky[:PERCENT], or rr; `--depth N` overrides the PCT depth.
-`--explore M` picks the trial explorer: rerun (re-execute each trial
-from main(), default) or fork (run the shared prefix once per test,
-snapshot the machine at the fork point with copy-on-write heap marks,
-and probe divergent suffixes from restored forks). Both modes produce
-byte-identical verdicts, schedules, reports, and manifests — modulo
-the fork-only `explore.*` counters — and the fork-vs-rerun
-differential suite enforces it; fork mode just skips re-executing the
-prefix, which `explore.prefix_steps_saved` quantifies.
+`--explore M` picks the trial explorer: fork (default: run each test's
+sequential prefix once, snapshot the machine at the fork point with
+copy-on-write heap marks, and probe every schedule suffix from
+restored forks) or rerun (re-execute each trial from main(), the
+reference oracle). A test whose prefix draws from rand() cannot fork
+and runs as under rerun, counted by `explore.prefix_rng_fallbacks`.
+Both modes produce byte-identical verdicts, schedules, reports, and
+manifests — modulo that one counter — and the fork-vs-rerun
+differential suite enforces it.
 `--record DIR` writes replayable .sched logs: synth records one
 demonstration run per race-expecting test, detect/corpus record the
 ddmin-minimized schedule of every confirmed race as a fixture.
@@ -244,11 +245,11 @@ fn engine_opt(rest: &[String]) -> Result<Engine, String> {
     }
 }
 
-/// Parses the shared `--explore` flag (`rerun` by default).
+/// Parses the shared `--explore` flag (`fork` by default).
 fn explore_opt(rest: &[String]) -> Result<ExploreMode, String> {
     match opt(rest, "--explore") {
         None if flag(rest, "--explore") => Err("--explore expects 'rerun' or 'fork'".into()),
-        None => Ok(ExploreMode::Rerun),
+        None => Ok(ExploreMode::default()),
         Some(s) => ExploreMode::parse(s)
             .ok_or_else(|| format!("--explore expects 'rerun' or 'fork', got `{s}`")),
     }
@@ -1315,17 +1316,6 @@ fn render_top(addr: &str, frame: &Json) -> String {
             .and_then(|c| c.get("counters"))
             .map(Json::to_compact)
             .unwrap_or_default(),
-    ));
-    let exp = frame.get("explore");
-    let exp_jobs = exp.and_then(|e| e.get("jobs"));
-    out.push_str(&format!(
-        "explore  jobs rerun {}  fork {}  forks {}  probes {}  prefix-steps-saved {}  snapshot {} B\n",
-        int(exp_jobs.and_then(|j| j.get("rerun"))),
-        int(exp_jobs.and_then(|j| j.get("fork"))),
-        int(exp.and_then(|e| e.get("forks"))),
-        int(exp.and_then(|e| e.get("probes"))),
-        int(exp.and_then(|e| e.get("prefix_steps_saved"))),
-        int(exp.and_then(|e| e.get("snapshot_bytes"))),
     ));
     if let Some(ages) = frame
         .get("workers")
