@@ -11,7 +11,7 @@ use narada_bench::{
     FIG14_BUCKETS,
 };
 use narada_core::SynthesisOptions;
-use narada_detect::{evaluate_suite_observed, DetectConfig};
+use narada_detect::{evaluate_suite_full, DetectConfig};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -52,7 +52,7 @@ fn main() {
             .take(max_tests)
             .map(|t| &t.plan)
             .collect();
-        let agg = evaluate_suite_observed(&r.prog, &r.mir, &seeds, &plans, &cfg, &obs);
+        let agg = evaluate_suite_full(&r.prog, &r.mir, &seeds, &plans, &cfg, &obs).1;
         let dist = fig14_distribution(&agg.per_test_races);
         let mut row = vec![r.entry.id.to_string()];
         for pct in dist {

@@ -26,7 +26,7 @@ use narada_core::{
     synthesize_with, PairSet, RacePair, ScreenReason, StaticVerdict, SynthesisOptions,
 };
 use narada_corpus::by_id;
-use narada_detect::{evaluate_test_indexed, DetectConfig};
+use narada_detect::{evaluate_test_observed, DetectConfig};
 use narada_lang::lower::lower_program;
 use narada_screen::screen_pairs;
 use std::collections::HashMap;
@@ -152,7 +152,15 @@ fn walk_suite(
     let mut first = None;
     let mut all_keys = None;
     for (ti, t) in out.tests.iter().enumerate() {
-        let report = evaluate_test_indexed(prog, mir, &seeds, &t.plan, &cfg, ti as u64);
+        let report = evaluate_test_observed(
+            prog,
+            mir,
+            &seeds,
+            &t.plan,
+            &cfg,
+            ti as u64,
+            &narada_obs::Obs::new(),
+        );
         let mut grew = false;
         for (key, _) in &report.reproduced {
             first.get_or_insert(ti + 1);

@@ -10,7 +10,7 @@
 
 use narada_bench::{env_threads, render_table, synthesize_corpus_observed, write_manifest};
 use narada_core::SynthesisOptions;
-use narada_detect::{evaluate_suite_observed, DetectConfig};
+use narada_detect::{evaluate_suite_full, DetectConfig};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -51,7 +51,7 @@ fn main() {
             .take(max_tests)
             .map(|t| &t.plan)
             .collect();
-        let agg = evaluate_suite_observed(&r.prog, &r.mir, &seeds, &plans, &cfg, &obs);
+        let agg = evaluate_suite_full(&r.prog, &r.mir, &seeds, &plans, &cfg, &obs).1;
         totals.0 += agg.races_detected;
         totals.1 += agg.harmful;
         totals.2 += agg.benign;

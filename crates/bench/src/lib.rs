@@ -18,7 +18,7 @@ pub mod harness;
 
 use narada_core::{synthesize_observed, SynthesisOptions, SynthesisOutput};
 use narada_corpus::CorpusEntry;
-use narada_detect::{evaluate_suite_observed, ClassDetection, DetectConfig};
+use narada_detect::{evaluate_suite_full, ClassDetection, DetectConfig};
 use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
 use narada_lang::mir::MirProgram;
@@ -69,7 +69,7 @@ impl ClassRun {
     pub fn detect_observed(&self, cfg: &DetectConfig, obs: &Obs) -> ClassDetection {
         let seeds: Vec<_> = self.prog.tests.iter().map(|t| t.id).collect();
         let plans: Vec<_> = self.out.tests.iter().map(|t| &t.plan).collect();
-        evaluate_suite_observed(&self.prog, &self.mir, &seeds, &plans, cfg, obs)
+        evaluate_suite_full(&self.prog, &self.mir, &seeds, &plans, cfg, obs).1
     }
 }
 

@@ -19,7 +19,7 @@ use narada_lang::hir::{ClassId, MethodId, Program, Ty};
 use narada_lang::mir::MirProgram;
 use narada_vm::rng::SplitMix64;
 use narada_vm::{
-    Engine, Machine, MachineOptions, NullSink, ObjId, PendingInvoke, RandomScheduler, RunOutcome,
+    Machine, MachineOptions, NullSink, ObjId, PendingInvoke, RandomScheduler, RunOutcome,
     SerialScheduler, ThreadStatus, Value,
 };
 
@@ -40,9 +40,6 @@ pub struct ContegeOptions {
     pub schedules_per_test: usize,
     /// Stop at the first violation (paper counts tests-to-first-violation).
     pub stop_at_first: bool,
-    /// Execution engine for every generated-test run (trace-equivalent
-    /// to tree-walk; a throughput knob).
-    pub engine: Engine,
 }
 
 impl Default for ContegeOptions {
@@ -55,7 +52,6 @@ impl Default for ContegeOptions {
             budget: 400_000,
             schedules_per_test: 3,
             stop_at_first: true,
-            engine: Engine::TreeWalk,
         }
     }
 }
@@ -451,7 +447,6 @@ fn run_once(
         MachineOptions {
             seed: opts.seed,
             max_steps: opts.budget,
-            engine: opts.engine,
             ..MachineOptions::default()
         },
     );

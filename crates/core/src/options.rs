@@ -1,8 +1,7 @@
 //! Tuning knobs for the synthesis pipeline, including the ablation flags
 //! called out in DESIGN.md.
 
-use narada_vm::{BcProgram, Engine, ScheduleStrategy};
-use std::sync::Arc;
+use narada_vm::ScheduleStrategy;
 
 /// Options controlling pair generation, context derivation, and synthesis.
 #[derive(Debug, Clone)]
@@ -42,21 +41,10 @@ pub struct SynthesisOptions {
     /// see [`crate::pipeline::synthesize_generated`]). Off by default —
     /// the paper's pipeline consumes hand-written seed tests.
     pub generate_seeds: bool,
-    /// Execution engine for every machine the pipeline builds (seed runs,
-    /// setter probing, demonstration). Both engines are trace-equivalent
-    /// — see the engine differential suite — so this is purely a
-    /// throughput knob (the CLI's `--engine`).
-    pub engine: Engine,
-    /// Pre-compiled bytecode for the `(Program, MirProgram)` the
-    /// pipeline will run — an artifact-cache hand-off (`narada serve`):
-    /// when set and `engine` is [`Engine::Bytecode`], every machine the
-    /// pipeline builds shares this compilation instead of recompiling.
-    /// Must have been compiled from exactly the program passed alongside;
-    /// [`crate::pipeline::synthesize_generated`] drops it because it
-    /// rewrites the MIR. Ignored under [`Engine::TreeWalk`]. Purely a
-    /// throughput knob — compilation is deterministic, so output is
-    /// byte-identical with or without it.
-    pub code: Option<Arc<BcProgram>>,
+    /// Kept only so that struct literals naming `engine` (the
+    /// repository benchmark's) still compile; nothing reads it. Tree-walk
+    /// is the only interpreter.
+    pub engine: (),
 }
 
 impl Default for SynthesisOptions {
@@ -71,8 +59,7 @@ impl Default for SynthesisOptions {
             static_filter: false,
             static_rank: false,
             generate_seeds: false,
-            engine: Engine::TreeWalk,
-            code: None,
+            engine: (),
         }
     }
 }
@@ -93,9 +80,6 @@ pub struct ExploreOptions {
     /// Worker threads for sharded demonstration runs (`0` = one per
     /// core); results are identical at any value.
     pub threads: usize,
-    /// Execution engine for exploration machines (trace-equivalent to
-    /// tree-walk; a throughput knob).
-    pub engine: Engine,
 }
 
 impl Default for ExploreOptions {
@@ -106,7 +90,6 @@ impl Default for ExploreOptions {
             seed: 0xdecaf,
             budget: 2_000_000,
             threads: 0,
-            engine: Engine::TreeWalk,
         }
     }
 }

@@ -151,18 +151,7 @@ pub fn synthesize_observed(
     let mut seed_failures = Vec::new();
     {
         let _s = span!(obs.tracer, "stage.trace");
-        let mopts = MachineOptions {
-            engine: opts.engine,
-            ..MachineOptions::default()
-        };
-        // Share the cache-provided compilation when one was handed over
-        // (`SynthesisOptions::code`); otherwise compile as usual.
-        let mut machine = match &opts.code {
-            Some(code) if opts.engine == narada_vm::Engine::Bytecode => {
-                Machine::with_code(prog, mir, mopts, std::sync::Arc::clone(code))
-            }
-            _ => Machine::new(prog, mir, mopts),
-        };
+        let mut machine = Machine::with_defaults(prog, mir);
         for t in &prog.tests {
             let _run = span!(obs.tracer, "seed.run", test = t.name);
             if let Err(e) = machine.run_test(t.id, &mut sink) {
@@ -329,7 +318,6 @@ pub fn demonstrate_observed(
             mir,
             MachineOptions {
                 seed: derive_seed(explore.seed, &[STAGE_DEMO_MACHINE, idx]),
-                engine: explore.engine,
                 ..MachineOptions::default()
             },
         );
@@ -410,12 +398,6 @@ pub fn synthesize_generated(
     screener: Option<ScreenerFn<'_>>,
     obs: &Obs,
 ) -> (Program, MirProgram, SynthesisOutput) {
-    // Any handed-over compilation was built from the *original* MIR; the
-    // generated suite rewrites the test bodies, so it must not be shared.
-    let opts = &SynthesisOptions {
-        code: None,
-        ..opts.clone()
-    };
     let generated = generator(prog, mir);
     let mut gen_prog = prog.clone();
     gen_prog.tests = generated

@@ -9,10 +9,11 @@
 //! or reseed cannot slip through as a coincidentally-equal total.
 
 use narada_core::{synthesize, SynthesisOptions, SynthesisOutput};
-use narada_detect::{evaluate_suite, evaluate_test_indexed, DetectConfig};
+use narada_detect::{evaluate_suite_full, evaluate_test_observed, DetectConfig};
 use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
 use narada_lang::mir::MirProgram;
+use narada_obs::Obs;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -55,7 +56,7 @@ fn serialize_detection(
     let mut s = String::new();
     // Per-test reports through the sharded trial runner...
     for (i, t) in out.tests.iter().enumerate().take(6) {
-        let rep = evaluate_test_indexed(prog, mir, &seeds, &t.plan, &cfg, i as u64);
+        let rep = evaluate_test_observed(prog, mir, &seeds, &t.plan, &cfg, i as u64, &Obs::new());
         s.push_str(&format!(
             "test {i}: detected={:?} reproduced={:?} errors={:?}\n",
             rep.detected, rep.reproduced, rep.setup_errors
@@ -63,7 +64,7 @@ fn serialize_detection(
     }
     // ...and the suite-level aggregation (plan-sharded fan-out).
     let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-    let agg = evaluate_suite(prog, mir, &seeds, &plans, &cfg);
+    let agg = evaluate_suite_full(prog, mir, &seeds, &plans, &cfg, &Obs::new()).1;
     s.push_str(&format!(
         "suite: detected={} harmful={} benign={} unreproduced={} per_test={:?}\n",
         agg.races_detected, agg.harmful, agg.benign, agg.unreproduced, agg.per_test_races

@@ -3,7 +3,7 @@
 //! The fork explorer's correctness rests on one claim: a machine
 //! restored (or rewound) to a fork point is *bit-for-bit* the machine
 //! that paused there. This suite checks the claim across every corpus
-//! class, both engines, every synthesized plan shape, and — via a probe
+//! class, every synthesized plan shape, and — via a probe
 //! budget sweep — fork points landed mid-monitor (between `MonitorEnter`
 //! and `MonitorExit`) and mid-array-write, the two states most likely to
 //! smear across a buggy undo log. Oracles: the deterministic heap render
@@ -15,7 +15,7 @@ use narada_core::{synthesize_source, SynthesisOptions, TestPlan};
 use narada_lang::hir::{Program, TestId};
 use narada_lang::mir::MirProgram;
 use narada_vm::{
-    trace_digest, Engine, Machine, MachineOptions, NullSink, PctScheduler, RandomScheduler, VecSink,
+    trace_digest, Machine, MachineOptions, NullSink, PctScheduler, RandomScheduler, VecSink,
 };
 
 const MACHINE_SEED: u64 = 0x5af0_4c5e;
@@ -25,13 +25,12 @@ const SCHED_SEED: u64 = 0x51de;
 /// right inside the first monitor acquisition of `sync` classes).
 const PROBE_BUDGETS: &[u64] = &[1, 2, 3, 5, 8, 13, 21, 34, 55];
 
-fn machine_for<'p>(prog: &'p Program, mir: &'p MirProgram, engine: Engine) -> Machine<'p> {
+fn machine_for<'p>(prog: &'p Program, mir: &'p MirProgram) -> Machine<'p> {
     Machine::new(
         prog,
         mir,
         MachineOptions {
             seed: MACHINE_SEED,
-            engine,
             ..MachineOptions::default()
         },
     )
@@ -45,9 +44,8 @@ fn reference_run(
     mir: &MirProgram,
     seeds: &[TestId],
     plan: &TestPlan,
-    engine: Engine,
 ) -> Option<(u64, String)> {
-    let mut m = machine_for(prog, mir, engine);
+    let mut m = machine_for(prog, mir);
     let mut sink = VecSink::new();
     let prefix = execute_plan_prefix(&mut m, seeds, plan, &mut sink).ok()?;
     let mut sched = PctScheduler::new(SCHED_SEED, 3, 1_000);
@@ -55,23 +53,17 @@ fn reference_run(
     Some((trace_digest(&sink.events), m.heap.render()))
 }
 
-/// The property, for one (plan, engine): run the prefix once, then
+/// The property, for one plan: run the prefix once, then
 /// mark → probe K steps under a *different* scheduler → rewind, for a
 /// sweep of K; after all that vandalism the resumed suffix must be
 /// byte-identical to the uninterrupted reference. Also checks the owned
-/// snapshot the same way on fresh machines of both engines.
-fn check_plan(
-    prog: &Program,
-    mir: &MirProgram,
-    seeds: &[TestId],
-    plan: &TestPlan,
-    engine: Engine,
-) -> bool {
-    let Some((ref_digest, ref_heap)) = reference_run(prog, mir, seeds, plan, engine) else {
+/// snapshot the same way on a fresh machine.
+fn check_plan(prog: &Program, mir: &MirProgram, seeds: &[TestId], plan: &TestPlan) -> bool {
+    let Some((ref_digest, ref_heap)) = reference_run(prog, mir, seeds, plan) else {
         return false; // plan doesn't execute (capture miss etc.) — skip
     };
 
-    let mut m = machine_for(prog, mir, engine);
+    let mut m = machine_for(prog, mir);
     let mut sink = VecSink::new();
     let prefix = execute_plan_prefix(&mut m, seeds, plan, &mut sink).expect("prefix re-runs");
     assert_eq!(m.rng_draws(), 0, "corpus prefixes must be seed-independent");
@@ -91,7 +83,7 @@ fn check_plan(
         assert_eq!(
             m.heap.render(),
             fork_heap,
-            "heap not restored after {k}-step probe (engine {engine:?})"
+            "heap not restored after {k}-step probe"
         );
     }
 
@@ -102,38 +94,32 @@ fn check_plan(
     assert_eq!(
         trace_digest(&sink.events),
         ref_digest,
-        "trace diverged after probe storm (engine {engine:?})"
+        "trace diverged after probe storm"
     );
-    assert_eq!(
-        m.heap.render(),
-        ref_heap,
-        "final heap diverged (engine {engine:?})"
-    );
+    assert_eq!(m.heap.render(), ref_heap, "final heap diverged");
 
-    // Owned-snapshot restore, onto fresh machines of *both* engines: a
-    // fork point is engine-portable state.
-    for restore_engine in [Engine::TreeWalk, Engine::Bytecode] {
-        let mut fresh = machine_for(prog, mir, restore_engine);
-        fresh.restore(&snap);
-        assert_eq!(fresh.heap.render(), fork_heap, "restore(snapshot) heap");
-        // Pre-load the shared prefix events so the digest compares the
-        // full trace against the uninterrupted reference.
-        let mut sink2 = VecSink::new();
-        sink2.events = sink.events[..prefix_len].to_vec();
-        let mut sched = PctScheduler::new(SCHED_SEED, 3, 1_000);
-        execute_plan_suffix(&mut fresh, plan, &prefix, &mut sched, &mut sink2, 1_000_000)
-            .expect("suffix from restored snapshot");
-        assert_eq!(
-            trace_digest(&sink2.events),
-            ref_digest,
-            "snapshot restored on {restore_engine:?} diverged from {engine:?} reference"
-        );
-        assert_eq!(fresh.heap.render(), ref_heap);
-    }
+    // Owned-snapshot restore, onto a fresh machine.
+    let mut fresh = machine_for(prog, mir);
+    fresh.restore(&snap);
+    assert_eq!(fresh.heap.render(), fork_heap, "restore(snapshot) heap");
+    // Pre-load the shared prefix events so the digest compares the full
+    // trace against the uninterrupted reference.
+    let mut sink2 = VecSink::new();
+    sink2.events = sink.events[..prefix_len].to_vec();
+    let mut sched = PctScheduler::new(SCHED_SEED, 3, 1_000);
+    execute_plan_suffix(&mut fresh, plan, &prefix, &mut sched, &mut sink2, 1_000_000)
+        .expect("suffix from restored snapshot");
+    assert_eq!(
+        trace_digest(&sink2.events),
+        ref_digest,
+        "restored snapshot diverged from the reference"
+    );
+    assert_eq!(fresh.heap.render(), ref_heap);
     true
 }
 
-fn class_suite(engine: Engine) {
+#[test]
+fn snapshot_round_trip() {
     let mut plans_checked = 0usize;
     for entry in narada_corpus::all() {
         let (prog, mir, out) = synthesize_source(
@@ -146,7 +132,7 @@ fn class_suite(engine: Engine) {
         .unwrap_or_else(|e| panic!("{}: synthesis failed: {e:?}", entry.id));
         let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
         for t in out.tests.iter().take(2) {
-            if check_plan(&prog, &mir, &seeds, &t.plan, engine) {
+            if check_plan(&prog, &mir, &seeds, &t.plan) {
                 plans_checked += 1;
             }
         }
@@ -155,14 +141,4 @@ fn class_suite(engine: Engine) {
         plans_checked >= 9,
         "snapshot property must exercise most corpus classes (got {plans_checked})"
     );
-}
-
-#[test]
-fn snapshot_round_trip_treewalk() {
-    class_suite(Engine::TreeWalk);
-}
-
-#[test]
-fn snapshot_round_trip_bytecode() {
-    class_suite(Engine::Bytecode);
 }

@@ -11,8 +11,9 @@
 //! * [`RaceFuzzerScheduler`] — active confirmation: postpone a thread at a
 //!   targeted access until its partner arrives, then let them collide
 //!   (Sen), with harmful/benign value triage;
-//! * [`evaluate_test`]/[`evaluate_suite`] — the full §5 protocol: random
-//!   schedules for detection, directed schedules for reproduction.
+//! * [`evaluate_test_observed`]/[`evaluate_suite_full`] — the full §5
+//!   protocol: random schedules for detection, directed schedules for
+//!   reproduction.
 
 #![warn(missing_docs)]
 
@@ -36,8 +37,7 @@ pub use race::{
 };
 pub use racefuzzer::{ConfirmedRace, RaceFuzzerScheduler, DEFAULT_POSTPONE_BUDGET};
 pub use report::{
-    evaluate_suite, evaluate_suite_full, evaluate_suite_observed, evaluate_test,
-    evaluate_test_indexed, evaluate_test_observed, ClassDetection, DetectConfig, TestReport,
+    evaluate_suite_full, evaluate_test_observed, ClassDetection, DetectConfig, TestReport,
 };
 pub use saturation::SaturationWatch;
 pub use vclock::{Epoch, VectorClock};

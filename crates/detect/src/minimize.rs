@@ -25,7 +25,7 @@ use narada_core::TestPlan;
 use narada_lang::hir::{Program, TestId};
 use narada_lang::mir::MirProgram;
 use narada_vm::{
-    trace_digest, Engine, Machine, MachineOptions, RecordingScheduler, ReplayScheduler, Schedule,
+    trace_digest, Machine, MachineOptions, RecordingScheduler, ReplayScheduler, Schedule,
     SegmentScheduler, TeeSink, ThreadId, VecSink,
 };
 
@@ -65,14 +65,12 @@ fn probe(
     budget: u64,
     target: &StaticRaceKey,
     segments: &[(ThreadId, u64)],
-    engine: Engine,
 ) -> Option<Probe> {
     let mut machine = Machine::new(
         prog,
         mir,
         MachineOptions {
             seed: machine_seed,
-            engine,
             ..MachineOptions::default()
         },
     );
@@ -114,7 +112,6 @@ fn coalesce(segments: &[(ThreadId, u64)]) -> Vec<(ThreadId, u64)> {
 /// Returns `None` when the input schedule does not manifest the race in
 /// the first place (stale recording, wrong machine seed) — the caller
 /// should keep the unminimized schedule in that case.
-#[allow(clippy::too_many_arguments)]
 pub fn minimize_schedule(
     prog: &Program,
     mir: &MirProgram,
@@ -123,7 +120,6 @@ pub fn minimize_schedule(
     budget: u64,
     target: &StaticRaceKey,
     schedule: &Schedule,
-    engine: Engine,
 ) -> Option<MinimizeOutcome> {
     let machine_seed = schedule.seed;
     let probes = std::cell::Cell::new(0usize);
@@ -138,7 +134,6 @@ pub fn minimize_schedule(
             budget,
             target,
             segments,
-            engine,
         )
     };
 
@@ -249,14 +244,12 @@ pub fn replay_schedule(
     plan: &TestPlan,
     budget: u64,
     schedule: &Schedule,
-    engine: Engine,
 ) -> Result<ReplayOutcome, String> {
     let mut machine = Machine::new(
         prog,
         mir,
         MachineOptions {
             seed: schedule.seed,
-            engine,
             ..MachineOptions::default()
         },
     );

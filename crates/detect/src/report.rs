@@ -38,7 +38,7 @@ use narada_lang::mir::MirProgram;
 use narada_obs::{span, Obs, TRIAL_BUCKETS};
 use narada_vm::rng::derive_seed;
 use narada_vm::{
-    Engine, EventSink, Machine, MachineMark, MachineOptions, NullSink, ObservedScheduler,
+    EventSink, Machine, MachineMark, MachineOptions, NullSink, ObservedScheduler,
     RecordingScheduler, RunOutcome, ScheduleStrategy, Scheduler, TeeSink,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -78,20 +78,14 @@ pub struct DetectConfig {
     /// [`ConfirmedRace`] — used when committing `.sched` fixtures; costs
     /// one full re-execution per probe.
     pub minimize: bool,
-    /// Execution engine for every trial, confirmation, and minimization
-    /// machine. Trace-equivalent to tree-walk (see the engine
-    /// differential suite), so detection output is byte-identical across
-    /// engines; this is purely a throughput knob (the CLI's `--engine`).
-    pub engine: Engine,
-    /// Pre-compiled bytecode for the program under test — an
-    /// artifact-cache hand-off (`narada serve`): when set and `engine`
-    /// is [`Engine::Bytecode`], every trial and confirmation machine
-    /// shares this compilation instead of recompiling per trial. Must
-    /// have been compiled from exactly the `(Program, MirProgram)`
-    /// passed to the evaluation entry points. Ignored under
-    /// [`Engine::TreeWalk`]; purely a throughput knob (compilation is
-    /// deterministic, so output is byte-identical either way).
-    pub code: Option<std::sync::Arc<narada_vm::BcProgram>>,
+    /// Kept only so that struct literals naming `engine` (the
+    /// repository benchmark's) still compile; nothing reads it. Tree-walk
+    /// is the only interpreter.
+    pub engine: (),
+    /// Kept only so that struct literals naming `code` (the repository
+    /// benchmark's `code: None`) still compile; it can hold no value and
+    /// nothing reads it.
+    pub code: Option<std::convert::Infallible>,
     /// How trials explore schedule suffixes (the CLI's `--explore`): run
     /// the shared prefix once and probe suffixes from copy-on-write
     /// forks (the default), or re-execute each trial from `main()` (the
@@ -113,32 +107,20 @@ impl Default for DetectConfig {
             strategy: ScheduleStrategy::Random,
             pct_horizon: 1_000,
             minimize: false,
-            engine: Engine::TreeWalk,
+            engine: (),
             code: None,
             explore: ExploreMode::default(),
         }
     }
 }
 
-/// Builds one trial machine, sharing the pre-compiled bytecode when the
-/// config carries it (see [`DetectConfig::code`]).
-fn trial_machine<'p>(
-    prog: &'p Program,
-    mir: &'p MirProgram,
-    cfg: &DetectConfig,
-    seed: u64,
-) -> Machine<'p> {
+/// A fresh trial machine under `seed`.
+fn trial_machine<'p>(prog: &'p Program, mir: &'p MirProgram, seed: u64) -> Machine<'p> {
     let opts = MachineOptions {
         seed,
-        engine: cfg.engine,
         ..MachineOptions::default()
     };
-    match &cfg.code {
-        Some(code) if cfg.engine == Engine::Bytecode => {
-            Machine::with_code(prog, mir, opts, std::sync::Arc::clone(code))
-        }
-        _ => Machine::new(prog, mir, opts),
-    }
+    Machine::new(prog, mir, opts)
 }
 
 /// Counts one trial's outcome: every thread finished
@@ -225,7 +207,7 @@ impl<'a, 'p> TestRun<'a, 'p> {
     /// `parallel_map_with`).
     fn start(&self) -> Option<ForkStart<'_, 'p>> {
         self.forked.as_ref().map(|forked| {
-            let mut machine = trial_machine(self.prog, self.mir, self.cfg, self.cfg.seed);
+            let mut machine = trial_machine(self.prog, self.mir, self.cfg.seed);
             machine.restore(&forked.fp.snapshot);
             let mark = machine.mark();
             ForkStart {
@@ -266,7 +248,7 @@ impl<'a, 'p> TestRun<'a, 'p> {
                 execute_plan_suffix(&mut s.machine, self.plan, prefix, sched, sink, budget)
             }
             None => {
-                let mut machine = trial_machine(self.prog, self.mir, self.cfg, machine_seed);
+                let mut machine = trial_machine(self.prog, self.mir, machine_seed);
                 execute_plan(&mut machine, self.seeds, self.plan, sched, sink, budget)
             }
         }
@@ -366,7 +348,7 @@ impl<'a, 'p> TestRun<'a, 'p> {
                         true => {
                             match minimize_schedule(
                                 self.prog, self.mir, self.seeds, self.plan, cfg.budget, fine,
-                                &schedule, cfg.engine,
+                                &schedule,
                             ) {
                                 Some(m) => {
                                     obs.metrics.counter("minimize.probes").add(m.probes as u64);
@@ -388,20 +370,8 @@ impl<'a, 'p> TestRun<'a, 'p> {
 /// Runs the full detection protocol on one synthesized test plan.
 ///
 /// `test_idx` salts the trial seeds so distinct tests explore distinct
-/// schedules; [`evaluate_suite`] passes each plan's index, direct callers
-/// can pass `0`.
-pub fn evaluate_test_indexed(
-    prog: &Program,
-    mir: &MirProgram,
-    seeds: &[TestId],
-    plan: &TestPlan,
-    cfg: &DetectConfig,
-    test_idx: u64,
-) -> TestReport {
-    evaluate_test_observed(prog, mir, seeds, plan, cfg, test_idx, &Obs::new())
-}
-
-/// [`evaluate_test_indexed`] recording trial and confirmation activity
+/// schedules; [`evaluate_suite_full`] passes each plan's index, direct
+/// callers can pass `0`. Trial and confirmation activity is recorded
 /// into `obs`: `detect.trials`, `detect.races_detected`,
 /// `detect.confirmed`, `detect.setup_errors`, the
 /// `detect.trials_to_first_confirm` histogram, scheduler decision
@@ -442,7 +412,7 @@ pub fn evaluate_test_observed(
         ExploreMode::Rerun => None,
         ExploreMode::Fork => {
             let seed0 = derive_seed(cfg.seed, &[STAGE_DETECT_MACHINE, test_idx, 0]);
-            let mut machine = trial_machine(prog, mir, cfg, seed0);
+            let mut machine = trial_machine(prog, mir, seed0);
             let (mut lockset, mut hb) = (LocksetDetector::new(), FastTrackDetector::new());
             let mut tee = TeeSink {
                 a: &mut lockset,
@@ -546,18 +516,6 @@ pub fn evaluate_test_observed(
     report
 }
 
-/// Runs the full detection protocol on one synthesized test plan (trial
-/// seeds salted with test index 0; see [`evaluate_test_indexed`]).
-pub fn evaluate_test(
-    prog: &Program,
-    mir: &MirProgram,
-    seeds: &[TestId],
-    plan: &TestPlan,
-    cfg: &DetectConfig,
-) -> TestReport {
-    evaluate_test_indexed(prog, mir, seeds, plan, cfg, 0)
-}
-
 /// Aggregated per-class detection numbers (one Table 5 row).
 #[derive(Debug, Default, Clone)]
 pub struct ClassDetection {
@@ -578,41 +536,19 @@ pub struct ClassDetection {
     pub jobs: usize,
 }
 
-/// Evaluates a whole synthesized suite and aggregates per-class numbers.
+/// Evaluates a whole synthesized suite and aggregates per-class numbers,
+/// recording per-trial telemetry (see [`evaluate_test_observed`]) plus
+/// the stage-level `stage.detect.wall_ns` gauge and `detect.jobs`
+/// counter into `obs`. Also hands back the per-test [`TestReport`]s the
+/// aggregation consumed — the raw material for canonical report
+/// rendering (`narada detect --report-out`, `narada serve`). The
+/// aggregate is computed from exactly these reports, so the two views
+/// can never disagree.
 ///
 /// Plans are fanned out across the worker pool (each plan's trials then
 /// run inline, so the pool is never oversubscribed); the aggregation
 /// walks the reports in plan order, keeping the totals identical at any
 /// thread count.
-pub fn evaluate_suite(
-    prog: &Program,
-    mir: &MirProgram,
-    seeds: &[TestId],
-    plans: &[&TestPlan],
-    cfg: &DetectConfig,
-) -> ClassDetection {
-    evaluate_suite_observed(prog, mir, seeds, plans, cfg, &Obs::new())
-}
-
-/// [`evaluate_suite`] recording per-trial telemetry (see
-/// [`evaluate_test_observed`]) plus the stage-level `stage.detect.wall_ns`
-/// gauge and `detect.jobs` counter into `obs`.
-pub fn evaluate_suite_observed(
-    prog: &Program,
-    mir: &MirProgram,
-    seeds: &[TestId],
-    plans: &[&TestPlan],
-    cfg: &DetectConfig,
-    obs: &Obs,
-) -> ClassDetection {
-    evaluate_suite_full(prog, mir, seeds, plans, cfg, obs).1
-}
-
-/// [`evaluate_suite_observed`] that also hands back the per-test
-/// [`TestReport`]s the aggregation consumed — the raw material for
-/// canonical report rendering (`narada detect --report-out`, `narada
-/// serve`). The aggregate is computed from exactly these reports, so the
-/// two views can never disagree.
 pub fn evaluate_suite_full(
     prog: &Program,
     mir: &MirProgram,

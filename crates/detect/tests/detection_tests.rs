@@ -3,7 +3,8 @@
 //! confirmation, harmful/benign triage).
 
 use narada_core::{synthesize_source, SynthesisOptions};
-use narada_detect::{evaluate_suite, evaluate_test, DetectConfig};
+use narada_detect::{evaluate_suite_full, evaluate_test_observed, DetectConfig};
+use narada_obs::Obs;
 
 const FIG1: &str = r#"
     class Counter {
@@ -43,7 +44,7 @@ fn fig1_race_detected_and_reproduced_harmful() {
         .iter()
         .find(|t| t.plan.expects_race && prog.method(t.plan.racy[0].method).name == "update")
         .expect("update||update test");
-    let report = evaluate_test(&prog, &mir, &seeds, &test.plan, &cfg());
+    let report = evaluate_test_observed(&prog, &mir, &seeds, &test.plan, &cfg(), 0, &Obs::new());
     assert!(report.setup_errors.is_empty(), "{:?}", report.setup_errors);
     assert!(
         !report.detected.is_empty(),
@@ -89,7 +90,7 @@ fn benign_reset_race_classified_benign() {
                 && prog.method(t.plan.racy[1].method).name == "reset"
         })
         .expect("reset||reset test");
-    let report = evaluate_test(&prog, &mir, &seeds, &test.plan, &cfg());
+    let report = evaluate_test_observed(&prog, &mir, &seeds, &test.plan, &cfg(), 0, &Obs::new());
     assert!(!report.reproduced.is_empty(), "reset race must reproduce");
     assert!(
         report.benign() >= 1,
@@ -114,7 +115,7 @@ fn safe_class_reports_nothing() {
     .unwrap();
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-    let agg = evaluate_suite(&prog, &mir, &seeds, &plans, &cfg());
+    let agg = evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg(), &Obs::new()).1;
     assert_eq!(
         agg.races_detected, 0,
         "fully synchronized class has no races"
@@ -127,7 +128,7 @@ fn suite_aggregation_counts_distinct_races() {
     let (prog, mir, out) = synthesize_source(FIG1, &SynthesisOptions::default()).unwrap();
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-    let agg = evaluate_suite(&prog, &mir, &seeds, &plans, &cfg());
+    let agg = evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg(), &Obs::new()).1;
     assert!(agg.races_detected >= 1);
     assert!(agg.harmful >= 1);
     assert_eq!(agg.per_test_races.len(), plans.len());

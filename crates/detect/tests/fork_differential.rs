@@ -1,5 +1,4 @@
-//! Differential fork-vs-rerun harness (the explorer half of the engine
-//! differential suite).
+//! Differential fork-vs-rerun harness.
 //!
 //! The snapshot-forking explorer is the default trial path, and it is
 //! only allowed to be because it is provably the same exploration as the
@@ -30,7 +29,7 @@ use narada_explore::prepare_fork_point;
 use narada_lang::hir::{Program, TestId};
 use narada_lang::mir::MirProgram;
 use narada_obs::{MetricValue, Obs, RunManifest};
-use narada_vm::{Engine, Machine, MachineOptions, NullSink, ScheduleStrategy};
+use narada_vm::{Machine, MachineOptions, NullSink, ScheduleStrategy};
 
 fn full() -> bool {
     std::env::var("NARADA_FORK_FULL").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -101,14 +100,10 @@ fn run_suite(
     seeds: &[TestId],
     explore: ExploreMode,
     threads: usize,
-    engine: Engine,
 ) -> (String, String, String, Obs) {
     let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
     let obs = Obs::new();
-    let c = DetectConfig {
-        engine,
-        ..cfg(explore, threads)
-    };
+    let c = cfg(explore, threads);
     let (reports, agg) = evaluate_suite_full(prog, mir, seeds, &plans, &c, &obs);
     (
         render_verdicts(&reports, &agg),
@@ -123,11 +118,10 @@ fn run_class(
     entry: &narada_corpus::CorpusEntry,
     explore: ExploreMode,
     threads: usize,
-    engine: Engine,
 ) -> (String, String, String, Obs) {
     let suite = synth(entry.source);
     let seeds: Vec<_> = suite.0.tests.iter().map(|t| t.id).collect();
-    run_suite(&suite, &seeds, explore, threads, engine)
+    run_suite(&suite, &seeds, explore, threads)
 }
 
 /// How many of the class's synthesized plans reach a fork point: proof
@@ -145,9 +139,7 @@ fn plans_that_fork(source: &str) -> usize {
 }
 
 /// The acceptance matrix: fork verdicts/manifests byte-identical to
-/// rerun on the manual corpus, at every thread count, under both
-/// engines' default (tree-walk here; the bytecode leg runs in
-/// `fork_matches_rerun_bytecode`).
+/// rerun on the manual corpus, at every thread count.
 #[test]
 fn fork_matches_rerun_on_corpus() {
     let entries = narada_corpus::all();
@@ -157,7 +149,7 @@ fn fork_matches_rerun_on_corpus() {
     for entry in entries.iter().take(take) {
         forked_somewhere |= plans_that_fork(entry.source) > 0;
         let (rerun_verdicts, rerun_metrics, rerun_scrubbed, rerun_obs) =
-            run_class(entry, ExploreMode::Rerun, 1, Engine::TreeWalk);
+            run_class(entry, ExploreMode::Rerun, 1);
         // Rerun mode must emit no fork-only counter at all.
         assert_eq!(
             rerun_metrics, rerun_scrubbed,
@@ -167,8 +159,7 @@ fn fork_matches_rerun_on_corpus() {
         drop(rerun_obs);
         let mut fork_baseline: Option<(String, String)> = None;
         for &threads in thread_counts {
-            let (verdicts, _, scrubbed, obs) =
-                run_class(entry, ExploreMode::Fork, threads, Engine::TreeWalk);
+            let (verdicts, _, scrubbed, obs) = run_class(entry, ExploreMode::Fork, threads);
             assert_eq!(
                 verdicts, rerun_verdicts,
                 "{}: fork verdicts diverge from rerun at threads={threads}",
@@ -199,32 +190,6 @@ fn fork_matches_rerun_on_corpus() {
     );
 }
 
-/// The same contract under the bytecode engine (one class quick, three
-/// full): the fork explorer must compose with compiled dispatch.
-#[test]
-fn fork_matches_rerun_bytecode() {
-    let entries = narada_corpus::all();
-    let take = if full() { 3 } else { 1 };
-    for entry in entries.iter().take(take) {
-        let (rerun_verdicts, rerun_metrics, _, _) =
-            run_class(entry, ExploreMode::Rerun, 1, Engine::Bytecode);
-        for threads in [1, 2] {
-            let (verdicts, _, scrubbed, _) =
-                run_class(entry, ExploreMode::Fork, threads, Engine::Bytecode);
-            assert_eq!(
-                verdicts, rerun_verdicts,
-                "{}: bytecode fork verdicts",
-                entry.id
-            );
-            assert_eq!(
-                scrubbed, rerun_metrics,
-                "{}: bytecode fork manifest",
-                entry.id
-            );
-        }
-    }
-}
-
 /// Table-3 comparability: `detect.trials_to_first_confirm` must be
 /// identical across modes. And a fork run adds no always-on key to the
 /// manifest: on C1, whose every prefix forks, the whole metric section
@@ -232,8 +197,8 @@ fn fork_matches_rerun_bytecode() {
 #[test]
 fn trials_to_first_confirm_comparable_across_modes() {
     let entry = narada_corpus::c1();
-    let (_, rerun_metrics, _, _) = run_class(&entry, ExploreMode::Rerun, 1, Engine::TreeWalk);
-    let (_, fork_metrics, _, _) = run_class(&entry, ExploreMode::Fork, 1, Engine::TreeWalk);
+    let (_, rerun_metrics, _, _) = run_class(&entry, ExploreMode::Rerun, 1);
+    let (_, fork_metrics, _, _) = run_class(&entry, ExploreMode::Fork, 1);
     let histo = "\"detect.trials_to_first_confirm\"";
     assert!(rerun_metrics.contains(histo), "{rerun_metrics}");
     let extract = |s: &str| {
@@ -279,17 +244,11 @@ fn assert_fallback_matches_rerun(
     seeds: &[TestId],
 ) -> (String, String, Obs) {
     assert!(!suite.2.tests.is_empty(), "{name}: nothing synthesized");
-    let (rerun_verdicts, rerun_metrics, _, _) =
-        run_suite(suite, seeds, ExploreMode::Rerun, 1, Engine::TreeWalk);
+    let (rerun_verdicts, rerun_metrics, _, _) = run_suite(suite, seeds, ExploreMode::Rerun, 1);
     let mut baseline: Option<(String, String, Obs)> = None;
     for threads in [1, 2, 8] {
-        let (verdicts, unscrubbed, scrubbed, obs) = run_suite(
-            suite,
-            seeds,
-            ExploreMode::default(),
-            threads,
-            Engine::TreeWalk,
-        );
+        let (verdicts, unscrubbed, scrubbed, obs) =
+            run_suite(suite, seeds, ExploreMode::default(), threads);
         assert_eq!(verdicts, rerun_verdicts, "{name}: threads={threads}");
         assert_eq!(scrubbed, rerun_metrics, "{name}: threads={threads}");
         match &baseline {

@@ -23,11 +23,11 @@ use narada_core::parallel::parallel_map;
 use narada_core::pipeline::{synthesize_with, SynthesisOutput};
 use narada_core::screen::{ScreenReason, ScreenerFn, StaticVerdict};
 use narada_core::SynthesisOptions;
-use narada_detect::{evaluate_test_indexed, DetectConfig, ExploreMode};
+use narada_detect::{evaluate_test_observed, DetectConfig, ExploreMode};
 use narada_lang::lower::lower_program;
 use narada_obs::Obs;
 use narada_vm::rng::derive_seed;
-use narada_vm::{Engine, ScheduleStrategy};
+use narada_vm::ScheduleStrategy;
 
 /// Sweep configuration (the CLI's `narada difftest` knobs).
 #[derive(Debug, Clone)]
@@ -49,10 +49,10 @@ pub struct DiffConfig {
     /// verdict of every class to a bogus discharge, so the disagreement
     /// path (exit code, shrinker, fixtures) can be exercised on demand.
     pub inject_unsound: bool,
-    /// Execution engine for every machine in the sweep (synthesis *and*
-    /// detection). Trace-equivalent to tree-walk, so sweep digests are
-    /// engine-independent — a property the workspace suite asserts.
-    pub engine: Engine,
+    /// Kept only so that struct literals naming `engine` (the
+    /// repository benchmark's) still compile; nothing reads it. Tree-walk
+    /// is the only interpreter.
+    pub engine: (),
     /// Exploration mode for every detection stage in the sweep. Verdicts
     /// and sweep digests are mode-independent (the fork-vs-rerun
     /// differential suite asserts this over difftest slices).
@@ -69,7 +69,7 @@ impl Default for DiffConfig {
             confirm_trials: 4,
             budget: 2_000_000,
             inject_unsound: false,
-            engine: Engine::TreeWalk,
+            engine: (),
             explore: ExploreMode::default(),
         }
     }
@@ -221,11 +221,10 @@ pub fn screen_pairs_inject_unsound(
 /// Synthesis options for the differential run: rank, don't filter, so a
 /// wrongly-discharged pair still gets a derived plan and can be caught
 /// in the act.
-fn synth_opts(engine: Engine) -> SynthesisOptions {
+fn synth_opts() -> SynthesisOptions {
     SynthesisOptions {
         static_rank: true,
         threads: 1,
-        engine,
         ..SynthesisOptions::default()
     }
 }
@@ -244,9 +243,8 @@ fn detect_cfg_base(cfg: &DiffConfig) -> DetectConfig {
         strategy: ScheduleStrategy::Pct { depth: 3 },
         pct_horizon: 1_000,
         minimize: false,
-        engine: cfg.engine,
-        code: None,
         explore: cfg.explore,
+        ..DetectConfig::default()
     }
 }
 
@@ -285,7 +283,7 @@ pub fn check_agreement(
     } else {
         &narada_screen::screen_pairs
     };
-    let out: SynthesisOutput = synthesize_with(prog, &mir, &synth_opts(cfg.engine), Some(screener));
+    let out: SynthesisOutput = synthesize_with(prog, &mir, &synth_opts(), Some(screener));
     let verdicts = out.verdicts.as_deref().unwrap_or(&[]);
     let discharged = verdicts.iter().filter(|v| !v.may_race()).count();
     let survivors = verdicts.len() - discharged;
@@ -298,7 +296,8 @@ pub fn check_agreement(
     let mut confirmed = 0usize;
     let mut disagreements = Vec::new();
     for (ti, t) in out.tests.iter().enumerate() {
-        let report = evaluate_test_indexed(prog, &mir, &seeds, &t.plan, &dcfg, ti as u64);
+        let report =
+            evaluate_test_observed(prog, &mir, &seeds, &t.plan, &dcfg, ti as u64, &Obs::new());
         for (_, race) in &report.reproduced {
             confirmed += 1;
             let v = out.static_verdict_for(ti, race.key.span_a, race.key.span_b);

@@ -23,7 +23,7 @@
 
 use narada_lang::hir::{Block, ClassId, Expr, MethodId, Place, Program, Stmt, Ty};
 use narada_lang::mir::MirProgram;
-use narada_vm::{EventKind, Machine, MachineOptions, ObjId, Value, VecSink};
+use narada_vm::{EventKind, Machine, ObjId, Value, VecSink};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One client-callable library method plus its legal bindings.
@@ -77,24 +77,8 @@ impl ApiSurface {
     /// argument classes, and constructor invocations at any depth (so a
     /// factory's internal `new` still teaches us how to build the object).
     pub fn from_tests(prog: &Program, mir: &MirProgram) -> ApiSurface {
-        ApiSurface::from_tests_on(prog, mir, narada_vm::Engine::TreeWalk)
-    }
-
-    /// [`ApiSurface::from_tests`] on an explicit execution engine.
-    pub fn from_tests_on(
-        prog: &Program,
-        mir: &MirProgram,
-        engine: narada_vm::Engine,
-    ) -> ApiSurface {
         let mut sink = VecSink::new();
-        let mut machine = Machine::new(
-            prog,
-            mir,
-            MachineOptions {
-                engine,
-                ..MachineOptions::default()
-            },
-        );
+        let mut machine = Machine::with_defaults(prog, mir);
         for t in &prog.tests {
             // A failing seed still yields a usable prefix of events.
             let _ = machine.run_test(t.id, &mut sink);

@@ -35,7 +35,7 @@ use narada_lang::lower::lower_test;
 use narada_lang::mir::MirProgram;
 use narada_obs::{span, Obs};
 use narada_vm::rng::{derive_seed, SplitMix64};
-use narada_vm::{Engine, Machine, MachineOptions, VecSink};
+use narada_vm::{Machine, MachineOptions, VecSink};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -66,9 +66,6 @@ pub struct GenOptions {
     /// Candidates constructed per round; each round's candidates see the
     /// same pool snapshot.
     pub round: usize,
-    /// Execution engine for candidate runs and basis replay
-    /// (trace-equivalent to tree-walk; a throughput knob).
-    pub engine: Engine,
 }
 
 impl Default for GenOptions {
@@ -79,7 +76,6 @@ impl Default for GenOptions {
             threads: 0,
             max_len: 10,
             round: 64,
-            engine: Engine::TreeWalk,
         }
     }
 }
@@ -181,20 +177,8 @@ pub struct FactBasis {
 impl FactBasis {
     /// Replays the program's own tests and records their fact universe.
     pub fn from_tests(prog: &Program, mir: &MirProgram) -> FactBasis {
-        FactBasis::from_tests_on(prog, mir, Engine::TreeWalk)
-    }
-
-    /// [`FactBasis::from_tests`] on an explicit execution engine.
-    pub fn from_tests_on(prog: &Program, mir: &MirProgram, engine: Engine) -> FactBasis {
         let mut sink = VecSink::new();
-        let mut machine = Machine::new(
-            prog,
-            mir,
-            MachineOptions {
-                engine,
-                ..MachineOptions::default()
-            },
-        );
+        let mut machine = Machine::with_defaults(prog, mir);
         for t in &prog.tests {
             let _ = machine.run_test(t.id, &mut sink);
         }
@@ -262,8 +246,8 @@ pub fn generate_suite(
         let api = ApiSurface::for_program(prog);
         generate(prog, mir, &api, None, opts, obs)
     } else {
-        let api = ApiSurface::from_tests_on(prog, mir, opts.engine);
-        let basis = FactBasis::from_tests_on(prog, mir, opts.engine);
+        let api = ApiSurface::from_tests(prog, mir);
+        let basis = FactBasis::from_tests(prog, mir);
         generate(prog, mir, &api, Some(&basis), opts, obs)
     }
 }
@@ -378,7 +362,6 @@ pub fn generate(
                     &round_mir,
                     MachineOptions {
                         max_steps: CAND_STEP_BUDGET,
-                        engine: opts.engine,
                         ..MachineOptions::default()
                     },
                 );

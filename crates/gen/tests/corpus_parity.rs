@@ -167,7 +167,8 @@ fn generated_seeds_confirm_races_on_c1_and_c5() {
         let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
         let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
         let cfg = narada_detect::DetectConfig::default();
-        let report = narada_detect::evaluate_suite(&prog, &mir, &seeds, &plans, &cfg);
+        let report =
+            narada_detect::evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &Obs::new()).1;
         assert!(
             report.harmful + report.benign > 0,
             "{id}: no race reproduced from generated seeds ({} detected)",

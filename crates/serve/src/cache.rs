@@ -6,9 +6,9 @@
 //! served and batch MIR are identical by construction. A hit skips
 //! parsing, type checking and lowering entirely.
 //!
-//! Everything else a job derives from the program — compiled bytecode,
-//! the screener's interprocedural [`Statics`] fixpoint, and the
-//! per-engine seed-generation [`ApiSurface`] — lives inside the
+//! Everything else a job derives from the program — the screener's
+//! interprocedural [`Statics`] fixpoint and the seed-generation
+//! [`ApiSurface`] — lives inside the
 //! [`CompiledLib`] itself, each filled lazily at most once. Derivation
 //! therefore runs outside the cache mutex, and the artifacts are evicted
 //! together with their program.
@@ -25,7 +25,6 @@ use narada_lang::mir::MirProgram;
 use narada_lang::Diagnostics;
 use narada_obs::Obs;
 use narada_screen::summaries::{analyze, Statics};
-use narada_vm::{BcProgram, Engine};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -39,10 +38,8 @@ pub struct CompiledLib {
     pub prog: Arc<Program>,
     /// Lowered MIR, exactly [`lower_program`]'s output.
     pub mir: Arc<MirProgram>,
-    code: OnceLock<Arc<BcProgram>>,
     statics: OnceLock<Arc<Statics>>,
-    /// One generation surface per [`Engine`], in declaration order.
-    surfaces: [OnceLock<Arc<ApiSurface>>; 2],
+    surface: OnceLock<Arc<ApiSurface>>,
 }
 
 impl CompiledLib {
@@ -51,18 +48,9 @@ impl CompiledLib {
             digest,
             prog: Arc::new(prog),
             mir: Arc::new(mir),
-            code: OnceLock::new(),
             statics: OnceLock::new(),
-            surfaces: [OnceLock::new(), OnceLock::new()],
+            surface: OnceLock::new(),
         }
-    }
-
-    /// The shared bytecode compilation (compiled on first use).
-    pub fn bytecode(&self) -> Arc<BcProgram> {
-        Arc::clone(
-            self.code
-                .get_or_init(|| Arc::new(BcProgram::compile(&self.prog, &self.mir))),
-        )
     }
 
     /// The screener's interprocedural fixpoint (analyzed on first use).
@@ -70,21 +58,15 @@ impl CompiledLib {
         Arc::clone(self.statics.get_or_init(|| Arc::new(analyze(&self.mir))))
     }
 
-    /// The seed-generation API model on `engine` (distilled on first
-    /// use). Mirrors [`narada_gen::generate_suite`]'s choice: seeded from
-    /// the program's own tests when it has any, from declarations
-    /// otherwise. Engine-specific because the model is distilled from
-    /// seed-suite executions on a concrete engine.
-    pub fn surface(&self, engine: Engine) -> Arc<ApiSurface> {
-        let slot = match engine {
-            Engine::TreeWalk => &self.surfaces[0],
-            Engine::Bytecode => &self.surfaces[1],
-        };
-        Arc::clone(slot.get_or_init(|| {
+    /// The seed-generation API model (distilled on first use). Mirrors
+    /// [`narada_gen::generate_suite`]'s choice: seeded from the program's
+    /// own tests when it has any, from declarations otherwise.
+    pub fn surface(&self) -> Arc<ApiSurface> {
+        Arc::clone(self.surface.get_or_init(|| {
             Arc::new(if self.prog.tests.is_empty() {
                 ApiSurface::for_program(&self.prog)
             } else {
-                ApiSurface::from_tests_on(&self.prog, &self.mir, engine)
+                ApiSurface::from_tests(&self.prog, &self.mir)
             })
         }))
     }
@@ -286,14 +268,9 @@ mod tests {
         // Two jobs on one program entry share every derivation.
         let job1 = cache.compile_source(LIB).unwrap();
         let job2 = cache.compile_source(LIB).unwrap();
-        assert!(Arc::ptr_eq(&job1.bytecode(), &job2.bytecode()));
         assert!(Arc::ptr_eq(&job1.statics(), &job2.statics()));
-        let tree = job1.surface(Engine::TreeWalk);
-        assert!(Arc::ptr_eq(&tree, &job2.surface(Engine::TreeWalk)));
-        // A different engine distils its own surface.
-        let bc = job1.surface(Engine::Bytecode);
-        assert!(!Arc::ptr_eq(&tree, &bc));
-        assert!(Arc::ptr_eq(&bc, &job2.surface(Engine::Bytecode)));
+        let surface = job1.surface();
+        assert!(Arc::ptr_eq(&surface, &job2.surface()));
 
         // Evicting the program drops its artifacts: the next job derives
         // them again.
@@ -301,9 +278,8 @@ mod tests {
         assert_eq!(cache.stats.evictions, 1);
         let job3 = cache.compile_source(LIB).unwrap();
         assert!(!Arc::ptr_eq(&job1, &job3));
-        assert!(!Arc::ptr_eq(&job1.bytecode(), &job3.bytecode()));
         assert!(!Arc::ptr_eq(&job1.statics(), &job3.statics()));
-        assert!(!Arc::ptr_eq(&tree, &job3.surface(Engine::TreeWalk)));
+        assert!(!Arc::ptr_eq(&surface, &job3.surface()));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! the full pipeline — synthesis, schedule exploration, replay
 //! confirmation — and a **program-keyed artifact cache** makes repeat
 //! submissions cheap: the FNV-1a digest of the source keys the parsed
-//! and lowered program, which carries its compiled bytecode, screener
-//! fixpoint, and generation surfaces, each derived at most once
+//! and lowered program, which carries its screener fixpoint and
+//! generation surface, each derived at most once
 //! ([`cache`]).
 //!
 //! Two invariants the test suite enforces:

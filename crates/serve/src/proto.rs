@@ -26,7 +26,7 @@
 
 use narada_detect::ExploreMode;
 use narada_obs::Json;
-use narada_vm::{Engine, ScheduleStrategy};
+use narada_vm::ScheduleStrategy;
 use std::io::{BufRead, Write};
 
 /// Everything a job needs besides the library source: the knobs of
@@ -51,8 +51,11 @@ pub struct JobOptions {
     pub strategy: ScheduleStrategy,
     /// PCT change-point horizon (other strategies ignore it).
     pub pct_horizon: u64,
-    /// Execution engine (bytecode jobs share the cached compilation).
-    pub engine: Engine,
+    /// Kept only so that struct literals naming `engine` (the
+    /// repository benchmark's) still compile; nothing reads it. The wire
+    /// form no longer carries it, and [`JobOptions::from_json`] ignores
+    /// an `engine` field whatever it holds.
+    pub engine: (),
     /// Trial explorer: probe from copy-on-write snapshot forks (the
     /// default) or rerun each trial from `main()`. Result-neutral, like
     /// `threads`.
@@ -79,7 +82,7 @@ impl Default for JobOptions {
             threads: 0,
             strategy: ScheduleStrategy::Random,
             pct_horizon: 1_000,
-            engine: Engine::TreeWalk,
+            engine: (),
             explore: ExploreMode::default(),
             static_filter: false,
             static_rank: false,
@@ -101,7 +104,6 @@ impl JobOptions {
             .with("threads", Json::Int(self.threads as i64))
             .with("strategy", Json::Str(self.strategy.label()))
             .with("pct_horizon", Json::Int(self.pct_horizon as i64))
-            .with("engine", Json::Str(self.engine.label().to_string()))
             .with("explore", Json::Str(self.explore.label().to_string()))
             .with("static_filter", Json::Bool(self.static_filter))
             .with("static_rank", Json::Bool(self.static_rank))
@@ -112,7 +114,8 @@ impl JobOptions {
 
     /// Parses the wire form; absent fields keep their defaults, unknown
     /// fields are ignored (so old clients talk to new servers and vice
-    /// versa).
+    /// versa). That includes `engine`, which older clients still send:
+    /// tree-walk is the only interpreter.
     pub fn from_json(doc: &Json) -> Result<JobOptions, String> {
         let mut o = JobOptions::default();
         let get_usize = |key: &str, cur: usize| -> Result<usize, String> {
@@ -150,10 +153,6 @@ impl JobOptions {
             o.strategy = ScheduleStrategy::parse(s)?;
         }
         o.pct_horizon = get_u64("pct_horizon", o.pct_horizon)?;
-        if let Some(v) = doc.get("engine") {
-            let s = v.as_str().ok_or("`engine` must be a string")?;
-            o.engine = Engine::parse(s)?;
-        }
         if let Some(v) = doc.get("explore") {
             let s = v.as_str().ok_or("`explore` must be a string")?;
             o.explore = ExploreMode::parse(s)
@@ -214,7 +213,6 @@ mod tests {
             schedules: 3,
             confirms: 2,
             seed: 7,
-            engine: Engine::Bytecode,
             explore: ExploreMode::Rerun,
             strategy: ScheduleStrategy::parse("pct:3").unwrap(),
             static_rank: true,
@@ -225,6 +223,12 @@ mod tests {
         o.generate_seeds = true;
         let back = JobOptions::from_json(&o.to_json()).unwrap();
         assert_eq!(o, back);
+        // Older clients still send `engine`; whatever it holds, it parses
+        // to the same options.
+        for engine in ["tree", "bytecode", "warp"] {
+            let doc = o.to_json().with("engine", Json::Str(engine.into()));
+            assert_eq!(JobOptions::from_json(&doc).unwrap(), o);
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@ use narada_detect::{evaluate_suite_full, ClassDetection, DetectConfig, TestRepor
 use narada_lang::hir::Program;
 use narada_obs::{Json, Obs, RunManifest};
 use narada_screen::screen_pairs_with;
-use narada_vm::Engine;
 use std::sync::Mutex;
 
 /// Everything a finished job leaves behind.
@@ -82,24 +81,20 @@ pub fn run_job(
         (lib, cache.stats.delta(&base), cache.drain_events())
     };
     compile_delta.record(&obs);
-    let code = (opts.engine == Engine::Bytecode && !opts.generate_seeds).then(|| lib.bytecode());
     let statics =
         ((opts.static_filter || opts.static_rank) && !opts.generate_seeds).then(|| lib.statics());
-    let surface = opts.generate_seeds.then(|| lib.surface(opts.engine));
+    let surface = opts.generate_seeds.then(|| lib.surface());
     stage_done("compile", std::time::Instant::now());
     progress(stage_frame("compile", opts, &obs).with("cache", cache_json(&compile_delta)));
 
     // Stage 1: synthesis, exactly `run_synthesis`'s shape. The generated
-    // path re-derives program and MIR, so it drops the cached bytecode
-    // and screens without the cached fixpoint (both derived from the
-    // original program).
+    // path re-derives program and MIR, so it screens without the cached
+    // fixpoint (derived from the original program).
     let synth_opts = SynthesisOptions {
         threads: opts.threads,
         static_filter: opts.static_filter,
         static_rank: opts.static_rank,
         generate_seeds: opts.generate_seeds,
-        engine: opts.engine,
-        code: code.clone(),
         ..SynthesisOptions::default()
     };
     let (prog, mir, out) = if opts.generate_seeds {
@@ -107,13 +102,11 @@ pub fn run_job(
             budget: opts.gen_budget,
             seed: opts.gen_seed,
             threads: opts.threads,
-            engine: opts.engine,
             ..narada_gen::GenOptions::default()
         };
         let surface = surface.expect("generated path derives a surface");
         let generator = |p: &Program, m: &narada_lang::mir::MirProgram| {
-            let basis = (!p.tests.is_empty())
-                .then(|| narada_gen::FactBasis::from_tests_on(p, m, gopts.engine));
+            let basis = (!p.tests.is_empty()).then(|| narada_gen::FactBasis::from_tests(p, m));
             narada_gen::generate(p, m, &surface, basis.as_ref(), &gopts, &obs).tests
         };
         narada_core::pipeline::synthesize_generated(
@@ -161,9 +154,7 @@ pub fn run_job(
         threads: opts.threads,
         strategy: opts.strategy.clone(),
         pct_horizon: opts.pct_horizon,
-        engine: opts.engine,
         explore: opts.explore,
-        code: if opts.generate_seeds { None } else { code },
         ..DetectConfig::default()
     };
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
@@ -186,7 +177,6 @@ pub fn run_job(
     let report = render_report(&prog, source, opts, &out, &reports, &agg);
     let summary = summary_line(plans.len(), &agg);
     let mut manifest = RunManifest::from_obs("serve.job", effective_threads(opts.threads), &obs);
-    manifest.set_config("engine", opts.engine.label());
     manifest.set_config("strategy", opts.strategy.label());
     manifest.set_config("seed", opts.seed);
     Ok(JobResult {
@@ -253,7 +243,9 @@ fn render_key(prog: &Program, key: &CoarseRaceKey) -> String {
 /// payload and `narada detect --report-out`'s file, byte-identical by
 /// construction. Deliberately excludes every run-environment fact
 /// (wall-clock, host, thread counts, cache temperature): only the
-/// detection *results* and the options that determine them.
+/// detection *results* and the options that determine them. The options
+/// line keeps its fixed `engine=tree` field so that report digests stay
+/// comparable with reports rendered by earlier versions.
 pub fn render_report(
     prog: &Program,
     source: &str,
@@ -269,9 +261,8 @@ pub fn render_report(
         Fnv1a::digest(source.as_bytes())
     ));
     doc.push_str(&format!(
-        "options engine={} strategy={} seed={} schedules={} confirms={} budget={} \
+        "options engine=tree strategy={} seed={} schedules={} confirms={} budget={} \
          static_filter={} static_rank={} generate_seeds={}\n",
-        opts.engine.label(),
         opts.strategy.label(),
         opts.seed,
         opts.schedules,

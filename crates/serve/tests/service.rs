@@ -32,7 +32,6 @@ fn reference_report(source: &str, opts: &JobOptions) -> String {
         threads: opts.threads,
         static_filter: opts.static_filter,
         static_rank: opts.static_rank,
-        engine: opts.engine,
         ..narada_core::SynthesisOptions::default()
     };
     let out = narada_core::pipeline::synthesize_observed(
@@ -50,7 +49,6 @@ fn reference_report(source: &str, opts: &JobOptions) -> String {
         threads: opts.threads,
         strategy: opts.strategy.clone(),
         pct_horizon: opts.pct_horizon,
-        engine: opts.engine,
         ..DetectConfig::default()
     };
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
@@ -172,6 +170,41 @@ fn served_report_is_independent_of_worker_count() {
     }
     assert_eq!(reports[0], reports[1], "workers 1 vs 2");
     assert_eq!(reports[0], reports[2], "workers 1 vs 8");
+}
+
+/// Older clients still send an `engine` option; the server accepts it,
+/// ignores it, and renders the same bytes as for a submission without it.
+#[test]
+fn engine_field_on_the_wire_is_ignored() {
+    use narada_serve::proto::{read_frame, write_frame};
+
+    let opts = test_opts();
+    let source = narada_corpus::by_id("C2").expect("C2").source;
+    let server = TestServer::start(1, false);
+    let plain = server.run(source, &opts);
+
+    let mut raw = std::net::TcpStream::connect(&server.addr).expect("connect");
+    let mut reader = std::io::BufReader::new(raw.try_clone().expect("clone stream"));
+    let submit = Json::obj()
+        .with("cmd", Json::Str("submit".into()))
+        .with("source", Json::Str(source.to_string()))
+        .with(
+            "options",
+            opts.to_json().with("engine", Json::Str("bytecode".into())),
+        );
+    write_frame(&mut raw, &submit).expect("send submit");
+    let resp = read_frame(&mut reader)
+        .expect("read the answer")
+        .expect("a submit response");
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+    let job = resp.get("job").and_then(|j| j.as_i64()).expect("job id") as u64;
+    let fetched = server
+        .client()
+        .fetch(job, true, &mut |_| {})
+        .expect("fetch");
+    let report = fetched.get("report").and_then(|r| r.as_str());
+    assert_eq!(report, Some(plain.as_str()));
+    assert_eq!(server.stop(), 2);
 }
 
 #[test]

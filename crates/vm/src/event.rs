@@ -256,15 +256,6 @@ pub trait EventSink {
     /// Called for every event, in trace order.
     fn event(&mut self, ev: &Event);
 
-    /// Whether this sink actually consumes events. The bytecode engine
-    /// skips *constructing* events for sinks that return `false` (label
-    /// counters still advance, so the trace is unchanged if a listening
-    /// sink is attached mid-run). Defaults to `true`; only sinks that
-    /// provably discard everything should override.
-    fn wants_events(&self) -> bool {
-        true
-    }
-
     /// Saturation hook of [`Machine::run_threads`](crate::Machine::run_threads),
     /// asked before each scheduling decision once a single thread has been
     /// the only live one for `lone` >= [`SATURATION_WINDOW`] decisions in a
@@ -286,10 +277,6 @@ pub struct NullSink;
 
 impl EventSink for NullSink {
     fn event(&mut self, _ev: &Event) {}
-
-    fn wants_events(&self) -> bool {
-        false
-    }
 }
 
 /// Sink that records the whole trace in memory.
@@ -325,10 +312,6 @@ impl<A: EventSink + ?Sized, B: EventSink + ?Sized> EventSink for TeeSink<'_, A, 
     fn event(&mut self, ev: &Event) {
         self.a.event(ev);
         self.b.event(ev);
-    }
-
-    fn wants_events(&self) -> bool {
-        self.a.wants_events() || self.b.wants_events()
     }
 }
 

@@ -302,32 +302,6 @@ impl Heap {
         }
     }
 
-    /// Reads the field at a statically-resolved layout `slot` — the
-    /// bytecode engine's field access (slots are burned into the ops at
-    /// compile time, skipping the per-class layout probe).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` is an array or `slot` is out of range; the
-    /// compiler only emits slots for well-typed instance accesses.
-    #[inline]
-    pub(crate) fn get_slot(&self, obj: ObjId, slot: u32) -> Value {
-        match &self.object(obj).data {
-            ObjectData::Instance { fields, .. } => fields[slot as usize],
-            ObjectData::Array { .. } => panic!("field read on array {obj}"),
-        }
-    }
-
-    /// Writes the field at a statically-resolved layout `slot` (see
-    /// [`Heap::get_slot`]).
-    #[inline]
-    pub(crate) fn set_slot(&mut self, obj: ObjId, slot: u32, value: Value) {
-        match &mut self.object_mut(obj).data {
-            ObjectData::Instance { fields, .. } => fields[slot as usize] = value,
-            ObjectData::Array { .. } => panic!("field write on array {obj}"),
-        }
-    }
-
     /// Writes `obj.field := value`.
     pub fn set_field(&mut self, obj: ObjId, field: FieldId, value: Value) {
         let slot = match &self.object(obj).data {

@@ -32,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bytecode;
 pub mod error;
 pub mod event;
 pub mod heap;
@@ -43,7 +42,6 @@ pub mod schedule;
 pub mod scheduler;
 pub mod value;
 
-pub use bytecode::{BcProgram, Engine};
 pub use error::{VmError, VmErrorKind};
 pub use event::{
     trace_digest, CopySrc, Event, EventKind, EventSink, FieldKey, InvId, Label, NullSink, TeeSink,

@@ -12,7 +12,6 @@
 //! the receiver/argument references while keeping every allocated object
 //! alive in the heap (there is no garbage collector).
 
-use crate::bytecode::{BcProgram, Engine};
 use crate::error::{VmError, VmErrorKind};
 use crate::event::{CopySrc, Event, EventKind, EventSink, FieldKey, InvId, Label, ThreadId};
 use crate::heap::{Heap, HeapMark};
@@ -22,7 +21,6 @@ use narada_lang::ast::{BinOp, UnOp};
 use narada_lang::hir::{MethodId, Program, TestId};
 use narada_lang::mir::{BodyId, InstrKind, MirProgram, VarId};
 use narada_lang::Span;
-use std::sync::Arc;
 
 /// Tuning knobs for a [`Machine`].
 #[derive(Debug, Clone)]
@@ -35,10 +33,6 @@ pub struct MachineOptions {
     pub max_steps: u64,
     /// Maximum frame-stack depth per thread.
     pub max_frames: usize,
-    /// Execution engine. Both produce byte-identical traces (proven by the
-    /// differential harness); [`Engine::Bytecode`] compiles the MIR once at
-    /// machine construction and runs several times faster.
-    pub engine: Engine,
 }
 
 impl Default for MachineOptions {
@@ -47,7 +41,6 @@ impl Default for MachineOptions {
             seed: 0x6e61_7261_6461,
             max_steps: 2_000_000,
             max_frames: 512,
-            engine: Engine::TreeWalk,
         }
     }
 }
@@ -70,16 +63,16 @@ pub enum ThreadStatus {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Frame {
-    pub(crate) body: BodyId,
-    pub(crate) inv: InvId,
-    pub(crate) pc: usize,
-    pub(crate) regs: Vec<Value>,
+struct Frame {
+    body: BodyId,
+    inv: InvId,
+    pc: usize,
+    regs: Vec<Value>,
     /// Monitors entered by this frame, innermost last; released on return
     /// (covers `return` inside `sync`, Java-style).
-    pub(crate) held: Vec<ObjId>,
+    held: Vec<ObjId>,
     /// Caller register receiving the return value.
-    pub(crate) ret_dst: Option<VarId>,
+    ret_dst: Option<VarId>,
 }
 
 /// A queued client invocation for a multi-call thread body.
@@ -94,13 +87,13 @@ pub struct PendingInvoke {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct ThreadState {
-    pub(crate) frames: Vec<Frame>,
-    pub(crate) status: ThreadStatus,
-    pub(crate) steps: u64,
+struct ThreadState {
+    frames: Vec<Frame>,
+    status: ThreadStatus,
+    steps: u64,
     /// Invocations to run after the current one completes (multi-call
     /// thread bodies, e.g. the ConTeGe baseline's suffixes).
-    pub(crate) queue: std::collections::VecDeque<PendingInvoke>,
+    queue: std::collections::VecDeque<PendingInvoke>,
 }
 
 impl ThreadState {
@@ -191,24 +184,22 @@ pub struct Machine<'p> {
     pub mir: &'p MirProgram,
     /// The shared heap.
     pub heap: Heap,
-    pub(crate) threads: Vec<ThreadState>,
+    threads: Vec<ThreadState>,
     /// Return values of finished single-invocation threads.
     thread_results: Vec<(ThreadId, Value)>,
-    pub(crate) next_label: u64,
+    next_label: u64,
     next_inv: u64,
-    pub(crate) rng: SplitMix64,
+    rng: SplitMix64,
     /// Count of `Rand` instructions executed since construction/reset.
     /// The fork explorer shares a prefix across seeds only when the
     /// prefix drew nothing (zero draws ⇒ prefix is seed-independent).
-    pub(crate) rng_draws: u64,
-    pub(crate) opts: MachineOptions,
-    /// Compiled bytecode; present iff `opts.engine == Engine::Bytecode`.
-    code: Option<Arc<BcProgram>>,
+    rng_draws: u64,
+    opts: MachineOptions,
 }
 
-/// An owned, engine-independent copy of a [`Machine`]'s full mutable
-/// state — heap, thread stacks, monitor tables (they live in heap
-/// objects), label/invocation counters, and the RNG — taken by
+/// An owned copy of a [`Machine`]'s full mutable state — heap, thread
+/// stacks, monitor tables (they live in heap objects), label/invocation
+/// counters, and the RNG — taken by
 /// [`Machine::snapshot`]. Restoring it onto any machine for the same
 /// program yields a run bit-for-bit identical to continuing from the
 /// capture point. `Arc`-share one snapshot across workers; each worker
@@ -242,40 +233,8 @@ pub struct MachineMark {
 }
 
 impl<'p> Machine<'p> {
-    /// Creates a machine with one (empty) main thread. When
-    /// `opts.engine` is [`Engine::Bytecode`] the MIR is compiled here,
-    /// once (linear in program size); use [`Machine::with_code`] to share
-    /// one compilation across many machines.
+    /// Creates a machine with one (empty) main thread.
     pub fn new(program: &'p Program, mir: &'p MirProgram, opts: MachineOptions) -> Self {
-        let code = match opts.engine {
-            Engine::TreeWalk => None,
-            Engine::Bytecode => Some(Arc::new(BcProgram::compile(program, mir))),
-        };
-        Self::with_optional_code(program, mir, opts, code)
-    }
-
-    /// Creates a bytecode-engine machine from an already-compiled program
-    /// (`opts.engine` is forced to [`Engine::Bytecode`]). Hot loops that
-    /// build one machine per trial share the `Arc` instead of recompiling.
-    pub fn with_code(
-        program: &'p Program,
-        mir: &'p MirProgram,
-        opts: MachineOptions,
-        code: Arc<BcProgram>,
-    ) -> Self {
-        let opts = MachineOptions {
-            engine: Engine::Bytecode,
-            ..opts
-        };
-        Self::with_optional_code(program, mir, opts, Some(code))
-    }
-
-    fn with_optional_code(
-        program: &'p Program,
-        mir: &'p MirProgram,
-        opts: MachineOptions,
-        code: Option<Arc<BcProgram>>,
-    ) -> Self {
         let rng = SplitMix64::seed_from_u64(opts.seed);
         Machine {
             program,
@@ -288,18 +247,12 @@ impl<'p> Machine<'p> {
             rng,
             rng_draws: 0,
             opts,
-            code,
         }
     }
 
     /// Creates a machine with default options.
     pub fn with_defaults(program: &'p Program, mir: &'p MirProgram) -> Self {
         Self::new(program, mir, MachineOptions::default())
-    }
-
-    /// The execution engine this machine runs on.
-    pub fn engine(&self) -> Engine {
-        self.opts.engine
     }
 
     /// Restores the machine to its freshly-constructed state under `seed`:
@@ -356,9 +309,8 @@ impl<'p> Machine<'p> {
     }
 
     /// Overwrites this machine's mutable state with `snap`. The machine
-    /// must run the same program the snapshot was taken from; engine and
-    /// other options are kept, so a TreeWalk snapshot can resume on a
-    /// Bytecode machine and vice versa.
+    /// must run the same program the snapshot was taken from; its
+    /// options other than the seed are kept.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.heap = snap.heap.clone();
         self.threads = snap.threads.clone();
@@ -636,16 +588,7 @@ impl<'p> Machine<'p> {
                         Span::DUMMY,
                     ))
                 }
-                ThreadStatus::Runnable => {
-                    // Sequential fast path: no scheduler can interleave, so
-                    // the bytecode engine runs in one unbounded burst
-                    // instead of paying the per-step dispatch round-trip.
-                    if let Some(code) = self.code.clone() {
-                        self.run_bc(&code, tid, sink, u64::MAX);
-                    } else {
-                        self.step(tid, sink);
-                    }
-                }
+                ThreadStatus::Runnable => self.step(tid, sink),
             }
         }
     }
@@ -827,13 +770,7 @@ impl<'p> Machine<'p> {
         id
     }
 
-    pub(crate) fn emit(
-        &mut self,
-        tid: ThreadId,
-        span: Span,
-        kind: EventKind,
-        sink: &mut dyn EventSink,
-    ) {
+    fn emit(&mut self, tid: ThreadId, span: Span, kind: EventKind, sink: &mut dyn EventSink) {
         let label = Label(self.next_label);
         self.next_label += 1;
         sink.event(&Event {
@@ -982,15 +919,6 @@ impl<'p> Machine<'p> {
     /// runnable. Lock contention flips the thread to `Blocked` without
     /// consuming the instruction.
     pub fn step(&mut self, tid: ThreadId, sink: &mut dyn EventSink) {
-        if let Some(code) = self.code.clone() {
-            self.run_bc(&code, tid, sink, 1);
-        } else {
-            self.step_tree(tid, sink);
-        }
-    }
-
-    /// One instruction of the tree-walking reference engine.
-    fn step_tree(&mut self, tid: ThreadId, sink: &mut dyn EventSink) {
         let t = tid.index();
         if self.threads[t].status != ThreadStatus::Runnable {
             return;
@@ -1433,7 +1361,7 @@ impl<'p> Machine<'p> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_callee_frame(
+    fn push_callee_frame(
         &mut self,
         tid: ThreadId,
         body_id: BodyId,
@@ -1494,7 +1422,7 @@ impl<'p> Machine<'p> {
         );
     }
 
-    pub(crate) fn do_return(
+    fn do_return(
         &mut self,
         tid: ThreadId,
         ret_var: Option<VarId>,
@@ -1572,13 +1500,7 @@ impl<'p> Machine<'p> {
 
     /// Decrements a monitor; on the 1→0 transition releases it, emits
     /// `Unlock`, and wakes blocked threads.
-    pub(crate) fn release_monitor(
-        &mut self,
-        tid: ThreadId,
-        o: ObjId,
-        span: Span,
-        sink: &mut dyn EventSink,
-    ) {
+    fn release_monitor(&mut self, tid: ThreadId, o: ObjId, span: Span, sink: &mut dyn EventSink) {
         let inv = self.threads[tid.index()]
             .frames
             .last()
@@ -1611,7 +1533,7 @@ impl<'p> Machine<'p> {
         self.threads[t].status = ThreadStatus::Finished;
     }
 
-    pub(crate) fn thread_fail(&mut self, tid: ThreadId, err: VmError, sink: &mut dyn EventSink) {
+    fn thread_fail(&mut self, tid: ThreadId, err: VmError, sink: &mut dyn EventSink) {
         let t = tid.index();
         // Unwind: release all monitors held anywhere on the stack.
         let frames = std::mem::take(&mut self.threads[t].frames);
@@ -1631,7 +1553,7 @@ impl<'p> Machine<'p> {
         self.threads[t].status = ThreadStatus::Failed(err);
     }
 
-    pub(crate) fn current_span(&self, tid: ThreadId) -> Span {
+    fn current_span(&self, tid: ThreadId) -> Span {
         self.threads[tid.index()]
             .frames
             .last()
@@ -1641,12 +1563,12 @@ impl<'p> Machine<'p> {
     }
 }
 
-// `inline(always)`: both dispatch loops evaluate this on every binary
+// `inline(always)`: the dispatch loop evaluates this on every binary
 // instruction, and a plain `#[inline]` hint loses to the code size of
 // the (cold, outlined) type-mismatch arm — an out-of-line call here
 // forces the operands and result through the stack.
 #[inline(always)]
-pub(crate) fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, VmErrorKind> {
+fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, VmErrorKind> {
     use BinOp::*;
     Ok(match (op, l, r) {
         (Add, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(b)),

@@ -5,8 +5,8 @@ use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
 use narada_lang::mir::MirProgram;
 use narada_vm::{
-    EventKind, Machine, MachineOptions, NullSink, RandomScheduler, RoundRobin, RunOutcome,
-    ThreadStatus, Value, VecSink, VmErrorKind,
+    EventKind, EventSink, Label, Machine, MachineOptions, NullSink, ObjId, RandomScheduler,
+    RoundRobin, RunOutcome, ThreadStatus, Value, VecSink, VmErrorKind,
 };
 
 fn build(src: &str) -> (Program, MirProgram) {
@@ -471,6 +471,54 @@ fn run_test_until_call_captures_receiver_and_args() {
     let q = prog.class_by_name("Q").unwrap();
     let n = prog.field_by_name(q, "n").unwrap();
     assert_eq!(m.heap.get_field(recv, n), Value::Int(0));
+}
+
+/// Collection suspends before the *chosen* occurrence of a call: the
+/// second `set` is captured with its own argument, and only the first
+/// one ran.
+#[test]
+fn run_test_until_call_captures_the_second_set() {
+    let (prog, mir) = build(
+        r#"
+        class Box {
+            int v;
+            void set(int x) { this.v = x; }
+            int get() { return this.v; }
+        }
+        test seed {
+            var b = new Box();
+            b.set(41);
+            b.set(42);
+            var r = b.get();
+        }
+        "#,
+    );
+    let mut m = Machine::with_defaults(&prog, &mir);
+    let mut sink = VecSink::new();
+    let mut seen = 0;
+    let site = m
+        .run_test_until_call(prog.tests[0].id, &mut sink, &mut |s| {
+            let is_set = prog.method(s.method).name == "set";
+            seen += usize::from(is_set);
+            is_set && seen == 2
+        })
+        .unwrap()
+        .expect("second set() captured");
+    assert_eq!(prog.method(site.method).name, "set");
+    assert_eq!(site.recv, Some(Value::Ref(ObjId(0))));
+    assert_eq!(site.args, vec![Value::Int(42)]);
+    let writes: Vec<Value> = sink
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Write { value, .. } => Some(value),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(writes, vec![Value::Int(41)], "only the first set() ran");
+    let cid = prog.class_by_name("Box").unwrap();
+    let v = prog.field_by_name(cid, "v").unwrap();
+    assert_eq!(m.heap.get_field(ObjId(0), v), Value::Int(41));
 }
 
 #[test]
@@ -965,6 +1013,47 @@ fn invoke_partial_stops_after_target_write() {
     assert_eq!(m.heap.get_field(hobj, done), Value::Bool(false));
 }
 
+/// Stopping at a write inside a `sync` method parks the thread only once
+/// it is outside every monitor, with the stopped-at write visible.
+#[test]
+fn invoke_partial_parks_outside_the_monitor() {
+    let (prog, mir) = build(
+        r#"
+        class Pair {
+            int a;
+            int b;
+            sync void setBoth(int x) {
+                this.a = x;
+                this.b = x + 1;
+            }
+        }
+        test seed { var p = new Pair(); p.setBoth(1); }
+        "#,
+    );
+    let cid = prog.class_by_name("Pair").unwrap();
+    let set_both = prog.dispatch(cid, "setBoth").unwrap();
+    let a = prog.field_by_name(cid, "a").unwrap();
+    let mut m = Machine::with_defaults(&prog, &mir);
+    let mut sink = VecSink::new();
+    m.run_test(prog.tests[0].id, &mut sink).unwrap();
+    // The span of the `this.a = x` write, from the seed run's trace.
+    let stop = sink
+        .events
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::Write { .. } => Some(e.span),
+            _ => None,
+        })
+        .expect("a write in setBoth");
+    let obj = Value::Ref(ObjId(0));
+    let tid = m
+        .invoke_partial(set_both, Some(obj), vec![Value::Int(9)], stop, &mut sink)
+        .unwrap();
+    assert_eq!(*m.thread_status(tid), ThreadStatus::Parked);
+    assert!(m.held_locks(tid).is_empty(), "parked inside a monitor");
+    assert_eq!(m.heap.get_field(ObjId(0), a), Value::Int(9));
+}
+
 #[test]
 fn recorded_schedule_replays_the_same_outcome() {
     // Record a racy execution whose final state depends on the schedule,
@@ -994,4 +1083,29 @@ fn recorded_schedule_replays_the_same_outcome() {
         assert_eq!(original, replayed, "seed {seed}: replay must reproduce");
         assert!(replay.exhausted());
     }
+}
+
+/// An untraced prefix still advances the label counter: the trace taken
+/// after a `NullSink` prefix carries exactly the events, labels included,
+/// of the matching suffix of a fully traced run. The fork explorer's
+/// streamed prefix depends on this.
+#[test]
+fn null_sink_prefix_keeps_labels_aligned() {
+    let prog = narada_corpus::all()[0].compile().unwrap();
+    let mir = lower_program(&prog);
+    let suffix_after = |prefix: &mut dyn EventSink| {
+        let mut m = Machine::with_defaults(&prog, &mir);
+        m.run_test(prog.tests[0].id, prefix).unwrap();
+        let mut sink = VecSink::new();
+        for t in &prog.tests[1..] {
+            let _ = m.run_test(t.id, &mut sink);
+        }
+        sink.events
+    };
+    let mut traced_prefix = VecSink::new();
+    let traced = suffix_after(&mut traced_prefix);
+    let untraced = suffix_after(&mut NullSink);
+    assert!(!untraced.is_empty());
+    assert_eq!(untraced[0].label, Label(traced_prefix.events.len() as u64));
+    assert_eq!(untraced, traced);
 }

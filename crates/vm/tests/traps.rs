@@ -1,13 +1,12 @@
-//! Trap coverage for the bytecode engine: every [`VmErrorKind`] variant
-//! is *triggered through full bytecode execution* of an MJ program (not
-//! unit-constructed), and each trap run is differentially checked against
-//! the tree-walk engine — same error kind, same failing span behavior,
-//! same trace up to and including the `ThreadFail` event.
+//! Trap coverage for the interpreter: every [`VmErrorKind`] variant is
+//! *triggered through full execution* of an MJ program (not
+//! unit-constructed), and every trap that unwinds a thread must surface
+//! in the trace as a `ThreadFail` event.
 
 use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
 use narada_lang::mir::MirProgram;
-use narada_vm::{Engine, Machine, MachineOptions, Value, VecSink, VmError, VmErrorKind};
+use narada_vm::{Machine, MachineOptions, Value, VecSink, VmError, VmErrorKind};
 
 fn build(src: &str) -> (Program, MirProgram) {
     let prog = narada_lang::compile(src).unwrap_or_else(|e| panic!("compile failed:\n{e}"));
@@ -15,11 +14,11 @@ fn build(src: &str) -> (Program, MirProgram) {
     (prog, mir)
 }
 
-/// Runs the program's only test on the given engine and returns the
-/// error it failed with plus the recorded trace.
-fn run_trap(src: &str, engine: Engine, opts: MachineOptions) -> (VmError, Vec<narada_vm::Event>) {
+/// Runs the program's only test and returns the error it failed with
+/// plus the recorded trace.
+fn run_trap(src: &str, opts: MachineOptions) -> (VmError, Vec<narada_vm::Event>) {
     let (prog, mir) = build(src);
-    let mut machine = Machine::new(&prog, &mir, MachineOptions { engine, ..opts });
+    let mut machine = Machine::new(&prog, &mir, opts);
     let mut sink = VecSink::new();
     let err = machine
         .run_test(prog.tests[0].id, &mut sink)
@@ -27,22 +26,14 @@ fn run_trap(src: &str, engine: Engine, opts: MachineOptions) -> (VmError, Vec<na
     (err, sink.events)
 }
 
-/// Asserts the trap fires with the expected kind on the bytecode engine
-/// and that tree-walk agrees byte-for-byte (error and trace).
+/// Asserts the trap fires with the expected kind and surfaces in the
+/// trace.
 fn assert_trap(src: &str, opts: MachineOptions, expect: impl Fn(&VmErrorKind) -> bool) {
-    let (bc_err, bc_ev) = run_trap(src, Engine::Bytecode, opts.clone());
-    assert!(
-        expect(&bc_err.kind),
-        "bytecode engine raised the wrong trap: {:?}",
-        bc_err.kind
-    );
-    let (tree_err, tree_ev) = run_trap(src, Engine::TreeWalk, opts);
-    assert_eq!(tree_err, bc_err, "engines disagree on the error");
-    assert_eq!(tree_ev, bc_ev, "engines disagree on the failing trace");
+    let (err, ev) = run_trap(src, opts);
+    assert!(expect(&err.kind), "wrong trap: {:?}", err.kind);
     // The unwind must surface in the trace, not just the return value.
     assert!(
-        bc_ev
-            .iter()
+        ev.iter()
             .any(|e| matches!(e.kind, narada_vm::EventKind::ThreadFail { .. })),
         "no ThreadFail event emitted"
     );
@@ -207,7 +198,7 @@ fn trap_step_limit() {
 }
 
 /// `Internal` through the harness invocation path: an ill-typed receiver
-/// (object of an unrelated class) must fail cleanly on both engines.
+/// (object of an unrelated class) must fail cleanly.
 #[test]
 fn trap_internal_receiver_mismatch() {
     let (prog, mir) = build(
@@ -220,44 +211,30 @@ fn trap_internal_receiver_mismatch() {
     let getx = prog
         .dispatch(prog.class_by_name("A").unwrap(), "getx")
         .unwrap();
-    let run = |engine: Engine| {
-        let mut m = Machine::new(
-            &prog,
-            &mir,
-            MachineOptions {
-                engine,
-                ..MachineOptions::default()
-            },
-        );
-        let mut sink = VecSink::new();
-        m.run_test(prog.tests[0].id, &mut sink).unwrap();
-        // Objects: 0 = the A instance, 1 = the B instance. Invoking A's
-        // method on the B receiver is the ill-typed harness call.
-        let err = m
-            .invoke(
-                getx,
-                Some(Value::Ref(narada_vm::ObjId(1))),
-                vec![],
-                &mut sink,
-            )
-            .expect_err("mismatched receiver must fail");
-        (err, sink.events)
-    };
-    let (tree_err, tree_ev) = run(Engine::TreeWalk);
-    let (bc_err, bc_ev) = run(Engine::Bytecode);
+    let mut m = Machine::with_defaults(&prog, &mir);
+    let mut sink = VecSink::new();
+    m.run_test(prog.tests[0].id, &mut sink).unwrap();
+    // Objects: 0 = the A instance, 1 = the B instance. Invoking A's
+    // method on the B receiver is the ill-typed harness call.
+    let err = m
+        .invoke(
+            getx,
+            Some(Value::Ref(narada_vm::ObjId(1))),
+            vec![],
+            &mut sink,
+        )
+        .expect_err("mismatched receiver must fail");
     assert!(
-        matches!(bc_err.kind, VmErrorKind::Internal(_)),
+        matches!(err.kind, VmErrorKind::Internal(_)),
         "expected Internal, got {:?}",
-        bc_err.kind
+        err.kind
     );
-    assert_eq!(tree_err, bc_err);
-    assert_eq!(tree_ev, bc_ev);
 }
 
-/// A trap inside a `sync` method releases the monitor identically on
-/// both engines (unwind path through `thread_fail`).
+/// A trap inside a `sync` method releases the monitor before the thread
+/// fails (unwind path through `thread_fail`).
 #[test]
-fn trap_unwinds_monitors_identically() {
+fn trap_unwinds_monitors() {
     let src = r#"
         class Guard {
             int v;
@@ -265,17 +242,14 @@ fn trap_unwinds_monitors_identically() {
         }
         test t { var g = new Guard(); g.boom(0); }
     "#;
-    let (bc_err, bc_ev) = run_trap(src, Engine::Bytecode, opts());
-    let (tree_err, tree_ev) = run_trap(src, Engine::TreeWalk, opts());
-    assert!(matches!(bc_err.kind, VmErrorKind::DivByZero));
-    assert_eq!(tree_err, bc_err);
-    assert_eq!(tree_ev, bc_ev);
+    let (err, ev) = run_trap(src, opts());
+    assert!(matches!(err.kind, VmErrorKind::DivByZero));
     // The unwind must have emitted the Unlock before ThreadFail.
-    let unlock = bc_ev
+    let unlock = ev
         .iter()
         .position(|e| matches!(e.kind, narada_vm::EventKind::Unlock { .. }))
         .expect("unwind released the monitor");
-    let fail = bc_ev
+    let fail = ev
         .iter()
         .position(|e| matches!(e.kind, narada_vm::EventKind::ThreadFail { .. }))
         .unwrap();

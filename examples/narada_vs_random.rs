@@ -8,8 +8,9 @@
 //! ```
 
 use narada::contege::{run_contege, ContegeOptions};
-use narada::detect::{evaluate_suite, DetectConfig};
+use narada::detect::{evaluate_suite_full, DetectConfig};
 use narada::lang::lower::lower_program;
+use narada::Obs;
 use narada::{synthesize, SynthesisOptions};
 use std::time::Instant;
 
@@ -23,7 +24,7 @@ fn main() {
     let out = synthesize(&prog, &mir, &SynthesisOptions::default());
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-    let agg = evaluate_suite(
+    let agg = evaluate_suite_full(
         &prog,
         &mir,
         &seeds,
@@ -33,7 +34,9 @@ fn main() {
             confirm_trials: 4,
             ..Default::default()
         },
-    );
+        &Obs::new(),
+    )
+    .1;
     println!(
         "narada : {:>5} tests → {} races detected, {} reproduced harmful ({:.2?})",
         out.test_count(),

@@ -5,7 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use narada::detect::{evaluate_test, DetectConfig};
+use narada::detect::{evaluate_test_observed, DetectConfig};
+use narada::Obs;
 use narada::{synthesize_source, SynthesisOptions};
 
 fn main() {
@@ -48,7 +49,7 @@ fn main() {
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let cfg = DetectConfig::default();
     for test in &out.tests {
-        let report = evaluate_test(&prog, &mir, &seeds, &test.plan, &cfg);
+        let report = evaluate_test_observed(&prog, &mir, &seeds, &test.plan, &cfg, 0, &Obs::new());
         println!(
             "test #{}: {} race(s) detected, {} reproduced ({} harmful, {} benign)",
             test.index,

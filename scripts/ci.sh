@@ -21,12 +21,6 @@ NARADA_AGREEMENT_FULL=1 cargo test -q --release --test properties screener_agree
 echo "==> replay regression suite (release)"
 cargo test -q --release --test replay_fixtures
 
-echo "==> engine differential suite (release, full 64-class lattice)"
-# Tree-walk vs bytecode: byte-identical trace digests, heap outcomes,
-# and race reports across the corpus, the replay fixtures, and the
-# seeded difftest lattice at threads 1/2/8.
-NARADA_ENGINE_FULL=1 cargo test -q --release -p narada-vm --test engine_differential
-
 echo "==> detector race-list fixture suite (release, every C1-C9 detection trial)"
 # Each detector's ordered race list per detection trial at the `narada
 # detect` defaults must equal the committed fixture.
@@ -59,21 +53,15 @@ DIFF_DIR="$(mktemp -d)"
 for t in 1 2 8; do
     cargo run -q --release --bin narada -- difftest --seed 53759 --count 64 \
         --threads "$t" > "$DIFF_DIR/t$t.out"
-    cargo run -q --release --bin narada -- difftest --seed 53759 --count 64 \
-        --threads "$t" --engine bytecode > "$DIFF_DIR/bc-t$t.out"
 done
 cmp "$DIFF_DIR/t1.out" "$DIFF_DIR/t2.out" && cmp "$DIFF_DIR/t1.out" "$DIFF_DIR/t8.out" \
     || { echo "difftest output differs across --threads 1/2/8" >&2; exit 1; }
-cmp "$DIFF_DIR/bc-t1.out" "$DIFF_DIR/bc-t2.out" && cmp "$DIFF_DIR/bc-t1.out" "$DIFF_DIR/bc-t8.out" \
-    || { echo "difftest --engine bytecode output differs across --threads 1/2/8" >&2; exit 1; }
-cmp "$DIFF_DIR/t1.out" "$DIFF_DIR/bc-t1.out" \
-    || { echo "difftest output differs between engines" >&2; exit 1; }
 rm -rf "$DIFF_DIR"
 
 echo "==> fork-vs-rerun explorer differential (release, full C1-C9 matrix + fallback classes)"
 # The default explorer (fork) against the rerun oracle in-process:
-# verdicts, setup errors and manifests on C1-C9 at threads 1/2/8, both
-# engines, the difftest slice, and the two classes that must fall back.
+# verdicts, setup errors and manifests on C1-C9 at threads 1/2/8, the
+# difftest slice, and the two classes that must fall back.
 NARADA_FORK_FULL=1 cargo test -q --release -p narada-detect --test fork_differential
 
 echo "==> fork-vs-rerun explorer differential (binaries: C1-C9 at the defaults, C1-C5 + difftest slice, threads 1/2/8)"
@@ -139,7 +127,7 @@ cmp "$SERVE_DIR/batch.report" "$SERVE_DIR/state/job-0.report" \
     || { echo "state-dir flushed report differs from batch" >&2; exit 1; }
 rm -rf "$SERVE_DIR"
 
-echo "==> bench manifests (BENCH_synth / BENCH_explore / BENCH_screen / BENCH_gen / BENCH_difftest / BENCH_vm / BENCH_serve / BENCH_fork)"
+echo "==> bench manifests (BENCH_synth / BENCH_explore / BENCH_screen / BENCH_gen / BENCH_difftest / BENCH_serve / BENCH_fork)"
 # Each bench bin must emit a run manifest; `narada report` re-parses it
 # and fails on any missing required field (schema, git_rev, metrics, ...).
 MANIFEST_DIR="$(mktemp -d)"
@@ -154,14 +142,12 @@ NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_GEN_BUDGET=256 \
     cargo run -q --release -p narada-bench --bin gen > /dev/null
 NARADA_MANIFEST_DIR="$MANIFEST_DIR" \
     cargo run -q --release -p narada-bench --bin difftest > /dev/null
-NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_BENCH_REPS=2 \
-    cargo run -q --release -p narada-bench --bin vm > /dev/null
 NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_SERVE_REPS=1 NARADA_SERVE_CLIENTS=2 \
     NARADA_SERVE_JOBS=1 NARADA_SERVE_SCHEDULES=3 NARADA_SERVE_CONFIRMS=2 \
     cargo run -q --release -p narada-bench --bin serve > /dev/null
 NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_REPS=2 \
     cargo run -q --release -p narada-bench --bin fork > /dev/null
-for name in synth explore screen gen difftest vm serve fork; do
+for name in synth explore screen gen difftest serve fork; do
     manifest="$MANIFEST_DIR/BENCH_$name.json"
     [ -f "$manifest" ] || { echo "missing $manifest" >&2; exit 1; }
     cargo run -q --release --bin narada -- report "$manifest" > /dev/null
@@ -172,7 +158,7 @@ echo "==> perf-regression trend gate (fresh runs vs committed baselines)"
 # informational (host-dependent timings must not fail CI). The committed
 # baselines under results/ were generated with exactly the env knobs the
 # bench invocations above use — any config drift is itself a breach.
-for name in vm serve fork; do
+for name in serve fork; do
     cargo run -q --release --bin narada -- report --trend \
         "results/BENCH_$name.json" "$MANIFEST_DIR/BENCH_$name.json" --tolerance 0 \
         || { echo "trend gate breached for BENCH_$name" >&2; exit 1; }

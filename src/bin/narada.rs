@@ -18,7 +18,7 @@
 
 use narada::core::{demonstrate_observed, ExploreOptions, SynthesisOutput};
 use narada::detect::{
-    evaluate_suite_observed, evaluate_test_indexed, replay_schedule, DetectConfig, ExploreMode,
+    evaluate_suite_full, evaluate_test_observed, replay_schedule, DetectConfig, ExploreMode,
     StaticRaceKey,
 };
 use narada::lang::hir::Program;
@@ -27,8 +27,7 @@ use narada::lang::mir::MirProgram;
 use narada::lang::SourceMap;
 use narada::obs::Json;
 use narada::vm::{
-    render_schedule_summary, Engine, Machine, MachineOptions, Schedule, ScheduleStrategy,
-    TraceRenderer, VecSink,
+    render_schedule_summary, Machine, Schedule, ScheduleStrategy, TraceRenderer, VecSink,
 };
 use narada::{synthesize, Obs, RunManifest, SynthesisOptions};
 use std::path::Path;
@@ -69,6 +68,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if let Err(msg) = check_flags(cmd, rest) {
+        eprintln!("{msg}");
+        return ExitCode::from(2);
+    }
     let result = match cmd.as_str() {
         "run" => cmd_run(rest),
         "mir" => cmd_mir(rest),
@@ -107,36 +110,45 @@ const USAGE: &str = "\
 narada — synthesizing racy tests (PLDI 2015 reproduction)
 
 USAGE:
-    narada run <file.mj|C1..C9> [--test NAME] [--trace] [--engine E]
+    narada run <file.mj|C1..C9> [--test NAME] [--trace]
     narada mir <file.mj|C1..C9> [--method Class.m]
     narada synth <file.mj|C1..C9> [--render] [--strict-unprotected]
                            [--no-prefix-fallback] [--no-lockset-aware]
                            [--static-filter] [--static-rank]
-                           [--threads N] [--timings] [--engine E]
-                           [--strategy S] [--depth N]
+                           [--threads N] [--timings] [--seed N]
+                           [--generate-seeds] [--budget N] [--max-len N]
+                           [--gen-seed N] [--strategy S] [--depth N]
                            [--record DIR] [--replay FILE.sched]
                            [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada detect <file.mj|C1..C9> [--schedules N] [--confirms N] [--seed N]
+                            [--strict-unprotected] [--no-prefix-fallback]
+                            [--no-lockset-aware]
                             [--static-filter] [--static-rank]
-                            [--report-out FILE]
-                            [--threads N] [--timings] [--engine E]
+                            [--generate-seeds] [--budget N] [--max-len N]
+                            [--gen-seed N] [--report-out FILE]
+                            [--threads N] [--timings]
                             [--strategy S] [--depth N] [--explore M]
                             [--record DIR] [--replay FILE.sched]
                             [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada gen <file.mj|C1..C9> [--budget N] [--seed N] [--threads N]
-                                [--max-len N] [--full-api] [--engine E]
+                                [--max-len N] [--full-api]
                                 [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada pairs <file.mj|C1..C9> [--may-race-only] [--threads N] [--json]
+                                  [--strict-unprotected] [--no-prefix-fallback]
+                                  [--no-lockset-aware]
     narada corpus [C1..C9] [--threads N] [--timings] [--detect]
                            [--schedules N] [--confirms N] [--seed N]
-                           [--static-filter] [--static-rank] [--engine E]
+                           [--strict-unprotected] [--no-prefix-fallback]
+                           [--no-lockset-aware]
+                           [--static-filter] [--static-rank]
+                           [--generate-seeds] [--budget N] [--max-len N]
+                           [--gen-seed N]
                            [--strategy S] [--depth N] [--explore M]
                            [--record DIR]
                            [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada difftest [--seed N] [--count N] [--threads N] [--shrink]
                     [--fixtures DIR] [--schedules N] [--confirms N]
-                    [--inject-unsound] [--verbose] [--engine E]
-                    [--explore M]
+                    [--inject-unsound] [--verbose] [--explore M]
                     [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada report <manifest.json>... [--diff OLD.json NEW.json]
                   [--trend [--tolerance PCT] [--wall-tolerance PCT]]
@@ -149,11 +161,9 @@ USAGE:
     narada fetch <JOB> [--addr HOST:PORT] [--wait] [--out FILE] [--quiet]
     narada shutdown [--addr HOST:PORT]
 
-`--engine E` picks the execution engine: tree (the reference
-tree-walking interpreter, default) or bytecode (compiled dispatch,
-several times faster). Both produce byte-identical traces, schedules,
-and reports — the differential suite enforces it — so every command
-accepts either engine with identical output.
+Every command checks its flags against its usage entry above
+(`submit`'s `[detect flags]` are `detect`'s): an unknown flag exits
+with code 2 and names the flag.
 `--strategy S` picks the exploration scheduler: pct[:DEPTH], random,
 sticky[:PERCENT], or rr; `--depth N` overrides the PCT depth.
 `--explore M` picks the trial explorer: fork (default: run each test's
@@ -236,12 +246,39 @@ fn opt<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Parses the shared `--engine` flag (`tree` by default).
-fn engine_opt(rest: &[String]) -> Result<Engine, String> {
-    match opt(rest, "--engine") {
-        None if flag(rest, "--engine") => Err("--engine expects 'tree' or 'bytecode'".into()),
-        None => Ok(Engine::TreeWalk),
-        Some(s) => Engine::parse(s),
+/// The flags `narada <cmd>`'s usage entry lists; `[detect flags]`
+/// stands for every flag of `detect`. `None` for a command USAGE does
+/// not list.
+fn usage_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let block = USAGE.split("\n\n").nth(1)?;
+    let entry = block
+        .split("narada ")
+        .find(|e| e.split_whitespace().next() == Some(cmd))?;
+    let mut flags: Vec<&str> = entry
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    if entry.contains("[detect flags]") {
+        flags.extend(usage_flags("detect")?);
+    }
+    Some(flags)
+}
+
+/// Rejects any `--flag` that `cmd`'s usage entry does not list, so a
+/// typo (`--schedule` for `--schedules`) fails loudly instead of
+/// silently running at the default.
+fn check_flags(cmd: &str, rest: &[String]) -> Result<(), String> {
+    let Some(flags) = usage_flags(cmd) else {
+        return Ok(());
+    };
+    match rest
+        .iter()
+        .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+    {
+        Some(a) => Err(format!(
+            "narada {cmd}: unknown flag `{a}` (see `narada help`)"
+        )),
+        None => Ok(()),
     }
 }
 
@@ -294,14 +331,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
     if tests.is_empty() {
         return Err("the program declares no tests".into());
     }
-    let mut machine = Machine::new(
-        &prog,
-        &mir,
-        MachineOptions {
-            engine: engine_opt(rest)?,
-            ..MachineOptions::default()
-        },
-    );
+    let mut machine = Machine::with_defaults(&prog, &mir);
     for t in tests {
         let mut sink = VecSink::new();
         let name = prog.test(t).name.clone();
@@ -353,7 +383,6 @@ fn synth_opts(rest: &[String]) -> Result<SynthesisOptions, String> {
         static_filter: flag(rest, "--static-filter"),
         static_rank: flag(rest, "--static-rank"),
         threads: opt_usize(rest, "--threads", 0)?,
-        engine: engine_opt(rest)?,
         ..Default::default()
     })
 }
@@ -402,7 +431,6 @@ fn gen_opts(rest: &[String], seed_flag: &str) -> Result<narada::gen::GenOptions,
         seed: opt_usize(rest, seed_flag, 0x67656e)? as u64,
         threads: opt_usize(rest, "--threads", 0)?,
         max_len: opt_usize(rest, "--max-len", 10)?,
-        engine: engine_opt(rest)?,
         ..narada::gen::GenOptions::default()
     })
 }
@@ -483,7 +511,6 @@ fn replay_file(
     out: &SynthesisOutput,
     path: &str,
     budget: u64,
-    engine: Engine,
 ) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let schedule = Schedule::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -508,7 +535,7 @@ fn replay_file(
         }
     }
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
-    let outcome = replay_schedule(prog, mir, &seeds, &test.plan, budget, &schedule, engine)?;
+    let outcome = replay_schedule(prog, mir, &seeds, &test.plan, budget, &schedule)?;
     println!(
         "replayed plan {index}: {} race key(s), {} divergence(s), trace digest {:#018x}",
         outcome.keys.len(),
@@ -557,8 +584,15 @@ fn record_fixtures(
     };
     let mut written = 0usize;
     for test in &out.tests {
-        let mut report =
-            evaluate_test_indexed(prog, mir, &seeds, &test.plan, &cfg, test.index as u64);
+        let mut report = evaluate_test_observed(
+            prog,
+            mir,
+            &seeds,
+            &test.plan,
+            &cfg,
+            test.index as u64,
+            &Obs::new(),
+        );
         // Stamp the static pre-screener's verdict onto each confirmed race
         // (the detectors cannot: only the synthesis output knows which pair
         // a plan was derived from).
@@ -585,17 +619,12 @@ fn record_fixtures(
             );
             schedule.set_meta("sched-seed", format!("{:#x}", confirmed.sched_seed));
             schedule.set_meta("strategy", cfg.strategy.label());
-            // Provenance only — replay verifies byte-identity on *both*
-            // engines regardless of which one recorded the fixture.
-            schedule.set_meta("engine", cfg.engine.label());
             if let Some(v) = &confirmed.static_verdict {
                 schedule.set_meta("static-verdict", v.to_string());
             }
             // Stamp the byte-identity oracle: replay once and record the
             // digest the regression suite must reproduce.
-            let replay = replay_schedule(
-                prog, mir, &seeds, &test.plan, cfg.budget, &schedule, cfg.engine,
-            )?;
+            let replay = replay_schedule(prog, mir, &seeds, &test.plan, cfg.budget, &schedule)?;
             if replay.divergences > 0 || !replay.manifests(&confirmed.key) {
                 println!(
                     "warning: plan {} race {} does not replay cleanly, skipping fixture",
@@ -645,14 +674,13 @@ fn cmd_synth(rest: &[String]) -> Result<(), String> {
         }
     }
     if let Some(file) = opt(rest, "--replay") {
-        replay_file(&prog, &mir, &out, file, 2_000_000, engine_opt(rest)?)?;
+        replay_file(&prog, &mir, &out, file, 2_000_000)?;
     }
     if let Some(dir) = opt(rest, "--record") {
         let explore = ExploreOptions {
             strategy: strategy_opts(rest)?,
             seed: opt_usize(rest, "--seed", 0xdecaf)? as u64,
             threads: opt_usize(rest, "--threads", 0)?,
-            engine: engine_opt(rest)?,
             ..ExploreOptions::default()
         };
         let dir = Path::new(dir);
@@ -696,12 +724,11 @@ fn cmd_detect(rest: &[String]) -> Result<(), String> {
         budget: 2_000_000,
         threads: opt_usize(rest, "--threads", 0)?,
         strategy: strategy_opts(rest)?,
-        engine: engine_opt(rest)?,
         explore: explore_opt(rest)?,
         ..DetectConfig::default()
     };
     if let Some(file) = opt(rest, "--replay") {
-        return replay_file(&prog, &mir, &out, file, cfg.budget, cfg.engine);
+        return replay_file(&prog, &mir, &out, file, cfg.budget);
     }
     if let Some(dir) = opt(rest, "--record") {
         let n = record_fixtures(&prog, &mir, &out, &cfg, Path::new(dir), "detect")?;
@@ -733,7 +760,6 @@ fn cmd_detect(rest: &[String]) -> Result<(), String> {
             ("confirms", cfg.confirm_trials.to_string()),
             ("seed", cfg.seed.to_string()),
             ("strategy", cfg.strategy.label().to_string()),
-            ("engine", cfg.engine.label().to_string()),
             ("explore", cfg.explore.label().to_string()),
         ],
     )
@@ -818,10 +844,10 @@ fn cmd_gen(rest: &[String]) -> Result<(), String> {
     let api = if flag(rest, "--full-api") || prog.tests.is_empty() {
         narada::gen::ApiSurface::for_program(&prog)
     } else {
-        narada::gen::ApiSurface::from_tests_on(&prog, &mir, opts.engine)
+        narada::gen::ApiSurface::from_tests(&prog, &mir)
     };
     let basis = (!flag(rest, "--full-api") && !prog.tests.is_empty())
-        .then(|| narada::gen::FactBasis::from_tests_on(&prog, &mir, opts.engine));
+        .then(|| narada::gen::FactBasis::from_tests(&prog, &mir));
     let out = narada::gen::generate(&prog, &mir, &api, basis.as_ref(), &opts, &obs);
     let stats = out.stats;
     let mut gen_prog = prog.clone();
@@ -950,7 +976,6 @@ fn cmd_corpus(rest: &[String]) -> Result<(), String> {
                 seed: opt_usize(rest, "--seed", 42)? as u64,
                 threads: opt_usize(rest, "--threads", 0)?,
                 strategy: strategy_opts(rest)?,
-                engine: engine_opt(rest)?,
                 explore: explore_opt(rest)?,
                 ..DetectConfig::default()
             };
@@ -961,7 +986,7 @@ fn cmd_corpus(rest: &[String]) -> Result<(), String> {
             } else {
                 let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
                 let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-                let agg = evaluate_suite_observed(&prog, &mir, &seeds, &plans, &cfg, &obs);
+                let agg = evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &obs).1;
                 println!(
                     "{}: {} races detected, {} reproduced ({} harmful, {} benign)",
                     e.id,
@@ -1009,7 +1034,6 @@ fn run_difftest(rest: &[String]) -> Result<usize, String> {
         schedule_trials: opt_usize(rest, "--schedules", 6)?,
         confirm_trials: opt_usize(rest, "--confirms", 4)?,
         inject_unsound: flag(rest, "--inject-unsound"),
-        engine: engine_opt(rest)?,
         explore: explore_opt(rest)?,
         ..DiffConfig::default()
     };
@@ -1075,7 +1099,6 @@ fn run_difftest(rest: &[String]) -> Result<usize, String> {
         &[
             ("seed", format!("{:#x}", cfg.seed)),
             ("count", cfg.count.to_string()),
-            ("engine", cfg.engine.label().to_string()),
             ("explore", cfg.explore.label().to_string()),
             (
                 "generator-version",
@@ -1193,7 +1216,6 @@ fn job_opts(rest: &[String]) -> Result<narada::serve::JobOptions, String> {
         seed: opt_usize(rest, "--seed", 42)? as u64,
         threads: opt_usize(rest, "--threads", 0)?,
         strategy: strategy_opts(rest)?,
-        engine: engine_opt(rest)?,
         explore: explore_opt(rest)?,
         static_filter: flag(rest, "--static-filter"),
         static_rank: flag(rest, "--static-rank"),

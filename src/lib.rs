@@ -84,7 +84,7 @@ pub use narada_core::{
     synthesize_source, synthesize_with, ScreenReason, StageTimings, StaticVerdict,
     SynthesisOptions, SynthesisOutput, TestPlan,
 };
-pub use narada_detect::{evaluate_suite, evaluate_suite_observed, evaluate_test, DetectConfig};
+pub use narada_detect::{evaluate_suite_full, evaluate_test_observed, DetectConfig};
 pub use narada_lang::compile;
 pub use narada_obs::{Obs, RunManifest};
 pub use narada_screen::screen_pairs;

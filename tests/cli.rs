@@ -131,6 +131,112 @@ fn unknown_command_fails() {
     assert!(!out.status.success());
 }
 
+/// A mistyped flag fails loudly, naming the flag, instead of silently
+/// running at the defaults.
+#[test]
+fn unknown_flag_exits_2_and_names_it() {
+    let out = narada(&["detect", "C3", "--schedule", "1", "--confirm", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--schedule`"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+/// Tree-walk is the only interpreter; `--engine` is gone from every
+/// command that used to take it.
+#[test]
+fn engine_flag_is_rejected() {
+    for cmd in [
+        "run", "synth", "detect", "gen", "corpus", "difftest", "submit",
+    ] {
+        let out = narada(&[cmd, "C1", "--engine", "bytecode"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag `--engine`"),
+            "{cmd}: {stderr}"
+        );
+    }
+}
+
+/// Every flag each usage entry documents passes the flag check. Each
+/// command gets a positional (a missing file, an unknown class) or a
+/// flag value that makes it fail right after the check, so nothing runs:
+/// exit 1, never the unknown-flag exit 2.
+#[test]
+fn documented_flags_are_accepted() {
+    const DETECT: &str = "--schedules x --confirms x --seed x --strict-unprotected \
+        --no-prefix-fallback --no-lockset-aware --static-filter --static-rank \
+        --generate-seeds --budget x --max-len x --gen-seed x --report-out x --threads x \
+        --timings --strategy x --depth x --explore x --record x --replay x --trace-out x \
+        --manifest x";
+    const ADDR: &str = "--addr 127.0.0.1:1";
+    let cases = [
+        ("run", "no-such-file.mj --test x --trace".to_string()),
+        ("mir", "no-such-file.mj --method x".into()),
+        (
+            "synth",
+            "no-such-file.mj --render --strict-unprotected --no-prefix-fallback \
+             --no-lockset-aware --static-filter --static-rank --threads x --timings --seed x \
+             --generate-seeds --budget x --max-len x --gen-seed x --strategy x --depth x \
+             --record x --replay x --trace-out x --manifest x"
+                .into(),
+        ),
+        ("detect", format!("no-such-file.mj {DETECT}")),
+        (
+            "gen",
+            "no-such-file.mj --budget x --seed x --threads x --max-len x --full-api \
+             --trace-out x --manifest x"
+                .into(),
+        ),
+        (
+            "pairs",
+            "no-such-file.mj --may-race-only --threads x --json --strict-unprotected \
+             --no-prefix-fallback --no-lockset-aware"
+                .into(),
+        ),
+        (
+            "corpus",
+            "C0 --threads x --timings --detect --schedules x --confirms x --seed x \
+             --strict-unprotected --no-prefix-fallback --no-lockset-aware --static-filter \
+             --static-rank --generate-seeds --budget x --max-len x --gen-seed x --strategy x \
+             --depth x --explore x --record x --trace-out x --manifest x"
+                .into(),
+        ),
+        (
+            "difftest",
+            "--seed x --count x --threads x --shrink --fixtures x --schedules x --confirms x \
+             --inject-unsound --verbose --explore x --trace-out x --manifest x"
+                .into(),
+        ),
+        (
+            "report",
+            "--diff x --trend --tolerance x --wall-tolerance x".into(),
+        ),
+        (
+            "serve",
+            format!(
+                "{ADDR} --threads x --state-dir x --port-file x --cache-capacity x \
+                 --slow-job-ms x --event-log-max-bytes x"
+            ),
+        ),
+        ("top", format!("{ADDR} --once --interval x --count x")),
+        ("submit", format!("no-such-file.mj {ADDR} {DETECT}")),
+        ("jobs", format!("{ADDR} --stats")),
+        ("fetch", format!("0 {ADDR} --wait --out x --quiet")),
+        ("shutdown", ADDR.into()),
+    ];
+    for (cmd, rest) in &cases {
+        let args: Vec<&str> = std::iter::once(*cmd)
+            .chain(rest.split_whitespace())
+            .collect();
+        let out = narada(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(!stderr.contains("unknown flag"), "{cmd}: {stderr}");
+    }
+}
+
 #[test]
 fn corpus_single_entry() {
     let out = narada(&["corpus", "C9"]);

@@ -3,7 +3,6 @@
 //! suite (programs promoted from shrunk soundness disagreements).
 
 use narada::difftest::{check_agreement, run_sweep, ClassSpec, DiffConfig, Outcome};
-use narada::vm::Engine;
 use narada::Obs;
 use std::path::Path;
 
@@ -88,57 +87,19 @@ fn promoted_fixtures_stay_fixed() {
             .unwrap_or_else(|e| panic!("{}: fixture no longer compiles: {e}", path.display()));
         // Fixture seeds don't matter for soundness (any confirmed race
         // with a MustNotRace verdict is a bug at every seed), so a fixed
-        // one keeps the regression run reproducible. Re-checked on both
-        // engines: the verdict relation must be engine-independent.
-        for engine in [Engine::TreeWalk, Engine::Bytecode] {
-            let check = check_agreement(
-                &prog,
-                0xf1f7,
-                &DiffConfig {
-                    engine,
-                    ..fast_cfg()
-                },
-            );
-            assert!(
-                check.disagreements.is_empty(),
-                "{} [{engine}]: fixed disagreement reappeared: {:?}",
-                path.display(),
-                check.disagreements
-            );
-        }
+        // one keeps the regression run reproducible.
+        let check = check_agreement(&prog, 0xf1f7, &fast_cfg());
+        assert!(
+            check.disagreements.is_empty(),
+            "{}: fixed disagreement reappeared: {:?}",
+            path.display(),
+            check.disagreements
+        );
         checked += 1;
     }
     // No fixtures yet is fine (none promoted); the walk itself is the
     // guard once they land.
     println!("checked {checked} promoted fixture(s)");
-}
-
-/// The sweep digest — which folds every class's pair counts, verdicts,
-/// and confirmed races — is also independent of the execution engine:
-/// the bytecode engine drives the whole pipeline (synthesis replay,
-/// detection, confirmation) to byte-identical results.
-#[test]
-fn sweep_digest_is_engine_independent() {
-    let cfg = DiffConfig {
-        count: 9,
-        threads: 1,
-        ..fast_cfg()
-    };
-    let tree = run_sweep(&cfg, &Obs::new());
-    let bc = run_sweep(
-        &DiffConfig {
-            engine: Engine::Bytecode,
-            ..cfg
-        },
-        &Obs::new(),
-    );
-    assert_eq!(tree.digest, bc.digest, "sweep digest varies with engine");
-    assert_eq!(tree.confirmed(), bc.confirmed());
-    assert_eq!(tree.discharged(), bc.discharged());
-    let summaries = |s: &narada::difftest::SweepReport| -> Vec<String> {
-        s.reports.iter().map(|r| r.summary()).collect()
-    };
-    assert_eq!(summaries(&tree), summaries(&bc), "per-class reports differ");
 }
 
 /// The fault-injection self test end to end at workspace level: an

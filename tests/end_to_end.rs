@@ -2,8 +2,9 @@
 //! → analyze → pair → derive → synthesize → detect → confirm) on the
 //! paper's corpus classes.
 
-use narada::detect::{evaluate_test, DetectConfig};
+use narada::detect::{evaluate_test_observed, DetectConfig};
 use narada::lang::lower::lower_program;
+use narada::Obs;
 use narada::{synthesize, SynthesisOptions};
 
 fn cfg() -> DetectConfig {
@@ -63,7 +64,7 @@ fn c1_wrapper_race_is_reproduced_harmful() {
         test.plan.render(&prog)
     );
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
-    let report = evaluate_test(&prog, &mir, &seeds, &test.plan, &cfg());
+    let report = evaluate_test_observed(&prog, &mir, &seeds, &test.plan, &cfg(), 0, &Obs::new());
     assert!(report.setup_errors.is_empty(), "{:?}", report.setup_errors);
     assert!(!report.detected.is_empty(), "race must be detected");
     assert!(
@@ -96,7 +97,7 @@ fn c9_close_vs_read_race_found() {
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let mut any_harmful = 0;
     for t in out.tests.iter().filter(|t| t.plan.expects_race) {
-        let rep = evaluate_test(&prog, &mir, &seeds, &t.plan, &cfg());
+        let rep = evaluate_test_observed(&prog, &mir, &seeds, &t.plan, &cfg(), 0, &Obs::new());
         any_harmful += rep.harmful();
     }
     assert!(any_harmful >= 1, "C9 has reproducible harmful races");
@@ -119,7 +120,7 @@ fn c6_reset_races_are_benign_heavy() {
         .filter(|t| t.plan.racy[0].method == reset && t.plan.racy[1].method == reset)
         .take(4)
     {
-        let rep = evaluate_test(&prog, &mir, &seeds, &t.plan, &cfg());
+        let rep = evaluate_test_observed(&prog, &mir, &seeds, &t.plan, &cfg(), 0, &Obs::new());
         benign += rep.benign();
     }
     assert!(
@@ -162,6 +163,6 @@ fn facade_reexports_cover_the_pipeline() {
     assert!(out.pair_count() > 0);
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-    let agg = narada::evaluate_suite(&prog, &mir, &seeds, &plans, &cfg());
+    let agg = narada::evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg(), &Obs::new()).1;
     assert!(agg.races_detected > 0, "unsynchronized Cell must race");
 }

@@ -668,40 +668,25 @@ fn demonstrations_are_thread_count_invariant_and_replayable() {
                 strategy.label()
             );
         }
-        // Every recorded schedule replays without divergence — on both
-        // execution engines, with the same trace digest.
+        // Every recorded schedule replays without divergence.
         let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
         for d in &sequential {
-            let replay = |engine| {
-                narada::detect::replay_schedule(
-                    &prog,
-                    &mir,
-                    &seeds,
-                    &out.tests[d.test_index].plan,
-                    2_000_000,
-                    &d.schedule,
-                    engine,
-                )
-                .expect("replay executes")
-            };
-            let tree = replay(narada::vm::Engine::TreeWalk);
-            let bc = replay(narada::vm::Engine::Bytecode);
+            let replay = narada::detect::replay_schedule(
+                &prog,
+                &mir,
+                &seeds,
+                &out.tests[d.test_index].plan,
+                2_000_000,
+                &d.schedule,
+            )
+            .expect("replay executes");
             assert_eq!(
-                tree.divergences,
+                replay.divergences,
                 0,
                 "{}: demonstration for plan {} does not replay",
                 strategy.label(),
                 d.test_index
             );
-            assert_eq!(bc.divergences, 0, "bytecode replay diverged");
-            assert_eq!(
-                tree.trace_digest,
-                bc.trace_digest,
-                "{}: engines disagree on the replayed trace of plan {}",
-                strategy.label(),
-                d.test_index
-            );
-            assert_eq!(tree.keys, bc.keys, "race keys differ across engines");
         }
     }
 }
@@ -763,7 +748,8 @@ fn compile_never_panics_on_tokenish_input() {
 /// prefix.
 #[test]
 fn screener_agreement() {
-    use narada::detect::{evaluate_test_indexed, DetectConfig};
+    use narada::detect::{evaluate_test_observed, DetectConfig};
+    use narada::Obs;
 
     let ids: &[&str] = if std::env::var("NARADA_AGREEMENT_FULL").is_ok() {
         &["C1", "C2", "C3", "C4", "C5"]
@@ -793,7 +779,8 @@ fn screener_agreement() {
         discharged += verdicts.iter().filter(|v| !v.may_race()).count();
         let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
         for (ti, t) in out.tests.iter().enumerate() {
-            let report = evaluate_test_indexed(&prog, &mir, &seeds, &t.plan, &cfg, ti as u64);
+            let report =
+                evaluate_test_observed(&prog, &mir, &seeds, &t.plan, &cfg, ti as u64, &Obs::new());
             for (_, race) in &report.reproduced {
                 manifested += 1;
                 let v = out.static_verdict_for(ti, race.key.span_a, race.key.span_b);
@@ -810,52 +797,4 @@ fn screener_agreement() {
     // The property is vacuous unless both sides actually fire.
     assert!(discharged > 0, "screener discharged nothing on {ids:?}");
     assert!(manifested > 0, "scheduler reproduced nothing on {ids:?}");
-}
-
-// ----------------------------------------------------------------------
-// Engine equivalence across the pipeline
-// ----------------------------------------------------------------------
-
-/// The bytecode engine drives the full differential pipeline — generated
-/// lattice classes through synthesis, detection, and confirmation — to
-/// byte-identical results: same sweep digest as the tree-walk reference,
-/// same per-class race reports, at every worker count. Runs a 16-class
-/// slice by default; set `NARADA_ENGINE_FULL=1` (CI's release leg) for
-/// the 64-class slice at threads 1, 2, and 8.
-#[test]
-fn engine_equivalence_on_difftest_lattice() {
-    use narada::difftest::{run_sweep, DiffConfig, SweepReport};
-    use narada::vm::Engine;
-    use narada::Obs;
-
-    let full = std::env::var("NARADA_ENGINE_FULL").is_ok();
-    let count = if full { 64 } else { 16 };
-    let thread_counts: &[usize] = if full { &[1, 2, 8] } else { &[1, 2] };
-    let cfg = |engine, threads| DiffConfig {
-        seed: 0xe9e9,
-        count,
-        threads,
-        schedule_trials: 4,
-        confirm_trials: 3,
-        engine,
-        ..DiffConfig::default()
-    };
-    let fingerprint = |s: &SweepReport| -> (u64, usize, usize, Vec<String>) {
-        (
-            s.digest,
-            s.discharged(),
-            s.confirmed(),
-            s.reports.iter().map(|r| r.summary()).collect(),
-        )
-    };
-
-    let reference = fingerprint(&run_sweep(&cfg(Engine::TreeWalk, 1), &Obs::new()));
-    assert!(reference.2 > 0, "vacuous slice: nothing confirmed");
-    for &threads in thread_counts {
-        let bc = fingerprint(&run_sweep(&cfg(Engine::Bytecode, threads), &Obs::new()));
-        assert_eq!(
-            reference, bc,
-            "bytecode sweep diverged from tree-walk at threads={threads}"
-        );
-    }
 }

@@ -13,7 +13,7 @@ use narada::detect::{replay_schedule, RaceFuzzerScheduler, StaticRaceKey};
 use narada::lang::hir::Program;
 use narada::lang::lower::lower_program;
 use narada::lang::mir::MirProgram;
-use narada::vm::{Engine, MachineOptions, Schedule};
+use narada::vm::{MachineOptions, Schedule};
 use narada::{synthesize, SynthesisOptions, SynthesisOutput};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -95,25 +95,18 @@ fn fixtures_replay_byte_identically() {
         )
         .expect("digest parses");
 
-        // Every fixture must replay byte-identically on *both* engines —
-        // the recording carries no engine dependence, only semantics.
-        for engine in [Engine::TreeWalk, Engine::Bytecode] {
-            let outcome = replay_schedule(prog, mir, &seeds, &test.plan, 2_000_000, &sched, engine)
-                .unwrap_or_else(|e| panic!("{name} [{engine}]: replay setup failed: {e}"));
-            assert_eq!(
-                outcome.divergences, 0,
-                "{name} [{engine}]: replay left the recording"
-            );
-            assert!(
-                outcome.manifests(&target),
-                "{name} [{engine}]: target race {target} did not re-manifest (got {:?})",
-                outcome.keys
-            );
-            assert_eq!(
-                outcome.trace_digest, want,
-                "{name} [{engine}]: replayed trace is not byte-identical to the recording"
-            );
-        }
+        let outcome = replay_schedule(prog, mir, &seeds, &test.plan, 2_000_000, &sched)
+            .unwrap_or_else(|e| panic!("{name}: replay setup failed: {e}"));
+        assert_eq!(outcome.divergences, 0, "{name}: replay left the recording");
+        assert!(
+            outcome.manifests(&target),
+            "{name}: target race {target} did not re-manifest (got {:?})",
+            outcome.keys
+        );
+        assert_eq!(
+            outcome.trace_digest, want,
+            "{name}: replayed trace is not byte-identical to the recording"
+        );
     }
 }
 
@@ -136,39 +129,35 @@ fn fixtures_reproduce_recorded_verdicts() {
         )
         .expect("seed parses");
 
-        // Re-run the directed confirmation with the recorded seeds on
-        // both engines: the same race must confirm with the same
-        // harmful/benign verdict either way.
-        for engine in [Engine::TreeWalk, Engine::Bytecode] {
-            let mut fuzzer = RaceFuzzerScheduler::new(target, sched_seed);
-            let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
-            execute_plan_fresh(
-                prog,
-                mir,
-                &seeds,
-                &test.plan,
-                &mut fuzzer,
-                &mut narada::vm::NullSink,
-                MachineOptions {
-                    seed: sched.seed,
-                    engine,
-                    ..MachineOptions::default()
-                },
-                2_000_000,
-            )
-            .unwrap_or_else(|e| panic!("{name} [{engine}]: confirmation setup failed: {e}"));
-            let confirmed = fuzzer
-                .confirmed
-                .iter()
-                .find(|c| c.key == target)
-                .unwrap_or_else(|| panic!("{name} [{engine}]: race {target} no longer confirms"));
-            let want_benign = sched.meta_get("verdict") == Some("benign");
-            assert_eq!(
-                confirmed.benign, want_benign,
-                "{name} [{engine}]: detector verdict flipped vs the recorded report"
-            );
-            assert_eq!(confirmed.machine_seed, sched.seed, "{name}: seed stamping");
-            assert_eq!(confirmed.sched_seed, sched_seed, "{name}: seed stamping");
-        }
+        // Re-run the directed confirmation with the recorded seeds: the
+        // same race must confirm with the same harmful/benign verdict.
+        let mut fuzzer = RaceFuzzerScheduler::new(target, sched_seed);
+        let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
+        execute_plan_fresh(
+            prog,
+            mir,
+            &seeds,
+            &test.plan,
+            &mut fuzzer,
+            &mut narada::vm::NullSink,
+            MachineOptions {
+                seed: sched.seed,
+                ..MachineOptions::default()
+            },
+            2_000_000,
+        )
+        .unwrap_or_else(|e| panic!("{name}: confirmation setup failed: {e}"));
+        let confirmed = fuzzer
+            .confirmed
+            .iter()
+            .find(|c| c.key == target)
+            .unwrap_or_else(|| panic!("{name}: race {target} no longer confirms"));
+        let want_benign = sched.meta_get("verdict") == Some("benign");
+        assert_eq!(
+            confirmed.benign, want_benign,
+            "{name}: detector verdict flipped vs the recorded report"
+        );
+        assert_eq!(confirmed.machine_seed, sched.seed, "{name}: seed stamping");
+        assert_eq!(confirmed.sched_seed, sched_seed, "{name}: seed stamping");
     }
 }

@@ -7,7 +7,7 @@ use narada::detect::DetectConfig;
 use narada::lang::lower::lower_program;
 use narada::obs::Json;
 use narada::{
-    evaluate_suite_observed, screen_pairs, synthesize_observed, Obs, RunManifest, SynthesisOptions,
+    evaluate_suite_full, screen_pairs, synthesize_observed, Obs, RunManifest, SynthesisOptions,
 };
 
 /// Runs synthesis + detection over a small corpus class with the given
@@ -32,7 +32,7 @@ fn run_pipeline(threads: usize) -> Obs {
         threads,
         ..DetectConfig::default()
     };
-    evaluate_suite_observed(&prog, &mir, &seeds, &plans, &cfg, &obs);
+    evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &obs);
     obs
 }
 
@@ -84,7 +84,7 @@ fn run_coverage_pipeline(threads: usize) -> Obs {
         pct_horizon: 200,
         ..DetectConfig::default()
     };
-    evaluate_suite_observed(&prog, &mir, &seeds, &plans, &cfg, &obs);
+    evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &obs);
     obs
 }
 
