@@ -12,7 +12,6 @@ use crate::race::StaticRaceKey;
 use narada_lang::Span;
 use narada_vm::rng::SplitMix64;
 use narada_vm::{FieldKey, Machine, ObjId, Schedule, Scheduler, ThreadId, Value};
-use std::collections::HashSet;
 
 /// Default number of scheduling decisions a thread may stay postponed
 /// before the scheduler gives up on pairing it (prevents livelock when the
@@ -68,7 +67,7 @@ struct Postponed {
 #[derive(Debug)]
 pub struct RaceFuzzerScheduler {
     /// Target source sites (both sides of the potential race).
-    targets: HashSet<Span>,
+    targets: [Span; 2],
     rng: SplitMix64,
     seed: u64,
     postponed: Option<Postponed>,
@@ -83,18 +82,8 @@ pub struct RaceFuzzerScheduler {
 impl RaceFuzzerScheduler {
     /// Creates a scheduler targeting the given potential race.
     pub fn new(target: StaticRaceKey, seed: u64) -> Self {
-        Self::with_targets(std::slice::from_ref(&target), seed)
-    }
-
-    /// Creates a scheduler targeting several potential races at once.
-    pub fn with_targets(keys: &[StaticRaceKey], seed: u64) -> Self {
-        let mut targets = HashSet::new();
-        for k in keys {
-            targets.insert(k.span_a);
-            targets.insert(k.span_b);
-        }
         RaceFuzzerScheduler {
-            targets,
+            targets: [target.span_a, target.span_b],
             rng: SplitMix64::seed_from_u64(seed),
             seed,
             postponed: None,
@@ -173,7 +162,7 @@ impl Scheduler for RaceFuzzerScheduler {
             let Some((preview, span)) = machine.preview_detail(t) else {
                 continue;
             };
-            if !self.targets.contains(&span) {
+            if span != self.targets[0] && span != self.targets[1] {
                 continue;
             }
             let Some((obj, field, is_write)) = preview.access() else {
@@ -247,18 +236,18 @@ impl Scheduler for RaceFuzzerScheduler {
             }
         }
 
-        // Pick randomly among runnable threads that are not postponed.
-        let candidates: Vec<ThreadId> = runnable
-            .iter()
-            .copied()
-            .filter(|&t| self.postponed.map(|p| p.tid != t).unwrap_or(true))
-            .collect();
-        if candidates.is_empty() {
+        // Pick randomly among runnable threads that are not postponed,
+        // counting and indexing them in `runnable` order.
+        let held = self.postponed.map(|p| p.tid);
+        let mut candidates = runnable.iter().copied().filter(|&t| Some(t) != held);
+        let n = candidates.clone().count();
+        if n == 0 {
             // Only the postponed thread remains: release it.
             let t = self.postponed.take().map(|p| p.tid).unwrap_or(runnable[0]);
             return t;
         }
-        candidates[self.rng.gen_range(0..candidates.len())]
+        let pick = self.rng.gen_range(0..n);
+        candidates.nth(pick).expect("pick < candidate count")
     }
 
     fn name(&self) -> &str {

@@ -278,11 +278,12 @@ impl<'a, 'p> TestRun<'a, 'p> {
         // Stamp every report with the manifesting run's identity so
         // rendered races name their replayable schedule.
         let schedule = sched.to_schedule(machine_seed);
-        // The recording/observing wrappers released the inner scheduler
-        // above (last use was `to_schedule`); directed strategies report
-        // how many priority-change points this run actually consumed.
+        // Dropping the observer publishes the run's decision counters and
+        // releases the inner scheduler; directed strategies report how
+        // many priority-change points this run actually consumed.
         // `add(0)` still registers the counter, so undirected runs
         // surface an explicit 0.
+        drop(observed);
         obs.metrics
             .counter("explore.change_points_probed")
             .add(inner.change_points_probed());
@@ -330,6 +331,12 @@ impl<'a, 'p> TestRun<'a, 'p> {
                 let mut rec = RecordingScheduler::new(&mut observed);
                 let run = self.execute(start, machine_seed, &mut rec, &mut NullSink);
                 let schedule = rec.to_schedule(machine_seed);
+                // Confirmation's share of `sched.decisions`; dropping the
+                // observer publishes the totals and releases `sched`.
+                obs.metrics
+                    .counter("sched.confirm_decisions")
+                    .add(observed.decisions());
+                drop(observed);
                 obs.metrics.counter("detect.confirm_trials").inc();
                 count_outcome(obs, &run);
                 obs.metrics

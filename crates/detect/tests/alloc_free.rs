@@ -7,11 +7,23 @@
 //! 10,000 more rounds of the same accesses at the same sites; those
 //! rounds must not allocate. The pattern races, so the reporting path is
 //! exercised too: a race already reported costs a lookup, not a copy.
+//!
+//! The scheduling decision loop allocates nothing per decision either: a
+//! two-thread, call-free loop run through `Machine::run_threads` under the
+//! confirmation stack and under the detection stack makes as many
+//! allocations at ten times the loop length as at one, apart from the
+//! schedule recorder's `Vec` doublings.
 
-use narada_detect::{FastTrackDetector, LocksetDetector};
-use narada_lang::mir::VarId;
+use narada_detect::{FastTrackDetector, LocksetDetector, RaceFuzzerScheduler, SaturationWatch};
+use narada_lang::hir::Program;
+use narada_lang::lower::lower_program;
+use narada_lang::mir::{MirProgram, VarId};
 use narada_lang::Span;
-use narada_vm::{Event, EventKind, EventSink, FieldKey, InvId, Label, ObjId, ThreadId, Value};
+use narada_obs::Metrics;
+use narada_vm::{
+    Event, EventKind, EventSink, FieldKey, InvId, Label, Machine, MachineOptions, NullSink, ObjId,
+    ObservedScheduler, RandomScheduler, RecordingScheduler, RunOutcome, Scheduler, ThreadId, Value,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -183,4 +195,104 @@ fn lockset_steady_state_allocates_nothing() {
     let n = steady_state_allocations(&mut d);
     assert!(!d.races().is_empty(), "the pattern must exercise reporting");
     assert_eq!(n, 0, "lockset allocated {n} times in {ROUNDS} rounds");
+}
+
+const LOOP_SRC: &str = r#"
+    class C {
+        int x;
+        void spin(int n) {
+            var i = 0;
+            while (i < n) { this.x = this.x + 1; i = i + 1; }
+        }
+    }
+    test seed { var c = new C(); c.spin(1); }
+"#;
+
+/// Short loop length; the long run iterates ten times as often. Both stay
+/// far below the saturation window, so the detection stack's watch never
+/// arms and never starts tracking.
+const SHORT: i64 = 200;
+
+/// Schedule-recorder reallocations allowed between a run and one ten
+/// times longer: a `Vec` that grows by under 16× doubles at most 4 times.
+const RECORDER_DOUBLINGS: u64 = 4;
+
+fn loop_program() -> (Program, MirProgram) {
+    let prog = narada_lang::compile(LOOP_SRC).expect("loop program compiles");
+    let mir = lower_program(&prog);
+    (prog, mir)
+}
+
+/// Spawns two threads that each run `spin(n)` on one shared object, then
+/// counts the allocations `run_threads` makes under `sched` and `sink`.
+fn decision_loop_allocations(
+    prog: &Program,
+    mir: &MirProgram,
+    n: i64,
+    sched: &mut dyn Scheduler,
+    sink: &mut dyn EventSink,
+) -> u64 {
+    let mut m = Machine::new(prog, mir, MachineOptions::default());
+    let c = m
+        .heap
+        .alloc_instance(prog, prog.class_by_name("C").unwrap());
+    let spin = prog.methods.iter().find(|mm| mm.name == "spin").unwrap().id;
+    for _ in 0..2 {
+        m.spawn_invoke(spin, Some(Value::Ref(c)), vec![Value::Int(n)], sink)
+            .unwrap();
+    }
+    let mut outcome = None;
+    let count = allocations_during(|| outcome = Some(m.run_threads(sched, sink, u64::MAX)));
+    assert_eq!(outcome, Some(RunOutcome::Completed));
+    count
+}
+
+/// A race the detectors report on the loop's shared field: the directed
+/// scheduler's target, as detection hands it to confirmation.
+fn loop_race(prog: &Program, mir: &MirProgram) -> narada_detect::StaticRaceKey {
+    let (mut lockset, mut hb) = (LocksetDetector::new(), FastTrackDetector::new());
+    let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
+    decision_loop_allocations(prog, mir, 4, &mut RandomScheduler::new(1), &mut sink);
+    hb.races().first().expect("the loop races").static_key()
+}
+
+#[test]
+fn confirmation_decisions_allocate_nothing() {
+    let (prog, mir) = loop_program();
+    let target = loop_race(&prog, &mir);
+    let metrics = Metrics::new();
+    let run = |n: i64| {
+        let mut fuzzer = RaceFuzzerScheduler::new(target, 7);
+        let mut sched = RecordingScheduler::new(ObservedScheduler::new(&mut fuzzer, &metrics));
+        let count = decision_loop_allocations(&prog, &mir, n, &mut sched, &mut NullSink);
+        drop(sched);
+        assert!(!fuzzer.confirmed.is_empty(), "the directed run confirms");
+        count
+    };
+    let (short, long) = (run(SHORT), run(10 * SHORT));
+    assert!(
+        long <= short + RECORDER_DOUBLINGS,
+        "confirmation stack: {short} allocations at {SHORT} iterations, {long} at ten times that"
+    );
+}
+
+#[test]
+fn detection_decisions_allocate_nothing() {
+    let (prog, mir) = loop_program();
+    let metrics = Metrics::new();
+    let run = |n: i64| {
+        let (mut lockset, mut hb) = (LocksetDetector::new(), FastTrackDetector::new());
+        let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
+        let mut random = RandomScheduler::new(11);
+        let mut sched = RecordingScheduler::new(ObservedScheduler::new(&mut random, &metrics));
+        let count = decision_loop_allocations(&prog, &mir, n, &mut sched, &mut sink);
+        drop(sink);
+        assert!(!hb.races().is_empty(), "the detectors see the race");
+        count
+    };
+    let (short, long) = (run(SHORT), run(10 * SHORT));
+    assert!(
+        long <= short + RECORDER_DOUBLINGS,
+        "detection stack: {short} allocations at {SHORT} iterations, {long} at ten times that"
+    );
 }

@@ -24,7 +24,7 @@ use narada_detect::{evaluate_suite_full, ClassDetection, DetectConfig, TestRepor
 use narada_lang::hir::Program;
 use narada_obs::{Json, Obs, RunManifest};
 use narada_screen::screen_pairs_with;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Everything a finished job leaves behind.
 #[derive(Debug)]
@@ -72,7 +72,9 @@ pub fn run_job(
     // drain under the same hold is what makes attribution exact. Derived
     // artifacts are filled from the program entry outside the lock.
     let (lib, compile_delta, cache_events) = {
-        let mut cache = cache.lock().map_err(|_| "artifact cache poisoned")?;
+        // A job that panicked under this lock left the cache consistent
+        // (compilation runs before insertion), so recover it.
+        let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
         cache.drain_events();
         let base = cache.stats;
         let lib = cache

@@ -27,15 +27,16 @@
 
 use crate::cache::ArtifactCache;
 use crate::proto::{error_frame, ok_frame, write_frame, JobOptions};
-use crate::run::{cache_json, run_job};
+use crate::run::{cache_json, run_job, JobResult};
 use crate::telemetry::ServerTelemetry;
 use narada_obs::{EventLog, Json, MetricValue};
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Server configuration (the `narada serve` flags).
@@ -141,6 +142,32 @@ struct Shared {
     telemetry: ServerTelemetry,
 }
 
+impl Shared {
+    fn new(config: ServeConfig, telemetry: ServerTelemetry) -> Shared {
+        Shared {
+            state: Mutex::new(State {
+                jobs: Vec::new(),
+                queue: VecDeque::new(),
+                draining: false,
+            }),
+            changed: Condvar::new(),
+            cache: Mutex::new(ArtifactCache::with_capacity(config.cache_capacity)),
+            stop: AtomicBool::new(false),
+            config,
+            telemetry,
+        }
+    }
+}
+
+/// What a worker runs for each job: [`run_job`] in the daemon.
+type JobBody = fn(
+    &Mutex<ArtifactCache>,
+    &str,
+    &JobOptions,
+    &mut dyn FnMut(Json),
+    Option<&ServerTelemetry>,
+) -> Result<JobResult, String>;
+
 /// SIGINT flag → the accept loop turns it into a drain, exactly like a
 /// `shutdown` request.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
@@ -210,23 +237,12 @@ pub fn serve(config: ServeConfig) -> Result<u64, String> {
             .with("workers", Json::Int(config.workers.max(1) as i64)),
     );
 
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            jobs: Vec::new(),
-            queue: VecDeque::new(),
-            draining: false,
-        }),
-        changed: Condvar::new(),
-        cache: Mutex::new(ArtifactCache::with_capacity(config.cache_capacity)),
-        stop: AtomicBool::new(false),
-        config,
-        telemetry,
-    });
+    let shared = Arc::new(Shared::new(config, telemetry));
 
     std::thread::scope(|scope| {
         for w in 0..shared.config.workers.max(1) {
             let shared = Arc::clone(&shared);
-            scope.spawn(move || worker_loop(&shared, w));
+            scope.spawn(move || worker_loop(&shared, w, run_job));
         }
 
         while !shared.stop.load(Ordering::SeqCst) {
@@ -296,10 +312,24 @@ fn wait_drained(shared: &Shared) {
     }
 }
 
+/// Runs one job body, turning a panic into a `panic: …` error so the job
+/// ends `Failed` and its worker lives on.
+fn guarded(job: impl FnOnce() -> Result<JobResult, String>) -> Result<JobResult, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string payload".into());
+        Err(format!("panic: {msg}"))
+    })
+}
+
 /// One worker: pop, run, publish, repeat; exit once draining and empty.
 /// Stamps its liveness heartbeat on every wakeup, so `health` can tell a
-/// parked worker (fresh beat, empty queue) from a wedged one.
-fn worker_loop(shared: &Shared, worker: usize) {
+/// parked worker (fresh beat, empty queue) from a wedged one. A job body
+/// that panics fails its job, not the worker.
+fn worker_loop(shared: &Shared, worker: usize, body: JobBody) {
     loop {
         shared.telemetry.beat(worker);
         let (id, source, options) = {
@@ -343,13 +373,15 @@ fn worker_loop(shared: &Shared, worker: usize) {
             }
             shared.changed.notify_all();
         };
-        let result = run_job(
-            &shared.cache,
-            &source,
-            &options,
-            &mut publish,
-            Some(&shared.telemetry),
-        );
+        let result = guarded(|| {
+            body(
+                &shared.cache,
+                &source,
+                &options,
+                &mut publish,
+                Some(&shared.telemetry),
+            )
+        });
         shared.telemetry.beat(worker);
 
         let Ok(mut state) = shared.state.lock() else {
@@ -660,9 +692,7 @@ fn program_count(n: usize) -> Json {
 }
 
 fn handle_stats(shared: &Shared) -> Json {
-    let Ok(cache) = shared.cache.lock() else {
-        return error_frame("cache poisoned");
-    };
+    let cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
     ok_frame()
         .with("cache", cache_json(&cache.stats))
         .with("sizes", program_count(cache.program_count()))
@@ -707,12 +737,12 @@ fn build_status(shared: &Shared) -> Json {
         }
         Err(_) => (Json::obj(), Vec::new(), false),
     };
-    let cache = match shared.cache.lock() {
-        Ok(cache) => Json::obj()
+    let cache = {
+        let cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        Json::obj()
             .with("counters", cache_json(&cache.stats))
             .with("sizes", program_count(cache.program_count()))
-            .with("capacity", program_count(cache.capacity())),
-        Err(_) => Json::obj(),
+            .with("capacity", program_count(cache.capacity()))
     };
     let heartbeats: Vec<Json> = t
         .heartbeat_ages_ns()
@@ -845,5 +875,71 @@ fn handle_fetch(req: &Json, shared: &Shared, writer: &mut TcpStream) -> std::io:
                 .wait_timeout(state, Duration::from_millis(200))
                 .unwrap();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Panics on the source `PANIC` while holding the cache lock, so the
+    /// panic also poisons it; runs every other job for real.
+    fn panicking_body(
+        cache: &Mutex<ArtifactCache>,
+        source: &str,
+        opts: &JobOptions,
+        progress: &mut dyn FnMut(Json),
+        telemetry: Option<&ServerTelemetry>,
+    ) -> Result<JobResult, String> {
+        if source == "PANIC" {
+            let _held = cache.lock();
+            panic!("job body exploded");
+        }
+        run_job(cache, source, opts, progress, telemetry)
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_its_worker_survives() {
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let shared = Arc::new(Shared::new(config, ServerTelemetry::new(1, u64::MAX, None)));
+        let c9 = narada_corpus::by_id("C9").expect("C9").source;
+        for source in ["PANIC", c9] {
+            let req = Json::obj().with("source", Json::Str(source.into()));
+            assert!(handle_submit(&req, &shared).get("error").is_none());
+        }
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(&shared, 0, panicking_body))
+        };
+        // Shut down as `narada shutdown` does; it must drain, not hang.
+        let (tx, rx) = mpsc::channel();
+        let drainer = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                begin_drain(&shared);
+                wait_drained(&shared);
+                tx.send(()).unwrap();
+            })
+        };
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("shutdown drained");
+        drainer.join().expect("the drain returned");
+        worker
+            .join()
+            .expect("the worker survived the panic and exited");
+
+        let state = shared.state.lock().unwrap();
+        let (failed, done) = (&state.jobs[0], &state.jobs[1]);
+        assert_eq!(failed.status, JobStatus::Failed);
+        assert_eq!(failed.error.as_deref(), Some("panic: job body exploded"));
+        assert_eq!(done.status, JobStatus::Done, "{:?}", done.error);
+        assert!(done.report.is_some());
+        assert!(shared.cache.is_poisoned(), "the panic poisoned the cache");
+        drop(state);
+        assert!(handle_stats(&shared).get("error").is_none());
     }
 }

@@ -376,12 +376,22 @@ impl<'p> Machine<'p> {
 
     /// Threads currently able to run.
     pub fn runnable_threads(&self) -> Vec<ThreadId> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.status == ThreadStatus::Runnable)
-            .map(|(i, _)| ThreadId(i as u32))
-            .collect()
+        let mut runnable = Vec::new();
+        self.fill_runnable(&mut runnable);
+        runnable
+    }
+
+    /// Replaces the contents of `runnable` with the threads currently
+    /// able to run, in thread order, reusing its allocation.
+    fn fill_runnable(&self, runnable: &mut Vec<ThreadId>) {
+        runnable.clear();
+        runnable.extend(
+            self.threads
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.status == ThreadStatus::Runnable)
+                .map(|(i, _)| ThreadId(i as u32)),
+        );
     }
 
     /// Whether any thread waits for a monitor.
@@ -727,8 +737,10 @@ impl<'p> Machine<'p> {
     ) -> RunOutcome {
         let mut steps = 0u64;
         let mut lone = 0u64;
+        // One buffer for the whole run, refilled in place per decision.
+        let mut runnable = Vec::with_capacity(self.threads.len());
         loop {
-            let runnable = self.runnable_threads();
+            self.fill_runnable(&mut runnable);
             if runnable.is_empty() {
                 let blocked: Vec<ThreadId> = self
                     .threads
@@ -933,9 +945,12 @@ impl<'p> Machine<'p> {
             self.threads[t].status = ThreadStatus::Finished;
             return;
         };
-        let body = self.mir.body(frame.body);
+        // Borrowed through the program's lifetime, not `self`'s, so the
+        // arms below can mutate the machine while reading the instruction.
+        let mir: &'p MirProgram = self.mir;
+        let body = mir.body(frame.body);
         debug_assert!(frame.pc < body.instrs.len(), "pc past end of body");
-        let instr = body.instrs[frame.pc].clone();
+        let instr = &body.instrs[frame.pc];
         let span = instr.span;
         let inv = frame.inv;
 

@@ -304,43 +304,57 @@ impl<S: Scheduler> Scheduler for RecordingScheduler<S> {
     }
 }
 
-/// Wraps another scheduler, streaming every decision into the telemetry
+/// Wraps another scheduler, counting its decisions into the telemetry
 /// registry: `sched.decisions` counts choices, `sched.preemptions` counts
-/// choices that switched away from a still-runnable thread. Both are
+/// choices that switched away from a still-runnable thread. A decision
+/// bumps plain fields only; the totals are published to the registry
+/// once, when the wrapper is dropped, so concurrent runs sharing one
+/// registry never write the same atomics per decision. Both are
 /// commutative counter sums, so totals are identical at any `--threads`
-/// value even when many observed runs share one registry.
+/// value.
 #[derive(Debug)]
 pub struct ObservedScheduler<S> {
     inner: S,
-    decisions: narada_obs::Counter,
-    preemptions: narada_obs::Counter,
+    decisions: u64,
+    preemptions: u64,
+    decisions_out: narada_obs::Counter,
+    preemptions_out: narada_obs::Counter,
     last: Option<ThreadId>,
 }
 
 impl<S: Scheduler> ObservedScheduler<S> {
-    /// Wraps `inner`, recording into `metrics`.
+    /// Wraps `inner`, publishing into `metrics` when dropped.
     pub fn new(inner: S, metrics: &narada_obs::Metrics) -> Self {
         ObservedScheduler {
             inner,
-            decisions: metrics.counter("sched.decisions"),
-            preemptions: metrics.counter("sched.preemptions"),
+            decisions: 0,
+            preemptions: 0,
+            decisions_out: metrics.counter("sched.decisions"),
+            preemptions_out: metrics.counter("sched.preemptions"),
             last: None,
         }
     }
 
-    /// The wrapped scheduler.
-    pub fn into_inner(self) -> S {
-        self.inner
+    /// Decisions taken so far (not yet published).
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+}
+
+impl<S> Drop for ObservedScheduler<S> {
+    fn drop(&mut self) {
+        self.decisions_out.add(self.decisions);
+        self.preemptions_out.add(self.preemptions);
     }
 }
 
 impl<S: Scheduler> Scheduler for ObservedScheduler<S> {
     fn choose(&mut self, machine: &Machine<'_>, runnable: &[ThreadId]) -> ThreadId {
         let pick = self.inner.choose(machine, runnable);
-        self.decisions.inc();
+        self.decisions += 1;
         if let Some(last) = self.last {
             if pick != last && runnable.contains(&last) {
-                self.preemptions.inc();
+                self.preemptions += 1;
             }
         }
         self.last = Some(pick);
@@ -655,6 +669,10 @@ mod tests {
         let metrics = narada_obs::Metrics::new();
         let mut obs = ObservedScheduler::new(RandomScheduler::new(99), &metrics);
         let choices = drive(&mut obs, 5);
+        // Totals reach the registry once per run, when the wrapper drops.
+        assert_eq!(obs.decisions(), choices.len() as u64);
+        assert_eq!(metrics.counter("sched.decisions").get(), 0);
+        drop(obs);
         assert_eq!(
             metrics.counter("sched.decisions").get(),
             choices.len() as u64
