@@ -7,6 +7,21 @@
 //! thread reaches the matching access on the same concrete location. The
 //! two accesses then execute back-to-back: the race is real ("reproduced"),
 //! and the racing pair's values classify it as harmful or benign.
+//!
+//! The verdict is fixed at that collision, so the run stops there. When
+//! the colliding pair is the target itself, the scheduler runs one access
+//! (picked at random) and then the partner access at the very next
+//! decision, and from then on reports itself [decided]: `run_threads`
+//! ends the run as [`RunOutcome::Decided`]. A collision on some other
+//! site pair (say `(a, a)` while the target is `(a, b)`) is recorded but
+//! keeps the ordinary schedule, since the target may still collide
+//! later. The scheduler also reports decided whenever one thread is left
+//! alone: in a test's concurrent suffix only the harness spawns threads
+//! and nothing unparks one, so a lone thread can never collide with
+//! anything, and the rest of the run could not confirm the target.
+//!
+//! [decided]: Scheduler::decided
+//! [`RunOutcome::Decided`]: narada_vm::RunOutcome::Decided
 
 use crate::race::StaticRaceKey;
 use narada_lang::Span;
@@ -66,12 +81,17 @@ struct Postponed {
 /// races accumulate in [`RaceFuzzerScheduler::confirmed`].
 #[derive(Debug)]
 pub struct RaceFuzzerScheduler {
-    /// Target source sites (both sides of the potential race).
-    targets: [Span; 2],
+    /// The potential race to confirm.
+    target: StaticRaceKey,
     rng: SplitMix64,
     seed: u64,
     postponed: Option<Postponed>,
     postpone_budget: u32,
+    /// The partner of a target collision whose first access just ran; it
+    /// runs at the next decision.
+    partner: Option<ThreadId>,
+    /// Both target accesses have run back to back: the verdict is fixed.
+    collided: bool,
     /// Decisions where a postponement was abandoned because its budget ran
     /// out — the give-up path taken when the partner access never arrives.
     pub gave_up: usize,
@@ -83,11 +103,13 @@ impl RaceFuzzerScheduler {
     /// Creates a scheduler targeting the given potential race.
     pub fn new(target: StaticRaceKey, seed: u64) -> Self {
         RaceFuzzerScheduler {
-            targets: [target.span_a, target.span_b],
+            target,
             rng: SplitMix64::seed_from_u64(seed),
             seed,
             postponed: None,
             postpone_budget: DEFAULT_POSTPONE_BUDGET,
+            partner: None,
+            collided: false,
             gave_up: 0,
             confirmed: Vec::new(),
         }
@@ -140,6 +162,14 @@ impl RaceFuzzerScheduler {
 
 impl Scheduler for RaceFuzzerScheduler {
     fn choose(&mut self, machine: &Machine<'_>, runnable: &[ThreadId]) -> ThreadId {
+        // The second access of a target collision runs right after the
+        // first.
+        if let Some(t) = self.partner.take() {
+            if runnable.contains(&t) {
+                self.collided = true;
+                return t;
+            }
+        }
         // Drop a postponement whose thread finished some other way.
         if let Some(p) = self.postponed {
             if !runnable.contains(&p.tid) {
@@ -162,7 +192,7 @@ impl Scheduler for RaceFuzzerScheduler {
             let Some((preview, span)) = machine.preview_detail(t) else {
                 continue;
             };
-            if span != self.targets[0] && span != self.targets[1] {
+            if span != self.target.span_a && span != self.target.span_b {
                 continue;
             }
             let Some((obj, field, is_write)) = preview.access() else {
@@ -230,7 +260,15 @@ impl Scheduler for RaceFuzzerScheduler {
                         }
                         self.postponed = None;
                         // Randomly pick which access goes first.
-                        return if self.rng.gen_bool(0.5) { t } else { p.tid };
+                        let (first, second) = if self.rng.gen_bool(0.5) {
+                            (t, p.tid)
+                        } else {
+                            (p.tid, t)
+                        };
+                        if key == self.target {
+                            self.partner = Some(second);
+                        }
+                        return first;
                     }
                 }
             }
@@ -252,5 +290,12 @@ impl Scheduler for RaceFuzzerScheduler {
 
     fn name(&self) -> &str {
         "racefuzzer"
+    }
+
+    fn decided(&self, lone: bool) -> bool {
+        // A pending partner access still runs even when it is alone (the
+        // first access can end its thread, say by failing), so the
+        // recorded schedule shows both accesses to a passive replay.
+        self.collided || (lone && self.partner.is_none())
     }
 }

@@ -126,18 +126,21 @@ fn trial_machine<'p>(prog: &'p Program, mir: &'p MirProgram, seed: u64) -> Machi
 /// Counts one trial's outcome: every thread finished
 /// (`trial.completed`), the step budget ran out (`trial.step_limit`), the
 /// saturation cut ended it (`trial.saturated`, detection trials only; see
-/// [`SaturationWatch`]), or the trial failed (`trial.failed`: a setup
+/// [`SaturationWatch`]), the confirmation scheduler found its verdict
+/// fixed (`trial.decided`, confirmation attempts only; see
+/// [`RaceFuzzerScheduler`]), or the trial failed (`trial.failed`: a setup
 /// error or a deadlock). Every detection trial and confirmation attempt
-/// counts exactly one, so the four sum to `detect.trials +
-/// detect.confirm_trials`. A counter
-/// appears in the manifest once it is non-zero: each key a job manifest
-/// carries is paid for in every served job's progress frames.
+/// counts exactly one, so the five sum to `detect.trials +
+/// detect.confirm_trials`. A counter appears in the manifest once it is
+/// non-zero: each key a job manifest carries is paid for in every served
+/// job's progress frames.
 fn count_outcome<E>(obs: &Obs, run: &Result<ExecReport, E>) {
-    let key = match run {
-        Ok(r) if r.outcome == RunOutcome::Completed => "trial.completed",
-        Ok(r) if r.outcome == RunOutcome::StepLimit => "trial.step_limit",
-        Ok(r) if r.outcome == RunOutcome::Saturated => "trial.saturated",
-        _ => "trial.failed",
+    let key = match run.as_ref().map(|r| &r.outcome) {
+        Ok(RunOutcome::Completed) => "trial.completed",
+        Ok(RunOutcome::StepLimit) => "trial.step_limit",
+        Ok(RunOutcome::Saturated) => "trial.saturated",
+        Ok(RunOutcome::Decided) => "trial.decided",
+        Ok(RunOutcome::Deadlock { .. }) | Err(_) => "trial.failed",
     };
     obs.metrics.counter(key).inc();
 }
@@ -384,11 +387,11 @@ impl<'a, 'p> TestRun<'a, 'p> {
 /// `detect.trials_to_first_confirm` histogram, scheduler decision
 /// counters, `racefuzzer.gave_up`, and each trial's and confirmation
 /// attempt's outcome (`trial.completed`, `trial.step_limit`,
-/// `trial.saturated`, `trial.failed`). Exploration coverage lands here
-/// too: `explore.change_points_probed` (PCT change points actually
-/// consumed across trials) and `explore.schedule_novelty` (distinct
-/// manifested schedule digests, summed per test). Every count is a
-/// commutative sum over work whose extent is independent of the worker
+/// `trial.saturated`, `trial.decided`, `trial.failed`). Exploration
+/// coverage lands here too: `explore.change_points_probed` (PCT change
+/// points actually consumed across trials) and `explore.schedule_novelty`
+/// (distinct manifested schedule digests, summed per test). Every count
+/// is a commutative sum over work whose extent is independent of the worker
 /// count, so snapshots are byte-identical at any `cfg.threads`.
 pub fn evaluate_test_observed(
     prog: &Program,

@@ -12,9 +12,13 @@
 //! two-thread, call-free loop run through `Machine::run_threads` under the
 //! confirmation stack and under the detection stack makes as many
 //! allocations at ten times the loop length as at one, apart from the
-//! schedule recorder's `Vec` doublings.
+//! schedule recorder's `Vec` doublings. The confirmation run targets a
+//! site pair that never collides, so it runs the loop until one thread
+//! is left alone rather than ending at its first collision.
 
-use narada_detect::{FastTrackDetector, LocksetDetector, RaceFuzzerScheduler, SaturationWatch};
+use narada_detect::{
+    FastTrackDetector, LocksetDetector, RaceFuzzerScheduler, SaturationWatch, StaticRaceKey,
+};
 use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
 use narada_lang::mir::{MirProgram, VarId};
@@ -224,13 +228,15 @@ fn loop_program() -> (Program, MirProgram) {
 }
 
 /// Spawns two threads that each run `spin(n)` on one shared object, then
-/// counts the allocations `run_threads` makes under `sched` and `sink`.
+/// counts the allocations `run_threads` makes under `sched` and `sink`,
+/// which must end the run with `outcome`.
 fn decision_loop_allocations(
     prog: &Program,
     mir: &MirProgram,
     n: i64,
     sched: &mut dyn Scheduler,
     sink: &mut dyn EventSink,
+    expect: RunOutcome,
 ) -> u64 {
     let mut m = Machine::new(prog, mir, MachineOptions::default());
     let c = m
@@ -243,30 +249,51 @@ fn decision_loop_allocations(
     }
     let mut outcome = None;
     let count = allocations_during(|| outcome = Some(m.run_threads(sched, sink, u64::MAX)));
-    assert_eq!(outcome, Some(RunOutcome::Completed));
+    assert_eq!(outcome, Some(expect));
     count
 }
 
-/// A race the detectors report on the loop's shared field: the directed
-/// scheduler's target, as detection hands it to confirmation.
-fn loop_race(prog: &Program, mir: &MirProgram) -> narada_detect::StaticRaceKey {
+/// A directed target that never collides: the loop's write site paired
+/// with a site past the end of the source. Threads poised at the write
+/// are postponed and collide with each other, confirming the write-write
+/// race, which is not the target, so the run goes on.
+fn loop_target(prog: &Program, mir: &MirProgram) -> StaticRaceKey {
     let (mut lockset, mut hb) = (LocksetDetector::new(), FastTrackDetector::new());
     let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
-    decision_loop_allocations(prog, mir, 4, &mut RandomScheduler::new(1), &mut sink);
-    hb.races().first().expect("the loop races").static_key()
+    let mut random = RandomScheduler::new(1);
+    decision_loop_allocations(prog, mir, 4, &mut random, &mut sink, RunOutcome::Completed);
+    let race = hb.races().first().expect("the loop races");
+    let write = [&race.first, &race.second]
+        .into_iter()
+        .find(|a| a.is_write)
+        .expect("a race has a write");
+    StaticRaceKey {
+        span_a: write.span,
+        span_b: Span::new(LOOP_SRC.len() as u32 + 1, LOOP_SRC.len() as u32 + 2),
+        elem: false,
+    }
 }
 
 #[test]
 fn confirmation_decisions_allocate_nothing() {
     let (prog, mir) = loop_program();
-    let target = loop_race(&prog, &mir);
+    let target = loop_target(&prog, &mir);
     let metrics = Metrics::new();
     let run = |n: i64| {
         let mut fuzzer = RaceFuzzerScheduler::new(target, 7);
         let mut sched = RecordingScheduler::new(ObservedScheduler::new(&mut fuzzer, &metrics));
-        let count = decision_loop_allocations(&prog, &mir, n, &mut sched, &mut NullSink);
+        // One thread finishing leaves the other alone: decided.
+        let count = decision_loop_allocations(
+            &prog,
+            &mir,
+            n,
+            &mut sched,
+            &mut NullSink,
+            RunOutcome::Decided,
+        );
         drop(sched);
         assert!(!fuzzer.confirmed.is_empty(), "the directed run confirms");
+        assert!(fuzzer.confirmed.iter().all(|c| c.key != target));
         count
     };
     let (short, long) = (run(SHORT), run(10 * SHORT));
@@ -285,7 +312,8 @@ fn detection_decisions_allocate_nothing() {
         let mut sink = SaturationWatch::new(&mut lockset, &mut hb);
         let mut random = RandomScheduler::new(11);
         let mut sched = RecordingScheduler::new(ObservedScheduler::new(&mut random, &metrics));
-        let count = decision_loop_allocations(&prog, &mir, n, &mut sched, &mut sink);
+        let count =
+            decision_loop_allocations(&prog, &mir, n, &mut sched, &mut sink, RunOutcome::Completed);
         drop(sink);
         assert!(!hb.races().is_empty(), "the detectors see the race");
         count

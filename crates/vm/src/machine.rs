@@ -157,6 +157,10 @@ pub enum RunOutcome {
     /// [`SATURATION_WINDOW`] decisions and fed it nothing new (see
     /// [`EventSink::saturated`]).
     Saturated,
+    /// The scheduler reported the run's verdict decided (see
+    /// [`Scheduler::decided`](crate::Scheduler::decided)): nothing the
+    /// remaining steps could do would change what the run is for.
+    Decided,
 }
 
 /// Consecutive scheduling decisions a single live thread must take, and
@@ -722,13 +726,15 @@ impl<'p> Machine<'p> {
     }
 
     /// Runs all runnable threads under `scheduler` until completion,
-    /// deadlock, or the step `budget` is exhausted, or until `sink`
-    /// reports saturation.
+    /// deadlock, or the step `budget` is exhausted, or until `scheduler`
+    /// reports the run decided or `sink` reports saturation.
     ///
-    /// Saturation is checked only while one thread is the sole live one
-    /// (runnable, with none blocked): once [`SATURATION_WINDOW`] such
-    /// decisions run in a row, `sink.saturated` is asked before each of
-    /// them. Any decision with another live thread resets the count.
+    /// `scheduler.decided` is asked before every decision, right after
+    /// the budget check, with whether one thread is the sole live one
+    /// (runnable, with none blocked). Saturation is checked only while
+    /// that holds: once [`SATURATION_WINDOW`] such decisions run in a
+    /// row, `sink.saturated` is asked before each of them. Any decision
+    /// with another live thread resets the count.
     pub fn run_threads(
         &mut self,
         scheduler: &mut dyn crate::Scheduler,
@@ -757,7 +763,11 @@ impl<'p> Machine<'p> {
             if steps >= budget {
                 return RunOutcome::StepLimit;
             }
-            if runnable.len() == 1 && !self.any_blocked() {
+            let alone = runnable.len() == 1 && !self.any_blocked();
+            if scheduler.decided(alone) {
+                return RunOutcome::Decided;
+            }
+            if alone {
                 lone += 1;
                 if lone >= SATURATION_WINDOW && sink.saturated(lone) {
                     return RunOutcome::Saturated;

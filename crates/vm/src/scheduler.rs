@@ -27,6 +27,16 @@ pub trait Scheduler {
     fn change_points_probed(&self) -> u64 {
         0
     }
+
+    /// Whether the run's verdict is already decided, so that
+    /// [`Machine::run_threads`] may end it as
+    /// [`RunOutcome::Decided`](crate::RunOutcome::Decided) before the
+    /// next decision. `lone` is true when one thread is runnable and none
+    /// is blocked. Defaults to `false`: a scheduler that does not opt in
+    /// runs its test to the end.
+    fn decided(&self, _lone: bool) -> bool {
+        false
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {
@@ -40,6 +50,10 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
 
     fn change_points_probed(&self) -> u64 {
         (**self).change_points_probed()
+    }
+
+    fn decided(&self, lone: bool) -> bool {
+        (**self).decided(lone)
     }
 }
 
@@ -302,6 +316,10 @@ impl<S: Scheduler> Scheduler for RecordingScheduler<S> {
     fn change_points_probed(&self) -> u64 {
         self.inner.change_points_probed()
     }
+
+    fn decided(&self, lone: bool) -> bool {
+        self.inner.decided(lone)
+    }
 }
 
 /// Wraps another scheduler, counting its decisions into the telemetry
@@ -368,12 +386,21 @@ impl<S: Scheduler> Scheduler for ObservedScheduler<S> {
     fn change_points_probed(&self) -> u64 {
         self.inner.change_points_probed()
     }
+
+    fn decided(&self, lone: bool) -> bool {
+        self.inner.decided(lone)
+    }
 }
 
-/// Replays a recorded schedule step for step. When the recording is
-/// exhausted (or the recorded thread is no longer runnable — which cannot
-/// happen when replaying against the same deterministic program and seed),
-/// it falls back to the first runnable thread.
+/// Replays a recorded schedule step for step. The end of the recording
+/// is the end of the run: once every recorded choice is consumed the
+/// replay reports itself [decided](Scheduler::decided), so a schedule
+/// recorded from a run that ended early (say, at a confirmed race's
+/// collision) replays exactly that far, and a complete recording reaches
+/// [`RunOutcome::Completed`](crate::RunOutcome::Completed) first. When
+/// the recorded thread is not runnable — which cannot happen when
+/// replaying against the same deterministic program and seed — it falls
+/// back to the first runnable thread and counts a divergence.
 #[derive(Debug)]
 pub struct ReplayScheduler {
     schedule: Vec<ThreadId>,
@@ -426,6 +453,10 @@ impl Scheduler for ReplayScheduler {
 
     fn name(&self) -> &str {
         "replay"
+    }
+
+    fn decided(&self, _lone: bool) -> bool {
+        self.exhausted()
     }
 }
 
@@ -590,9 +621,17 @@ mod tests {
         test seed { var c = new C(); c.bump(); }
     "#;
 
-    /// Spawns two `bump` threads and runs them under `sched`, returning
-    /// the recorded choice sequence.
+    /// Spawns two `bump` threads and runs them to completion under
+    /// `sched`, returning the recorded choice sequence.
     fn drive(sched: &mut dyn Scheduler, seed: u64) -> Vec<ThreadId> {
+        let (choices, outcome) = run(sched, seed);
+        assert_eq!(outcome, crate::RunOutcome::Completed);
+        choices
+    }
+
+    /// Spawns two `bump` threads and runs them under `sched`, returning
+    /// the recorded choice sequence and how the run ended.
+    fn run(sched: &mut dyn Scheduler, seed: u64) -> (Vec<ThreadId>, crate::RunOutcome) {
         let (prog, mir) = two_thread_machine(SRC);
         let mut m = crate::Machine::new(
             &prog,
@@ -613,8 +652,7 @@ mod tests {
             .unwrap();
         let mut rec = RecordingScheduler::new(sched);
         let outcome = m.run_threads(&mut rec, &mut sink, 100_000);
-        assert_eq!(outcome, crate::RunOutcome::Completed);
-        rec.into_schedule()
+        (rec.into_schedule(), outcome)
     }
 
     #[test]
@@ -704,10 +742,13 @@ mod tests {
 
     #[test]
     fn replay_counts_divergences() {
-        // A schedule naming a thread that is never runnable diverges.
+        // A schedule naming a thread that is never runnable diverges at
+        // every decision, and the run ends where the log does.
         let mut r = ReplayScheduler::new(vec![ThreadId(7); 4]);
-        let _ = drive(&mut r, 5);
-        assert!(r.divergences() > 0);
+        let (choices, outcome) = run(&mut r, 5);
+        assert_eq!(r.divergences(), 4);
+        assert_eq!(choices.len(), 4);
+        assert_eq!(outcome, crate::RunOutcome::Decided);
     }
 
     #[test]

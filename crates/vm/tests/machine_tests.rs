@@ -1109,3 +1109,111 @@ fn null_sink_prefix_keeps_labels_aligned() {
     assert_eq!(untraced[0].label, Label(traced_prefix.events.len() as u64));
     assert_eq!(untraced, traced);
 }
+
+/// Decides once one thread is left alone, recording each `lone` it was
+/// asked with.
+struct DecideWhenLone {
+    inner: RoundRobin,
+    asked: std::cell::RefCell<Vec<bool>>,
+}
+
+impl narada_vm::Scheduler for DecideWhenLone {
+    fn choose(
+        &mut self,
+        machine: &Machine<'_>,
+        runnable: &[narada_vm::ThreadId],
+    ) -> narada_vm::ThreadId {
+        self.inner.choose(machine, runnable)
+    }
+
+    fn decided(&self, lone: bool) -> bool {
+        self.asked.borrow_mut().push(lone);
+        lone
+    }
+}
+
+#[test]
+fn decided_scheduler_ends_the_run_when_one_thread_is_left() {
+    // Two `sync` workers: while one holds the monitor the other is
+    // blocked, which is not lone (the blocked thread still has work).
+    // Once the holder finishes, the woken thread is alone and the run
+    // ends before it increments.
+    let (prog, mir) = build(
+        r#"
+        class C {
+            int hits;
+            sync void work() {
+                var i = 0;
+                while (i < 100) { i = i + 1; }
+                this.hits = this.hits + 1;
+            }
+        }
+        test seed { var c = new C(); }
+        "#,
+    );
+    let work = prog.methods.iter().find(|m| m.name == "work").unwrap().id;
+    let c = prog.class_by_name("C").unwrap();
+    let hits = prog.field_by_name(c, "hits").unwrap();
+    let mut m = Machine::with_defaults(&prog, &mir);
+    let obj = m.heap.alloc_instance(&prog, c);
+    let t1 = m
+        .spawn_invoke(work, Some(Value::Ref(obj)), vec![], &mut NullSink)
+        .unwrap();
+    let t2 = m
+        .spawn_invoke(work, Some(Value::Ref(obj)), vec![], &mut NullSink)
+        .unwrap();
+    let mut sched = DecideWhenLone {
+        inner: RoundRobin::new(),
+        asked: Default::default(),
+    };
+    let out = m.run_threads(&mut sched, &mut NullSink, 1_000_000);
+    assert_eq!(out, RunOutcome::Decided);
+    assert_eq!(m.heap.get_field(obj, hits), Value::Int(1));
+    assert_eq!(*m.thread_status(t1), ThreadStatus::Finished);
+    assert_eq!(*m.thread_status(t2), ThreadStatus::Runnable);
+    // Asked before every decision, and the one `true` ended the run.
+    let asked = sched.asked.into_inner();
+    assert!(asked.len() > 100, "the holder ran its loop first");
+    assert_eq!(asked.iter().filter(|&&lone| lone).count(), 1);
+    assert_eq!(asked.last(), Some(&true));
+}
+
+#[test]
+fn replay_stops_at_the_end_of_its_log() {
+    // A replayed log that stops short of the run's end ends the run
+    // `Decided` right there, with no divergence and exactly the recorded
+    // run's events up to that point; the complete log runs to completion.
+    let (prog, mir) = build(RACY_COUNTER);
+    let inc = prog.methods.iter().find(|m| m.name == "inc").unwrap().id;
+    let counter = prog.class_by_name("Counter").unwrap();
+    let run = |sched: &mut dyn narada_vm::Scheduler| {
+        let mut m = Machine::with_defaults(&prog, &mir);
+        let obj = m.heap.alloc_instance(&prog, counter);
+        let mut sink = VecSink::new();
+        m.spawn_invoke(inc, Some(Value::Ref(obj)), vec![], &mut sink)
+            .unwrap();
+        m.spawn_invoke(inc, Some(Value::Ref(obj)), vec![], &mut sink)
+            .unwrap();
+        let out = m.run_threads(sched, &mut sink, 1_000_000);
+        (out, sink.events)
+    };
+    for seed in 0..10 {
+        let mut rec = narada_vm::RecordingScheduler::new(RandomScheduler::new(seed));
+        let (out, full) = run(&mut rec);
+        assert_eq!(out, RunOutcome::Completed);
+        let choices = rec.into_schedule();
+
+        let mut whole = narada_vm::ReplayScheduler::new(choices.clone());
+        assert_eq!(run(&mut whole), (RunOutcome::Completed, full.clone()));
+        assert_eq!(whole.divergences(), 0);
+
+        let half = choices[..choices.len() / 2].to_vec();
+        let mut short = narada_vm::ReplayScheduler::new(half);
+        let (out, events) = run(&mut short);
+        assert_eq!(out, RunOutcome::Decided, "seed {seed}");
+        assert!(short.exhausted());
+        assert_eq!(short.divergences(), 0, "seed {seed}");
+        assert!(events.len() < full.len());
+        assert_eq!(events[..], full[..events.len()], "seed {seed}");
+    }
+}

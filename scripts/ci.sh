@@ -21,6 +21,29 @@ NARADA_AGREEMENT_FULL=1 cargo test -q --release --test properties screener_agree
 echo "==> replay regression suite (release)"
 cargo test -q --release --test replay_fixtures
 
+echo "==> record -> replay round trip (release, C1 and C5)"
+# `--record` confirms every race, minimizes its schedule and stamps the
+# replayed trace digest; a schedule that no longer manifests its race is
+# skipped with a warning, which fails this step. Every written `.sched`
+# must then replay through `--replay` to the stamped digest.
+REC_DIR="$(mktemp -d)"
+NARADA="${CARGO_TARGET_DIR:-target}/release/narada"
+for c in C1 C5; do
+    "$NARADA" corpus "$c" --record "$REC_DIR" > "$REC_DIR/$c.out"
+    if grep "does not replay cleanly" "$REC_DIR/$c.out" >&2; then
+        echo "corpus $c --record wrote a schedule that does not replay" >&2; exit 1
+    fi
+done
+n_sched=0
+for f in "$REC_DIR"/*.sched; do
+    c="$(basename "$f" | cut -d- -f1 | tr '[:lower:]' '[:upper:]')"
+    "$NARADA" detect "$c" --replay "$f" | grep "trace digest matches the recording" > /dev/null \
+        || { echo "$f does not replay to its recorded trace digest" >&2; exit 1; }
+    n_sched=$((n_sched + 1))
+done
+[ "$n_sched" -gt 0 ] || { echo "--record wrote no schedules" >&2; exit 1; }
+rm -rf "$REC_DIR"
+
 echo "==> detector race-list fixture suite (release, every C1-C9 detection trial)"
 # Each detector's ordered race list per detection trial at the `narada
 # detect` defaults must equal the committed fixture.

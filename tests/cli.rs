@@ -637,6 +637,7 @@ fn detect_manifest_splits_trial_outcomes() {
         "trial.completed",
         "trial.step_limit",
         "trial.saturated",
+        "trial.decided",
         "trial.failed",
     ];
     let sum: u64 = outcomes.iter().map(|k| scalar(k)).sum();

@@ -9,6 +9,9 @@
 //! scheduler, confirmation and trial-outcome counters must equal
 //! `tests/fixtures/work_counters.txt`. A change that shifts one RNG draw
 //! or one scheduling decision but leaves every verdict alone fails here.
+//! Its `trial.*` outcome counters must also sum to `detect.trials +
+//! detect.confirm_trials`: every trial is counted under exactly one
+//! outcome, none dropped or merged.
 //!
 //! Quick mode checks C1, the class whose runaway trials the saturation
 //! cut ends. Set `NARADA_DIGEST_FULL=1` for C1–C9 (the CI release leg).
@@ -109,6 +112,20 @@ fn detect_reports_match_benchmark_goldens() {
         assert_eq!(
             &work, &counters[class],
             "{class}: work counters differ from tests/fixtures/work_counters.txt"
+        );
+        let scalar = |key: &str| match m.metric(key) {
+            Some(MetricValue::Counter(n)) => *n,
+            other => panic!("{class}: {key} is not a counter: {other:?}"),
+        };
+        let outcomes: u64 = work
+            .iter()
+            .filter(|(key, _)| key.starts_with("trial."))
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(
+            outcomes,
+            scalar("detect.trials") + scalar("detect.confirm_trials"),
+            "{class}: trial.* outcomes do not sum to detect.trials + detect.confirm_trials"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
