@@ -12,9 +12,10 @@
 
 use narada_bench::harness::{bench_function, bench_throughput};
 use narada_bench::render_table;
-use narada_core::{execute_plan, synthesize, SynthesisOptions};
+use narada_core::{execute_plan, synthesize_observed, SynthesisOptions};
 use narada_detect::{DjitDetector, FastTrackDetector, LocksetDetector, RaceFuzzerScheduler};
 use narada_lang::lower::lower_program;
+use narada_obs::Obs;
 use narada_vm::rng::derive_seed;
 use narada_vm::{
     EventSink, Machine, MachineOptions, NullSink, RandomScheduler, ScheduleStrategy, TeeSink,
@@ -32,7 +33,7 @@ fn record_trace() -> (
     let entry = narada_corpus::c1();
     let prog = entry.compile().unwrap();
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
     let plan = out
         .tests
         .iter()

@@ -3,8 +3,9 @@
 //! deduplicated suite, per corpus class.
 
 use narada_bench::harness::bench_function;
-use narada_core::{synthesize, SynthesisOptions};
+use narada_core::{synthesize_observed, SynthesisOptions};
 use narada_lang::lower::lower_program;
+use narada_obs::Obs;
 
 fn bench_synthesis() {
     for entry in narada_corpus::all() {
@@ -12,7 +13,7 @@ fn bench_synthesis() {
         let mir = lower_program(&prog);
         let opts = SynthesisOptions::default();
         bench_function(&format!("synthesis/{}", entry.id), || {
-            synthesize(&prog, &mir, &opts).test_count()
+            synthesize_observed(&prog, &mir, &opts, None, &Obs::new()).test_count()
         });
     }
 }

@@ -20,7 +20,7 @@
 //! writes the report there.
 
 use narada_bench::render_table;
-use narada_core::{execute_plan, synthesize, SynthesisOptions, TestPlan};
+use narada_core::{execute_plan, synthesize_observed, SynthesisOptions, TestPlan};
 use narada_corpus::by_id;
 use narada_lang::hir::{Program, TestId};
 use narada_lang::lower::lower_program;
@@ -177,7 +177,13 @@ fn main() {
     let entry = by_id("C1").expect("C1 in corpus");
     let prog = entry.compile().expect("C1 compiles");
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(
+        &prog,
+        &mir,
+        &SynthesisOptions::default(),
+        None,
+        &narada_obs::Obs::new(),
+    );
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
 
     // Screen: keep racy plans whose race window is *narrow* — reachable

@@ -14,11 +14,12 @@
 //! only expected at the full defaults).
 
 use narada_bench::render_table;
-use narada_core::{synthesize, SynthesisOptions, SynthesisOutput};
+use narada_core::{synthesize_observed, SynthesisOptions, SynthesisOutput};
 use narada_corpus::by_id;
 use narada_gen::{generate, ApiSurface, FactBasis, GenOptions};
 use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
+use narada_obs::Obs;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -81,7 +82,7 @@ fn pair_fingerprints(prog: &Program, out: &SynthesisOutput) -> BTreeSet<(String,
 
 fn main() {
     let out_path = std::env::args().nth(1);
-    let obs = narada_obs::Obs::new();
+    let obs = Obs::new();
     let bench_start = Instant::now();
     let threads = narada_bench::env_threads();
 
@@ -92,7 +93,10 @@ fn main() {
         let prog = entry.compile().expect("corpus compiles");
         let mir = lower_program(&prog);
         let synth_opts = SynthesisOptions::default();
-        let manual = pair_fingerprints(&prog, &synthesize(&prog, &mir, &synth_opts));
+        let manual = pair_fingerprints(
+            &prog,
+            &synthesize_observed(&prog, &mir, &synth_opts, None, &Obs::new()),
+        );
 
         let api = ApiSurface::from_tests(&prog, &mir);
         let basis = FactBasis::from_tests(&prog, &mir);
@@ -109,7 +113,10 @@ fn main() {
         let mut gen_prog = prog.clone();
         gen_prog.tests = out.tests;
         let gen_mir = lower_program(&gen_prog);
-        let generated = pair_fingerprints(&gen_prog, &synthesize(&gen_prog, &gen_mir, &synth_opts));
+        let generated = pair_fingerprints(
+            &gen_prog,
+            &synthesize_observed(&gen_prog, &gen_mir, &synth_opts, None, &Obs::new()),
+        );
 
         let shared = manual.intersection(&generated).count();
         let parity = generated == manual;

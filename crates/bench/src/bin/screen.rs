@@ -23,7 +23,7 @@
 
 use narada_bench::render_table;
 use narada_core::{
-    synthesize_with, PairSet, RacePair, ScreenReason, StaticVerdict, SynthesisOptions,
+    synthesize_observed, PairSet, RacePair, ScreenReason, StaticVerdict, SynthesisOptions,
 };
 use narada_corpus::by_id;
 use narada_detect::{evaluate_test_observed, DetectConfig};
@@ -195,7 +195,7 @@ fn main() {
         let prog = entry.compile().expect("corpus compiles");
         let mir = lower_program(&prog);
         let opts = SynthesisOptions::default();
-        let out = synthesize_with(&prog, &mir, &opts, None);
+        let out = synthesize_observed(&prog, &mir, &opts, None, &narada_obs::Obs::new());
 
         // 1. Generated pairs.
         let start = Instant::now();
@@ -262,7 +262,13 @@ fn main() {
                 static_rank: true,
                 ..SynthesisOptions::default()
             };
-            let ranked = synthesize_with(&prog, &mir, &ranked_opts, Some(&screen_pairs));
+            let ranked = synthesize_observed(
+                &prog,
+                &mir,
+                &ranked_opts,
+                Some(&screen_pairs),
+                &narada_obs::Obs::new(),
+            );
             let plain = walk_suite(&prog, &mir, &out);
             let rank = walk_suite(&prog, &mir, &ranked);
             if let (Some(p), Some(r)) = (plain.all_keys, rank.all_keys) {

@@ -75,8 +75,8 @@ pub use pairs::{generate_pairs, PairSet, RacePair};
 pub use parallel::{available_threads, effective_threads, parallel_map, StageTimings};
 pub use path::{IPath, PathField, PathRoot};
 pub use pipeline::{
-    demonstrate, demonstrate_observed, synthesize, synthesize_generated, synthesize_observed,
-    synthesize_source, synthesize_with, Demonstration, SeedGenFn, SynthesisOutput,
+    demonstrate_observed, synthesize_generated, synthesize_observed, synthesize_source,
+    Demonstration, SeedGenFn, SynthesisOutput,
 };
 pub use screen::{ScreenReason, ScreenerFn, StaticVerdict};
 pub use synth::{

@@ -85,29 +85,6 @@ impl SynthesisOutput {
     }
 }
 
-/// Runs the full synthesis pipeline on `prog` using all its `test`
-/// declarations as the sequential seed suite.
-pub fn synthesize(prog: &Program, mir: &MirProgram, opts: &SynthesisOptions) -> SynthesisOutput {
-    synthesize_with(prog, mir, opts, None)
-}
-
-/// [`synthesize`] with an optional static pre-screener. The screener runs
-/// only when `opts.static_filter` or `opts.static_rank` asks for it —
-/// with both off the output is identical to the plain pipeline.
-/// `MustNotRace` pairs are dropped before derivation under
-/// `static_filter`; under `static_rank` the surviving pairs are derived
-/// in descending suspicion order (ties keep generation order), so the
-/// dedup'd suite lists the most race-prone tests first. `covered_pairs`
-/// always holds *original* `pairs.pairs` indices.
-pub fn synthesize_with(
-    prog: &Program,
-    mir: &MirProgram,
-    opts: &SynthesisOptions,
-    screener: Option<ScreenerFn<'_>>,
-) -> SynthesisOutput {
-    synthesize_observed(prog, mir, opts, screener, &Obs::new())
-}
-
 /// Tallies a screener verdict vector into per-discharge-reason counters.
 fn record_verdict_metrics(obs: &Obs, verdicts: &[StaticVerdict]) {
     use crate::screen::ScreenReason;
@@ -127,11 +104,22 @@ fn record_verdict_metrics(obs: &Obs, verdicts: &[StaticVerdict]) {
     }
 }
 
-/// [`synthesize_with`], recording every stage into `obs`: wall-clock
-/// gauges (`stage.*.wall_ns`), work counters (`pairs.*`, `derive.jobs`,
+/// Runs the full synthesis pipeline on `prog` using all its `test`
+/// declarations as the sequential seed suite, recording every stage into
+/// `obs` (pass `&Obs::new()` to record nothing): wall-clock gauges
+/// (`stage.*.wall_ns`), work counters (`pairs.*`, `derive.jobs`,
 /// `tests.*`, `screen.*`), and hierarchical spans when tracing is on.
 /// [`SynthesisOutput::timings`] is derived from the registry afterwards —
 /// the registry is the single bookkeeping path.
+///
+/// `screener` is an optional static pre-screener. It runs only when
+/// `opts.static_filter` or `opts.static_rank` asks for it — with both
+/// off the output is identical to a run without one. `MustNotRace`
+/// pairs are dropped before derivation under `static_filter`; under
+/// `static_rank` the surviving pairs are derived in descending
+/// suspicion order (ties keep generation order), so the dedup'd suite
+/// lists the most race-prone tests first. `covered_pairs` always holds
+/// *original* `pairs.pairs` indices.
 pub fn synthesize_observed(
     prog: &Program,
     mir: &MirProgram,
@@ -262,7 +250,7 @@ pub fn synthesize_observed(
 }
 
 /// One recorded concurrent execution of a synthesized test: the replayable
-/// schedule plus what happened under it. Produced by [`demonstrate`];
+/// schedule plus what happened under it. Produced by [`demonstrate_observed`];
 /// serialized as a `.sched` file by the CLI's `--record`.
 #[derive(Debug)]
 pub struct Demonstration {
@@ -280,19 +268,9 @@ pub struct Demonstration {
 /// exploration strategy, recording each interleaving. Runs are sharded
 /// over the worker pool; each derives its seeds from the test index, so
 /// output is identical at any thread count. Tests whose setup fails
-/// (capture misses) are skipped.
-pub fn demonstrate(
-    prog: &Program,
-    mir: &MirProgram,
-    output: &SynthesisOutput,
-    explore: &ExploreOptions,
-) -> Vec<Demonstration> {
-    demonstrate_observed(prog, mir, output, explore, &Obs::new())
-}
-
-/// [`demonstrate`] recording scheduler activity (`sched.decisions`,
-/// `sched.preemptions`), per-run counters (`demo.runs`, `demo.failures`),
-/// and a `stage.demo.wall_ns` gauge into `obs`.
+/// (capture misses) are skipped. Scheduler activity (`sched.decisions`,
+/// `sched.preemptions`), per-run counters (`demo.runs`, `demo.failures`)
+/// and a `stage.demo.wall_ns` gauge are recorded into `obs`.
 pub fn demonstrate_observed(
     prog: &Program,
     mir: &MirProgram,
@@ -373,7 +351,7 @@ pub fn synthesize_source(
 ) -> Result<(Program, MirProgram, SynthesisOutput), narada_lang::Diagnostics> {
     let prog = narada_lang::compile(src)?;
     let mir = narada_lang::lower::lower_program(&prog);
-    let out = synthesize(&prog, &mir, opts);
+    let out = synthesize_observed(&prog, &mir, opts, None, &Obs::new());
     Ok((prog, mir, out))
 }
 

@@ -8,7 +8,7 @@
 //! detector verdicts — not on counts, so a scheduling-dependent reorder
 //! or reseed cannot slip through as a coincidentally-equal total.
 
-use narada_core::{synthesize, SynthesisOptions, SynthesisOutput};
+use narada_core::{synthesize_observed, SynthesisOptions, SynthesisOutput};
 use narada_detect::{evaluate_suite_full, evaluate_test_observed, DetectConfig};
 use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
@@ -79,26 +79,30 @@ fn assert_thread_count_invariant(entry: narada_corpus::CorpusEntry) {
     let reference_synth;
     let reference_detect;
     {
-        let out = synthesize(
+        let out = synthesize_observed(
             &prog,
             &mir,
             &SynthesisOptions {
                 threads: 1,
                 ..SynthesisOptions::default()
             },
+            None,
+            &Obs::new(),
         );
         reference_synth = serialize_synthesis(&prog, &out);
         reference_detect = serialize_detection(&prog, &mir, &out, 1);
     }
 
     for threads in THREAD_COUNTS {
-        let out = synthesize(
+        let out = synthesize_observed(
             &prog,
             &mir,
             &SynthesisOptions {
                 threads,
                 ..SynthesisOptions::default()
             },
+            None,
+            &Obs::new(),
         );
         assert_eq!(
             out.timings.threads, threads,

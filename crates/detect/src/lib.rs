@@ -41,6 +41,3 @@ pub use report::{
 };
 pub use saturation::SaturationWatch;
 pub use vclock::{Epoch, VectorClock};
-// Re-exported so explorer-mode consumers (CLI, difftest, serve, bench)
-// need no direct narada-explore dependency.
-pub use narada_explore::{ExploreMode, FORK_ONLY_METRICS};

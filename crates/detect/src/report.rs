@@ -15,13 +15,13 @@
 //!
 //! Every schedule trial (and every confirmation target) is an independent
 //! job: it gets its own detectors and scheduler, and a machine that is
-//! either the worker's one machine rewound to the test's fork point or a
-//! fresh one (see [`ExploreMode`]). Its randomness comes from a seed
-//! derived from *job identity* — `derive_seed(cfg.seed, &[stage, test,
-//! trial])` — never from a shared generator. Jobs are sharded over the
-//! worker pool with [`narada_core::parallel::parallel_map_with`] and
-//! merged in job order, so detection output is byte-identical at any
-//! `threads` value.
+//! either the worker's one machine rewound to the test's fork point or,
+//! when the test cannot fork, a fresh one (see `ForkStart`). Its
+//! randomness comes from a seed derived from *job identity* —
+//! `derive_seed(cfg.seed, &[stage, test, trial])` — never from a shared
+//! generator. Jobs are sharded over the worker pool with
+//! [`narada_core::parallel::parallel_map_with`] and merged in job order,
+//! so detection output is byte-identical at any `threads` value.
 
 use crate::fasttrack::FastTrackDetector;
 use crate::lockset::LocksetDetector;
@@ -32,7 +32,7 @@ use crate::saturation::SaturationWatch;
 use narada_core::parallel::{parallel_map, parallel_map_with};
 use narada_core::synth::{execute_plan, execute_plan_suffix, ExecError, ExecReport};
 use narada_core::TestPlan;
-use narada_explore::{prepare_fork_point, ExploreMode, ForkPoint, NoFork};
+use narada_explore::{prepare_fork_point, ForkPoint, NoFork};
 use narada_lang::hir::{Program, TestId};
 use narada_lang::mir::MirProgram;
 use narada_obs::{span, Obs, TRIAL_BUCKETS};
@@ -86,14 +86,11 @@ pub struct DetectConfig {
     /// benchmark's `code: None`) still compile; it can hold no value and
     /// nothing reads it.
     pub code: Option<std::convert::Infallible>,
-    /// How trials explore schedule suffixes (the CLI's `--explore`): run
-    /// the shared prefix once and probe suffixes from copy-on-write
-    /// forks (the default), or re-execute each trial from `main()` (the
-    /// reference oracle). Verdicts, trace digests, and schedules are
-    /// byte-identical across modes (the fork-vs-rerun differential
-    /// suite); manifests differ only in the fork-only counter
-    /// ([`narada_explore::FORK_ONLY_METRICS`]).
-    pub explore: ExploreMode,
+    /// Kept only so that struct literals naming `explore` (the
+    /// repository benchmark's) still compile; nothing reads it. Every
+    /// test forks, falling back to fresh starts on its own (see
+    /// [`evaluate_test_observed`]).
+    pub explore: (),
 }
 
 impl Default for DetectConfig {
@@ -109,7 +106,7 @@ impl Default for DetectConfig {
             minimize: false,
             engine: (),
             code: None,
-            explore: ExploreMode::default(),
+            explore: (),
         }
     }
 }
@@ -183,8 +180,8 @@ struct Forked {
 /// point once and rewound to `mark` and reseeded before every probe, so
 /// only the concurrent suffix executes. A worker whose start is `None`
 /// has a *fresh start* instead: a new machine per trial, running the
-/// whole plan from `main()`. That serves both the automatic fallback
-/// (the prefix failed or drew from the RNG) and [`ExploreMode::Rerun`].
+/// whole plan from `main()`. That is the automatic fallback for a test
+/// that cannot fork (its prefix failed or drew from the RNG).
 struct ForkStart<'a, 'p> {
     machine: Machine<'p>,
     mark: MachineMark,
@@ -392,7 +389,10 @@ impl<'a, 'p> TestRun<'a, 'p> {
 /// points actually consumed across trials) and `explore.schedule_novelty`
 /// (distinct manifested schedule digests, summed per test). Every count
 /// is a commutative sum over work whose extent is independent of the worker
-/// count, so snapshots are byte-identical at any `cfg.threads`.
+/// count, so snapshots are byte-identical at any `cfg.threads`. When
+/// `obs` traces, the test's `detect.test` span holds a `detect.prefix`
+/// span (the shared prefix run) beside its `detect.trial` and
+/// `detect.confirm` spans.
 pub fn evaluate_test_observed(
     prog: &Program,
     mir: &MirProgram,
@@ -412,33 +412,34 @@ pub fn evaluate_test_observed(
     // exploration-diversity signal (`explore.schedule_novelty`).
     let mut sched_ids: BTreeSet<u64> = BTreeSet::new();
 
-    // Fork-mode prefix sharing: run the prefix once per test, streaming
-    // its events into the detector prototypes. A test that cannot fork
-    // (the prefix failed or drew from the RNG) runs from fresh starts,
-    // whose trial/error semantics are the rerun reference; the attempt
-    // touches no shared telemetry beyond the RNG fallback counter, so
-    // its manifests match plain rerun manifests.
-    let forked = match cfg.explore {
-        ExploreMode::Rerun => None,
-        ExploreMode::Fork => {
-            let seed0 = derive_seed(cfg.seed, &[STAGE_DETECT_MACHINE, test_idx, 0]);
-            let mut machine = trial_machine(prog, mir, seed0);
-            let (mut lockset, mut hb) = (LocksetDetector::new(), FastTrackDetector::new());
-            let mut tee = TeeSink {
-                a: &mut lockset,
-                b: &mut hb,
-            };
-            match prepare_fork_point(&mut machine, seeds, plan, &mut tee) {
-                Ok(fp) => Some(Forked {
-                    fp,
-                    protos: (lockset, hb),
-                }),
-                Err(NoFork::PrefixDrewRng) => {
-                    obs.metrics.counter("explore.prefix_rng_fallbacks").inc();
-                    None
-                }
-                Err(NoFork::PrefixFailed) => None,
+    let detect_span = span!(obs.tracer, "detect.test", test = test_idx);
+    let detect_span_id = detect_span.id();
+
+    // Prefix sharing: run the prefix once per test, streaming its events
+    // into the detector prototypes. A test that cannot fork (the prefix
+    // failed or drew from the RNG) runs from fresh starts, whose
+    // trial/error semantics are those of re-executing from `main()`; the
+    // attempt touches no shared telemetry beyond the RNG fallback
+    // counter.
+    let forked = {
+        let _s = obs.tracer.span_under("detect.prefix", detect_span_id);
+        let seed0 = derive_seed(cfg.seed, &[STAGE_DETECT_MACHINE, test_idx, 0]);
+        let mut machine = trial_machine(prog, mir, seed0);
+        let (mut lockset, mut hb) = (LocksetDetector::new(), FastTrackDetector::new());
+        let mut tee = TeeSink {
+            a: &mut lockset,
+            b: &mut hb,
+        };
+        match prepare_fork_point(&mut machine, seeds, plan, &mut tee) {
+            Ok(fp) => Some(Forked {
+                fp,
+                protos: (lockset, hb),
+            }),
+            Err(NoFork::PrefixDrewRng) => {
+                obs.metrics.counter("explore.prefix_rng_fallbacks").inc();
+                None
             }
+            Err(NoFork::PrefixFailed) => None,
         }
     };
     let run = TestRun {
@@ -454,8 +455,6 @@ pub fn evaluate_test_observed(
 
     // Pass 1: random schedules with passive detectors, sharded per trial;
     // the merge below consumes results in trial order.
-    let detect_span = span!(obs.tracer, "detect.test", test = test_idx);
-    let detect_span_id = detect_span.id();
     let trials: Vec<u64> = (0..cfg.schedule_trials as u64).collect();
     let trial_results = parallel_map_with(
         cfg.threads,

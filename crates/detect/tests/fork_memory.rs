@@ -1,5 +1,4 @@
-//! A test's detection run holds a bounded amount of memory under the
-//! default explorer.
+//! A test's detection run holds a bounded amount of memory.
 //!
 //! A counting global allocator tracks the live bytes of the test's own
 //! thread and their high-water mark. Each of C4's synthesized tests then
@@ -12,7 +11,7 @@
 //! of events and fail here.
 
 use narada_core::{synthesize_source, SynthesisOptions};
-use narada_detect::{evaluate_test_observed, DetectConfig, ExploreMode};
+use narada_detect::{evaluate_test_observed, DetectConfig};
 use narada_obs::Obs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,7 +82,6 @@ fn c4_per_test_peak_live_bytes_stay_bounded() {
         threads: 1,
         ..DetectConfig::default()
     };
-    assert_eq!(cfg.explore, ExploreMode::Fork);
     let obs = Obs::new();
     let (worst, worst_test) = out
         .tests

@@ -20,10 +20,10 @@
 use crate::emit::{emit, GenClass};
 use crate::spec::ClassSpec;
 use narada_core::parallel::parallel_map;
-use narada_core::pipeline::{synthesize_with, SynthesisOutput};
+use narada_core::pipeline::{synthesize_observed, SynthesisOutput};
 use narada_core::screen::{ScreenReason, ScreenerFn, StaticVerdict};
 use narada_core::SynthesisOptions;
-use narada_detect::{evaluate_test_observed, DetectConfig, ExploreMode};
+use narada_detect::{evaluate_test_observed, DetectConfig};
 use narada_lang::lower::lower_program;
 use narada_obs::Obs;
 use narada_vm::rng::derive_seed;
@@ -53,10 +53,10 @@ pub struct DiffConfig {
     /// repository benchmark's) still compile; nothing reads it. Tree-walk
     /// is the only interpreter.
     pub engine: (),
-    /// Exploration mode for every detection stage in the sweep. Verdicts
-    /// and sweep digests are mode-independent (the fork-vs-rerun
-    /// differential suite asserts this over difftest slices).
-    pub explore: ExploreMode,
+    /// Kept only so that struct literals naming `explore` (the
+    /// repository benchmark's) still compile; nothing reads it. Every
+    /// detection stage forks.
+    pub explore: (),
 }
 
 impl Default for DiffConfig {
@@ -70,7 +70,7 @@ impl Default for DiffConfig {
             budget: 2_000_000,
             inject_unsound: false,
             engine: (),
-            explore: ExploreMode::default(),
+            explore: (),
         }
     }
 }
@@ -243,7 +243,6 @@ fn detect_cfg_base(cfg: &DiffConfig) -> DetectConfig {
         strategy: ScheduleStrategy::Pct { depth: 3 },
         pct_horizon: 1_000,
         minimize: false,
-        explore: cfg.explore,
         ..DetectConfig::default()
     }
 }
@@ -283,7 +282,8 @@ pub fn check_agreement(
     } else {
         &narada_screen::screen_pairs
     };
-    let out: SynthesisOutput = synthesize_with(prog, &mir, &synth_opts(), Some(screener));
+    let out: SynthesisOutput =
+        synthesize_observed(prog, &mir, &synth_opts(), Some(screener), &Obs::new());
     let verdicts = out.verdicts.as_deref().unwrap_or(&[]);
     let discharged = verdicts.iter().filter(|v| !v.may_race()).count();
     let survivors = verdicts.len() - discharged;

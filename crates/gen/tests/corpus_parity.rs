@@ -6,7 +6,7 @@
 //! run must confirm a real race on C1 and C5 through the existing
 //! detector stack.
 
-use narada_core::{synthesize, SynthesisOptions, SynthesisOutput};
+use narada_core::{synthesize_observed, SynthesisOptions, SynthesisOutput};
 use narada_gen::{generate, ApiSurface, FactBasis, GenOptions};
 use narada_lang::hir::Program;
 use narada_lang::mir::MirProgram;
@@ -93,7 +93,7 @@ fn pair_fingerprints(prog: &Program, out: &SynthesisOutput) -> BTreeSet<(String,
 }
 
 fn pipeline(prog: &Program, mir: &MirProgram) -> SynthesisOutput {
-    synthesize(prog, mir, &SynthesisOptions::default())
+    synthesize_observed(prog, mir, &SynthesisOptions::default(), None, &Obs::new())
 }
 
 /// The tentpole acceptance: for every corpus class, replacing the manual

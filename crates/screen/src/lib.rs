@@ -53,7 +53,7 @@ const MAX_SETTER_DEPTH: usize = 4;
 
 /// Screens every pair of `pairs`, returning one verdict per pair in pair
 /// order. This is the [`narada_core::screen::ScreenerFn`] the CLI plugs
-/// into `synthesize_with`.
+/// into `synthesize_observed`.
 pub fn screen_pairs(mir: &MirProgram, pairs: &PairSet) -> Vec<StaticVerdict> {
     screen_pairs_with(&summaries::analyze(mir), mir, pairs)
 }

@@ -13,8 +13,9 @@
 //! traversed, while the static summary keeps one spelling plus rewrite
 //! rules.
 
-use narada_core::{synthesize, SynthesisOptions};
+use narada_core::{synthesize_observed, SynthesisOptions};
 use narada_lang::lower::lower_program;
+use narada_obs::Obs;
 use narada_screen::summaries;
 
 #[test]
@@ -22,7 +23,7 @@ fn static_setters_cover_every_dynamic_setter_summary() {
     for e in narada_corpus::all() {
         let prog = e.compile().expect("corpus compiles");
         let mir = lower_program(&prog);
-        let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+        let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
         let statics = summaries::analyze(&mir);
         for s in &out.analysis.setters {
             let facts = &statics.methods[s.method.index()];
@@ -52,7 +53,7 @@ fn static_returns_cover_every_dynamic_return_summary() {
     for e in narada_corpus::all() {
         let prog = e.compile().expect("corpus compiles");
         let mir = lower_program(&prog);
-        let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+        let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
         let statics = summaries::analyze(&mir);
         for r in &out.analysis.returns {
             let facts = &statics.methods[r.method.index()];

@@ -17,10 +17,11 @@
 //!    subject's constructor (which also writes `x.owner = this`), so it
 //!    is client-reachable and must not be classified `ThreadLocalOwner`.
 
-use narada_core::{synthesize, RaceKey, ScreenReason, StaticVerdict, SynthesisOptions};
+use narada_core::{synthesize_observed, RaceKey, ScreenReason, StaticVerdict, SynthesisOptions};
 use narada_difftest::{emit_retained, ClassSpec, Discipline, FieldKind, Sharing};
 use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
+use narada_obs::Obs;
 use narada_screen::screen_pairs;
 use std::collections::BTreeSet;
 
@@ -54,7 +55,7 @@ fn screened(
 ) -> (Program, Vec<(RaceKey, bool, bool, StaticVerdict)>) {
     let (spec, prog) = shrunk_program(kind, discipline, sharing);
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
     let verdicts = screen_pairs(&mir, &out.pairs);
     assert_eq!(verdicts.len(), out.pairs.pairs.len(), "{}", spec.label());
     assert!(

@@ -6,8 +6,9 @@
 //! actually *manifest* under the scheduler lives in the workspace-level
 //! `screener_agreement` property.)
 
-use narada_core::{synthesize, StaticVerdict, SynthesisOptions};
+use narada_core::{synthesize_observed, StaticVerdict, SynthesisOptions};
 use narada_lang::lower::lower_program;
+use narada_obs::Obs;
 use narada_screen::screen_pairs;
 
 #[test]
@@ -15,7 +16,7 @@ fn must_not_race_pairs_never_yield_race_expecting_plans() {
     for e in narada_corpus::all() {
         let prog = e.compile().expect("corpus compiles");
         let mir = lower_program(&prog);
-        let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+        let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
         let verdicts = screen_pairs(&mir, &out.pairs);
         assert_eq!(verdicts.len(), out.pairs.pairs.len());
         let mut expects = vec![false; out.pairs.pairs.len()];
@@ -47,7 +48,7 @@ fn screener_discharges_pairs_on_lock_heavy_classes() {
         let e = narada_corpus::by_id(id).expect("known id");
         let prog = e.compile().expect("corpus compiles");
         let mir = lower_program(&prog);
-        let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+        let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
         let verdicts = screen_pairs(&mir, &out.pairs);
         let pruned = verdicts.iter().filter(|v| !v.may_race()).count();
         assert!(pruned > 0, "{id}: expected at least one discharged pair");
@@ -59,7 +60,7 @@ fn ranking_scores_are_positive_and_bounded() {
     for e in narada_corpus::all() {
         let prog = e.compile().expect("corpus compiles");
         let mir = lower_program(&prog);
-        let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+        let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
         for v in screen_pairs(&mir, &out.pairs) {
             match v {
                 StaticVerdict::MayRace { score } => {

@@ -24,7 +24,6 @@
 //! then the final `{"ok": ...}` object. Responses always carry `ok`;
 //! errors are `{ok: false, error: "..."}`.
 
-use narada_detect::ExploreMode;
 use narada_obs::Json;
 use narada_vm::ScheduleStrategy;
 use std::io::{BufRead, Write};
@@ -56,10 +55,11 @@ pub struct JobOptions {
     /// form no longer carries it, and [`JobOptions::from_json`] ignores
     /// an `engine` field whatever it holds.
     pub engine: (),
-    /// Trial explorer: probe from copy-on-write snapshot forks (the
-    /// default) or rerun each trial from `main()`. Result-neutral, like
-    /// `threads`.
-    pub explore: ExploreMode,
+    /// Kept only so that struct literals naming `explore` (the
+    /// repository benchmark's) still compile; nothing reads it. The wire
+    /// form no longer carries it, and [`JobOptions::from_json`] ignores
+    /// an `explore` field whatever it holds.
+    pub explore: (),
     /// Drop statically-discharged pairs before derivation.
     pub static_filter: bool,
     /// Rank surviving pairs by static suspicion score.
@@ -83,7 +83,7 @@ impl Default for JobOptions {
             strategy: ScheduleStrategy::Random,
             pct_horizon: 1_000,
             engine: (),
-            explore: ExploreMode::default(),
+            explore: (),
             static_filter: false,
             static_rank: false,
             generate_seeds: false,
@@ -104,7 +104,6 @@ impl JobOptions {
             .with("threads", Json::Int(self.threads as i64))
             .with("strategy", Json::Str(self.strategy.label()))
             .with("pct_horizon", Json::Int(self.pct_horizon as i64))
-            .with("explore", Json::Str(self.explore.label().to_string()))
             .with("static_filter", Json::Bool(self.static_filter))
             .with("static_rank", Json::Bool(self.static_rank))
             .with("generate_seeds", Json::Bool(self.generate_seeds))
@@ -114,8 +113,8 @@ impl JobOptions {
 
     /// Parses the wire form; absent fields keep their defaults, unknown
     /// fields are ignored (so old clients talk to new servers and vice
-    /// versa). That includes `engine`, which older clients still send:
-    /// tree-walk is the only interpreter.
+    /// versa). That includes `engine` and `explore`, which older clients
+    /// still send: tree-walk is the only interpreter, and every job forks.
     pub fn from_json(doc: &Json) -> Result<JobOptions, String> {
         let mut o = JobOptions::default();
         let get_usize = |key: &str, cur: usize| -> Result<usize, String> {
@@ -153,11 +152,6 @@ impl JobOptions {
             o.strategy = ScheduleStrategy::parse(s)?;
         }
         o.pct_horizon = get_u64("pct_horizon", o.pct_horizon)?;
-        if let Some(v) = doc.get("explore") {
-            let s = v.as_str().ok_or("`explore` must be a string")?;
-            o.explore = ExploreMode::parse(s)
-                .ok_or_else(|| format!("`explore` must be 'rerun' or 'fork', got `{s}`"))?;
-        }
         o.static_filter = get_bool("static_filter", o.static_filter)?;
         o.static_rank = get_bool("static_rank", o.static_rank)?;
         o.generate_seeds = get_bool("generate_seeds", o.generate_seeds)?;
@@ -213,7 +207,6 @@ mod tests {
             schedules: 3,
             confirms: 2,
             seed: 7,
-            explore: ExploreMode::Rerun,
             strategy: ScheduleStrategy::parse("pct:3").unwrap(),
             static_rank: true,
             ..JobOptions::default()
@@ -223,11 +216,18 @@ mod tests {
         o.generate_seeds = true;
         let back = JobOptions::from_json(&o.to_json()).unwrap();
         assert_eq!(o, back);
-        // Older clients still send `engine`; whatever it holds, it parses
-        // to the same options.
-        for engine in ["tree", "bytecode", "warp"] {
-            let doc = o.to_json().with("engine", Json::Str(engine.into()));
-            assert_eq!(JobOptions::from_json(&doc).unwrap(), o);
+        // Older clients still send `engine` and `explore`; whatever they
+        // hold, they parse to the same options.
+        for (key, value) in [
+            ("engine", "tree"),
+            ("engine", "bytecode"),
+            ("engine", "warp"),
+            ("explore", "fork"),
+            ("explore", "rerun"),
+            ("explore", "teleport"),
+        ] {
+            let doc = o.to_json().with(key, Json::Str(value.into()));
+            assert_eq!(JobOptions::from_json(&doc).unwrap(), o, "{key}={value}");
         }
     }
 
@@ -243,10 +243,6 @@ mod tests {
         assert!(JobOptions::from_json(&Json::obj().with("seed", Json::Str("x".into()))).is_err());
         assert!(
             JobOptions::from_json(&Json::obj().with("strategy", Json::Str("warp".into()))).is_err()
-        );
-        assert!(
-            JobOptions::from_json(&Json::obj().with("explore", Json::Str("teleport".into())))
-                .is_err()
         );
     }
 

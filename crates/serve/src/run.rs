@@ -156,7 +156,6 @@ pub fn run_job(
         threads: opts.threads,
         strategy: opts.strategy.clone(),
         pct_horizon: opts.pct_horizon,
-        explore: opts.explore,
         ..DetectConfig::default()
     };
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();

@@ -14,7 +14,7 @@ use narada::core::execute_plan;
 use narada::detect::{FastTrackDetector, LocksetDetector, RaceFuzzerScheduler};
 use narada::lang::lower::lower_program;
 use narada::vm::{Machine, RandomScheduler, TeeSink};
-use narada::{compile, synthesize, SynthesisOptions};
+use narada::{compile, synthesize_observed, Obs, SynthesisOptions};
 
 fn main() {
     let src = r#"
@@ -44,7 +44,7 @@ fn main() {
     "#;
     let prog = compile(src).expect("compiles");
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
     println!(
         "{} racing pairs, {} synthesized tests",
         out.pair_count(),

@@ -11,7 +11,7 @@ use narada::contege::{run_contege, ContegeOptions};
 use narada::detect::{evaluate_suite_full, DetectConfig};
 use narada::lang::lower::lower_program;
 use narada::Obs;
-use narada::{synthesize, SynthesisOptions};
+use narada::{synthesize_observed, SynthesisOptions};
 use std::time::Instant;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
 
     // Narada: directed synthesis.
     let t0 = Instant::now();
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
     let agg = evaluate_suite_full(

@@ -14,13 +14,13 @@ use narada::core::execute_plan;
 use narada::detect::{LocksetDetector, RaceFuzzerScheduler, StaticRaceKey};
 use narada::lang::lower::lower_program;
 use narada::vm::{Machine, RandomScheduler, VecSink};
-use narada::{synthesize, SynthesisOptions};
+use narada::{synthesize_observed, Obs, SynthesisOptions};
 
 fn main() {
     let entry = narada::corpus::c1();
     let prog = entry.compile().expect("corpus compiles");
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
     println!(
         "C1 ({} {}): {} racing pairs, {} synthesized tests",
         entry.benchmark,

@@ -81,44 +81,13 @@ cmp "$DIFF_DIR/t1.out" "$DIFF_DIR/t2.out" && cmp "$DIFF_DIR/t1.out" "$DIFF_DIR/t
     || { echo "difftest output differs across --threads 1/2/8" >&2; exit 1; }
 rm -rf "$DIFF_DIR"
 
-echo "==> fork-vs-rerun explorer differential (release, full C1-C9 matrix + fallback classes)"
-# The default explorer (fork) against the rerun oracle in-process:
-# verdicts, setup errors and manifests on C1-C9 at threads 1/2/8, the
-# difftest slice, and the two classes that must fall back.
+echo "==> fork explorer differential (release, C1-C9 per-trial oracle + fallback classes)"
+# Every fork probe against a fresh-start run of the same trial
+# in-process: outcomes, recorded schedules, race lists and RaceFuzzer
+# verdicts on every forking plan of C1-C9; verdicts and manifests at
+# threads 1/2/8; the difftest slice at several thread counts; and the
+# two classes that must fall back to fresh starts.
 NARADA_FORK_FULL=1 cargo test -q --release -p narada-detect --test fork_differential
-
-echo "==> fork-vs-rerun explorer differential (binaries: C1-C9 at the defaults, C1-C5 + difftest slice, threads 1/2/8)"
-# The snapshot-forking explorer must be observably identical to the
-# re-execution explorer: same verdict lines on the manual corpus and the
-# same sweep digest on a generated-lattice slice, at every worker count.
-FORK_DIR="$(mktemp -d)"
-for c in C1 C2 C3 C4 C5 C6 C7 C8 C9; do
-    cargo run -q --release --bin narada -- detect "$c" --explore rerun > "$FORK_DIR/$c.oracle"
-    for t in 1 2 8; do
-        cargo run -q --release --bin narada -- detect "$c" --threads "$t" > "$FORK_DIR/$c.default"
-        cmp "$FORK_DIR/$c.oracle" "$FORK_DIR/$c.default" \
-            || { echo "detect $c (default explorer) diverges from --explore rerun at --threads $t" >&2; exit 1; }
-    done
-done
-for c in C1 C2 C3 C4 C5; do
-    cargo run -q --release --bin narada -- detect "$c" --schedules 4 --confirms 3 \
-        --explore rerun > "$FORK_DIR/$c.rerun"
-    for t in 1 2 8; do
-        cargo run -q --release --bin narada -- detect "$c" --schedules 4 --confirms 3 \
-            --explore fork --threads "$t" > "$FORK_DIR/$c.fork"
-        cmp "$FORK_DIR/$c.rerun" "$FORK_DIR/$c.fork" \
-            || { echo "detect $c --explore fork diverges from rerun at --threads $t" >&2; exit 1; }
-    done
-done
-cargo run -q --release --bin narada -- difftest --seed 53759 --count 32 \
-    --explore rerun > "$FORK_DIR/diff.rerun"
-for t in 1 2 8; do
-    cargo run -q --release --bin narada -- difftest --seed 53759 --count 32 \
-        --explore fork --threads "$t" > "$FORK_DIR/diff.fork"
-    cmp "$FORK_DIR/diff.rerun" "$FORK_DIR/diff.fork" \
-        || { echo "difftest --explore fork diverges from rerun at --threads $t" >&2; exit 1; }
-done
-rm -rf "$FORK_DIR"
 
 echo "==> serve smoke (byte-identity with batch, warm cache, clean shutdown)"
 # A resident server must return the same bytes as `narada detect
@@ -150,7 +119,7 @@ cmp "$SERVE_DIR/batch.report" "$SERVE_DIR/state/job-0.report" \
     || { echo "state-dir flushed report differs from batch" >&2; exit 1; }
 rm -rf "$SERVE_DIR"
 
-echo "==> bench manifests (BENCH_synth / BENCH_explore / BENCH_screen / BENCH_gen / BENCH_difftest / BENCH_serve / BENCH_fork)"
+echo "==> bench manifests (BENCH_synth / BENCH_explore / BENCH_screen / BENCH_gen / BENCH_difftest / BENCH_serve)"
 # Each bench bin must emit a run manifest; `narada report` re-parses it
 # and fails on any missing required field (schema, git_rev, metrics, ...).
 MANIFEST_DIR="$(mktemp -d)"
@@ -168,9 +137,7 @@ NARADA_MANIFEST_DIR="$MANIFEST_DIR" \
 NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_SERVE_REPS=1 NARADA_SERVE_CLIENTS=2 \
     NARADA_SERVE_JOBS=1 NARADA_SERVE_SCHEDULES=3 NARADA_SERVE_CONFIRMS=2 \
     cargo run -q --release -p narada-bench --bin serve > /dev/null
-NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_REPS=2 \
-    cargo run -q --release -p narada-bench --bin fork > /dev/null
-for name in synth explore screen gen difftest serve fork; do
+for name in synth explore screen gen difftest serve; do
     manifest="$MANIFEST_DIR/BENCH_$name.json"
     [ -f "$manifest" ] || { echo "missing $manifest" >&2; exit 1; }
     cargo run -q --release --bin narada -- report "$manifest" > /dev/null
@@ -181,11 +148,9 @@ echo "==> perf-regression trend gate (fresh runs vs committed baselines)"
 # informational (host-dependent timings must not fail CI). The committed
 # baselines under results/ were generated with exactly the env knobs the
 # bench invocations above use — any config drift is itself a breach.
-for name in serve fork; do
-    cargo run -q --release --bin narada -- report --trend \
-        "results/BENCH_$name.json" "$MANIFEST_DIR/BENCH_$name.json" --tolerance 0 \
-        || { echo "trend gate breached for BENCH_$name" >&2; exit 1; }
-done
+cargo run -q --release --bin narada -- report --trend \
+    results/BENCH_serve.json "$MANIFEST_DIR/BENCH_serve.json" --tolerance 0 \
+    || { echo "trend gate breached for BENCH_serve" >&2; exit 1; }
 
 # Fault injection: an inflated deterministic counter must trip the gate
 # with its dedicated exit code — proof the gate actually gates.

@@ -18,8 +18,7 @@
 
 use narada::core::{demonstrate_observed, ExploreOptions, SynthesisOutput};
 use narada::detect::{
-    evaluate_suite_full, evaluate_test_observed, replay_schedule, DetectConfig, ExploreMode,
-    StaticRaceKey,
+    evaluate_suite_full, evaluate_test_observed, replay_schedule, DetectConfig, StaticRaceKey,
 };
 use narada::lang::hir::Program;
 use narada::lang::lower::lower_program;
@@ -29,7 +28,7 @@ use narada::obs::Json;
 use narada::vm::{
     render_schedule_summary, Machine, Schedule, ScheduleStrategy, TraceRenderer, VecSink,
 };
-use narada::{synthesize, Obs, RunManifest, SynthesisOptions};
+use narada::{synthesize_observed, Obs, RunManifest, SynthesisOptions};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -127,7 +126,7 @@ USAGE:
                             [--generate-seeds] [--budget N] [--max-len N]
                             [--gen-seed N] [--report-out FILE]
                             [--threads N] [--timings]
-                            [--strategy S] [--depth N] [--explore M]
+                            [--strategy S] [--depth N]
                             [--record DIR] [--replay FILE.sched]
                             [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada gen <file.mj|C1..C9> [--budget N] [--seed N] [--threads N]
@@ -143,12 +142,12 @@ USAGE:
                            [--static-filter] [--static-rank]
                            [--generate-seeds] [--budget N] [--max-len N]
                            [--gen-seed N]
-                           [--strategy S] [--depth N] [--explore M]
+                           [--strategy S] [--depth N]
                            [--record DIR]
                            [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada difftest [--seed N] [--count N] [--threads N] [--shrink]
                     [--fixtures DIR] [--schedules N] [--confirms N]
-                    [--inject-unsound] [--verbose] [--explore M]
+                    [--inject-unsound] [--verbose]
                     [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada report <manifest.json>... [--diff OLD.json NEW.json]
                   [--trend [--tolerance PCT] [--wall-tolerance PCT]]
@@ -166,15 +165,12 @@ Every command checks its flags against its usage entry above
 with code 2 and names the flag.
 `--strategy S` picks the exploration scheduler: pct[:DEPTH], random,
 sticky[:PERCENT], or rr; `--depth N` overrides the PCT depth.
-`--explore M` picks the trial explorer: fork (default: run each test's
-sequential prefix once, snapshot the machine at the fork point with
-copy-on-write heap marks, and probe every schedule suffix from
-restored forks) or rerun (re-execute each trial from main(), the
-reference oracle). A test whose prefix draws from rand() cannot fork
-and runs as under rerun, counted by `explore.prefix_rng_fallbacks`.
-Both modes produce byte-identical verdicts, schedules, reports, and
-manifests — modulo that one counter — and the fork-vs-rerun
-differential suite enforces it.
+Detection runs each test's sequential prefix once, snapshots the
+machine at the fork point with copy-on-write heap marks, and probes
+every schedule suffix from restored forks. A test whose prefix fails
+or draws from rand() cannot fork and runs each trial from main()
+instead (an RNG fallback is counted by `explore.prefix_rng_fallbacks`);
+verdicts and schedules are the same either way.
 `--record DIR` writes replayable .sched logs: synth records one
 demonstration run per race-expecting test, detect/corpus record the
 ddmin-minimized schedule of every confirmed race as a fixture.
@@ -279,16 +275,6 @@ fn check_flags(cmd: &str, rest: &[String]) -> Result<(), String> {
             "narada {cmd}: unknown flag `{a}` (see `narada help`)"
         )),
         None => Ok(()),
-    }
-}
-
-/// Parses the shared `--explore` flag (`fork` by default).
-fn explore_opt(rest: &[String]) -> Result<ExploreMode, String> {
-    match opt(rest, "--explore") {
-        None if flag(rest, "--explore") => Err("--explore expects 'rerun' or 'fork'".into()),
-        None => Ok(ExploreMode::default()),
-        Some(s) => ExploreMode::parse(s)
-            .ok_or_else(|| format!("--explore expects 'rerun' or 'fork', got `{s}`")),
     }
 }
 
@@ -724,7 +710,6 @@ fn cmd_detect(rest: &[String]) -> Result<(), String> {
         budget: 2_000_000,
         threads: opt_usize(rest, "--threads", 0)?,
         strategy: strategy_opts(rest)?,
-        explore: explore_opt(rest)?,
         ..DetectConfig::default()
     };
     if let Some(file) = opt(rest, "--replay") {
@@ -760,7 +745,6 @@ fn cmd_detect(rest: &[String]) -> Result<(), String> {
             ("confirms", cfg.confirm_trials.to_string()),
             ("seed", cfg.seed.to_string()),
             ("strategy", cfg.strategy.label().to_string()),
-            ("explore", cfg.explore.label().to_string()),
         ],
     )
 }
@@ -888,7 +872,7 @@ fn cmd_pairs(rest: &[String]) -> Result<(), String> {
         _ => load(rest)?.1,
     };
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &synth_opts(rest)?);
+    let out = synthesize_observed(&prog, &mir, &synth_opts(rest)?, None, &Obs::new());
     let verdicts = narada::screen_pairs(&mir, &out.pairs);
     let may_only = flag(rest, "--may-race-only");
     if flag(rest, "--json") {
@@ -976,7 +960,6 @@ fn cmd_corpus(rest: &[String]) -> Result<(), String> {
                 seed: opt_usize(rest, "--seed", 42)? as u64,
                 threads: opt_usize(rest, "--threads", 0)?,
                 strategy: strategy_opts(rest)?,
-                explore: explore_opt(rest)?,
                 ..DetectConfig::default()
             };
             if let Some(dir) = opt(rest, "--record") {
@@ -1034,7 +1017,6 @@ fn run_difftest(rest: &[String]) -> Result<usize, String> {
         schedule_trials: opt_usize(rest, "--schedules", 6)?,
         confirm_trials: opt_usize(rest, "--confirms", 4)?,
         inject_unsound: flag(rest, "--inject-unsound"),
-        explore: explore_opt(rest)?,
         ..DiffConfig::default()
     };
     let obs = obs_for(rest);
@@ -1099,7 +1081,6 @@ fn run_difftest(rest: &[String]) -> Result<usize, String> {
         &[
             ("seed", format!("{:#x}", cfg.seed)),
             ("count", cfg.count.to_string()),
-            ("explore", cfg.explore.label().to_string()),
             (
                 "generator-version",
                 narada::difftest::GENERATOR_VERSION.to_string(),
@@ -1216,7 +1197,6 @@ fn job_opts(rest: &[String]) -> Result<narada::serve::JobOptions, String> {
         seed: opt_usize(rest, "--seed", 42)? as u64,
         threads: opt_usize(rest, "--threads", 0)?,
         strategy: strategy_opts(rest)?,
-        explore: explore_opt(rest)?,
         static_filter: flag(rest, "--static-filter"),
         static_rank: flag(rest, "--static-rank"),
         generate_seeds: flag(rest, "--generate-seeds"),

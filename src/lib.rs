@@ -80,9 +80,8 @@ pub use narada_serve as serve;
 pub use narada_vm as vm;
 
 pub use narada_core::{
-    execute_plan, parallel_map, synthesize, synthesize_generated, synthesize_observed,
-    synthesize_source, synthesize_with, ScreenReason, StageTimings, StaticVerdict,
-    SynthesisOptions, SynthesisOutput, TestPlan,
+    execute_plan, parallel_map, synthesize_generated, synthesize_observed, synthesize_source,
+    ScreenReason, StageTimings, StaticVerdict, SynthesisOptions, SynthesisOutput, TestPlan,
 };
 pub use narada_detect::{evaluate_suite_full, evaluate_test_observed, DetectConfig};
 pub use narada_lang::compile;

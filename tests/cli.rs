@@ -131,15 +131,21 @@ fn unknown_command_fails() {
     assert!(!out.status.success());
 }
 
-/// A mistyped flag fails loudly, naming the flag, instead of silently
-/// running at the defaults.
+/// A mistyped or removed flag fails loudly, naming the flag, instead of
+/// silently running at the defaults. `--explore` is gone: every test
+/// forks, falling back to fresh starts on its own.
 #[test]
 fn unknown_flag_exits_2_and_names_it() {
-    let out = narada(&["detect", "C3", "--schedule", "1", "--confirm", "1"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag `--schedule`"), "{stderr}");
-    assert!(out.stdout.is_empty(), "nothing ran");
+    for (flag, value) in [("--schedule", "1"), ("--explore", "rerun")] {
+        let out = narada(&["detect", "C3", flag, value, "--confirm", "1"]);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing ran");
+    }
 }
 
 /// Tree-walk is the only interpreter; `--engine` is gone from every
@@ -168,8 +174,7 @@ fn documented_flags_are_accepted() {
     const DETECT: &str = "--schedules x --confirms x --seed x --strict-unprotected \
         --no-prefix-fallback --no-lockset-aware --static-filter --static-rank \
         --generate-seeds --budget x --max-len x --gen-seed x --report-out x --threads x \
-        --timings --strategy x --depth x --explore x --record x --replay x --trace-out x \
-        --manifest x";
+        --timings --strategy x --depth x --record x --replay x --trace-out x --manifest x";
     const ADDR: &str = "--addr 127.0.0.1:1";
     let cases = [
         ("run", "no-such-file.mj --test x --trace".to_string()),
@@ -200,13 +205,13 @@ fn documented_flags_are_accepted() {
             "C0 --threads x --timings --detect --schedules x --confirms x --seed x \
              --strict-unprotected --no-prefix-fallback --no-lockset-aware --static-filter \
              --static-rank --generate-seeds --budget x --max-len x --gen-seed x --strategy x \
-             --depth x --explore x --record x --trace-out x --manifest x"
+             --depth x --record x --trace-out x --manifest x"
                 .into(),
         ),
         (
             "difftest",
             "--seed x --count x --threads x --shrink --fixtures x --schedules x --confirms x \
-             --inject-unsound --verbose --explore x --trace-out x --manifest x"
+             --inject-unsound --verbose --trace-out x --manifest x"
                 .into(),
         ),
         (

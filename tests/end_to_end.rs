@@ -5,7 +5,7 @@
 use narada::detect::{evaluate_test_observed, DetectConfig};
 use narada::lang::lower::lower_program;
 use narada::Obs;
-use narada::{synthesize, SynthesisOptions};
+use narada::{synthesize_observed, SynthesisOptions};
 
 fn cfg() -> DetectConfig {
     DetectConfig {
@@ -23,7 +23,7 @@ fn every_corpus_class_yields_pairs_and_tests() {
     for entry in narada::corpus::all() {
         let prog = entry.compile().unwrap();
         let mir = lower_program(&prog);
-        let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+        let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
         assert!(out.pair_count() > 0, "{}: no racing pairs", entry.id);
         assert!(out.test_count() > 0, "{}: no synthesized tests", entry.id);
         assert!(
@@ -42,7 +42,7 @@ fn c1_wrapper_race_is_reproduced_harmful() {
     let entry = narada::corpus::c1();
     let prog = entry.compile().unwrap();
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
     let sync_class = prog.class_by_name("SynchronizedWriteBehindQueue").unwrap();
     let test = out
         .tests
@@ -79,7 +79,7 @@ fn c9_close_vs_read_race_found() {
     let entry = narada::corpus::c9();
     let prog = entry.compile().unwrap();
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
     // close() writes buf/pos/count without the monitor: it must appear as
     // the unprotected side of some pair.
     let close = prog
@@ -110,7 +110,7 @@ fn c6_reset_races_are_benign_heavy() {
     let entry = narada::corpus::c6();
     let prog = entry.compile().unwrap();
     let mir = lower_program(&prog);
-    let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+    let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
     let reset = prog.methods.iter().find(|m| m.name == "reset").unwrap().id;
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
     let mut benign = 0usize;
@@ -135,7 +135,7 @@ fn synthesized_suites_are_deterministic() {
     let prog = entry.compile().unwrap();
     let mir = lower_program(&prog);
     let run = || {
-        let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+        let out = synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
         (
             out.pair_count(),
             out.test_count(),

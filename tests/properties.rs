@@ -624,8 +624,9 @@ fn record_replay_round_trips_event_traces() {
 /// replay cleanly.
 #[test]
 fn demonstrations_are_thread_count_invariant_and_replayable() {
-    use narada::core::{demonstrate, ExploreOptions};
+    use narada::core::{demonstrate_observed, ExploreOptions};
     use narada::vm::ScheduleStrategy;
+    use narada::Obs;
     let src = r#"
         class Counter { int count; void inc() { this.count = this.count + 1; } }
         class Lib {
@@ -648,14 +649,14 @@ fn demonstrations_are_thread_count_invariant_and_replayable() {
             threads,
             ..ExploreOptions::default()
         };
-        let sequential = demonstrate(&prog, &mir, &out, &explore(1));
+        let sequential = demonstrate_observed(&prog, &mir, &out, &explore(1), &Obs::new());
         assert!(
             !sequential.is_empty(),
             "{}: no demonstrations",
             strategy.label()
         );
         for threads in [2usize, 4] {
-            let sharded = demonstrate(&prog, &mir, &out, &explore(threads));
+            let sharded = demonstrate_observed(&prog, &mir, &out, &explore(threads), &Obs::new());
             let key = |ds: &[narada::core::Demonstration]| -> Vec<_> {
                 ds.iter()
                     .map(|d| (d.test_index, d.schedule.clone()))
@@ -774,7 +775,13 @@ fn screener_agreement() {
             static_rank: true,
             ..narada::SynthesisOptions::default()
         };
-        let out = narada::synthesize_with(&prog, &mir, &opts, Some(&narada::screen_pairs));
+        let out = narada::synthesize_observed(
+            &prog,
+            &mir,
+            &opts,
+            Some(&narada::screen_pairs),
+            &Obs::new(),
+        );
         let verdicts = out.verdicts.as_deref().expect("ranking stores verdicts");
         discharged += verdicts.iter().filter(|v| !v.may_race()).count();
         let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();

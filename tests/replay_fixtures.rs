@@ -14,7 +14,7 @@ use narada::lang::hir::Program;
 use narada::lang::lower::lower_program;
 use narada::lang::mir::MirProgram;
 use narada::vm::{MachineOptions, Schedule};
-use narada::{synthesize, SynthesisOptions, SynthesisOutput};
+use narada::{synthesize_observed, Obs, SynthesisOptions, SynthesisOutput};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -57,7 +57,8 @@ impl Suites {
                 .unwrap_or_else(|| panic!("fixture names unknown corpus class `{class}`"));
             let prog = entry.compile().expect("corpus class compiles");
             let mir = lower_program(&prog);
-            let out = synthesize(&prog, &mir, &SynthesisOptions::default());
+            let out =
+                synthesize_observed(&prog, &mir, &SynthesisOptions::default(), None, &Obs::new());
             (prog, mir, out)
         })
     }

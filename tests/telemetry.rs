@@ -153,6 +153,9 @@ const FIXTURE: &str = r#"
 /// Golden trace shape: at one worker thread the synthesis trace is fully
 /// deterministic — fixed span names in a fixed order, with every stage
 /// parented under the pipeline root and every derive job under its stage.
+/// Detection hangs each test's `detect.prefix` (the shared prefix run
+/// every trial forks from), `detect.trial` and `detect.confirm` spans
+/// off that test's `detect.test` span.
 #[test]
 fn trace_spans_form_the_expected_tree() {
     let prog = narada::compile(FIXTURE).expect("fixture compiles");
@@ -163,7 +166,16 @@ fn trace_spans_form_the_expected_tree() {
         static_filter: true,
         ..SynthesisOptions::default()
     };
-    synthesize_observed(&prog, &mir, &opts, Some(&screen_pairs), &obs);
+    let out = synthesize_observed(&prog, &mir, &opts, Some(&screen_pairs), &obs);
+    let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
+    let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
+    let cfg = DetectConfig {
+        schedule_trials: 2,
+        confirm_trials: 1,
+        threads: 1,
+        ..DetectConfig::default()
+    };
+    evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &obs);
 
     let jsonl = obs.tracer.to_jsonl();
     let spans: Vec<Json> = jsonl
@@ -222,4 +234,19 @@ fn trace_spans_form_the_expected_tree() {
         spans.iter().any(|s| name(s) == "seed.run"),
         "seed runs traced"
     );
+
+    let count = |n: &str| spans.iter().filter(|s| name(s) == n).count();
+    let tests: Vec<i64> = spans
+        .iter()
+        .filter(|s| name(s) == "detect.test")
+        .map(id)
+        .collect();
+    assert_eq!(tests.len(), plans.len(), "one detect.test span per plan");
+    assert_eq!(count("detect.prefix"), plans.len());
+    for s in &spans {
+        if ["detect.prefix", "detect.trial", "detect.confirm"].contains(&name(s).as_str()) {
+            let under_test = parent(s).is_some_and(|p| tests.contains(&p));
+            assert!(under_test, "{} hangs off a detect.test span", name(s));
+        }
+    }
 }
