@@ -9,8 +9,9 @@
 //! race reports name both source sites — the space optimization FastTrack
 //! applies to read sets is irrelevant at our trace sizes.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::race::{RaceAccess, RaceReport, StaticRaceKey};
+use crate::fxhash::FxHashMap;
+use crate::race::{RaceAccess, RaceReport};
+use crate::rewind::{DetectorMark, Journal, RaceList};
 use crate::vclock::{Epoch, VectorClock};
 use narada_lang::Span;
 use narada_vm::{Event, EventKind, EventSink, FieldKey, ObjId, ThreadId};
@@ -24,51 +25,80 @@ struct VarState {
     /// thread, and only a handful of threads, so a scan beats a map and
     /// fixes the order in which a write reports its read races.
     reads: Vec<(ThreadId, u32, Span)>,
+    /// Undo epoch this state was last logged in.
+    epoch: u32,
+}
+
+/// A thread's or lock's vector clock, stamped with the undo epoch it was
+/// last logged in.
+#[derive(Debug, Default, Clone)]
+struct Clock {
+    vc: VectorClock,
+    epoch: u32,
+}
+
+/// One logged pre-image (see [`crate::rewind`]).
+#[derive(Debug, Clone)]
+enum Undo {
+    /// A thread's clock before its first touch in the epoch; `None` when
+    /// the thread had none yet.
+    Thread(ThreadId, Option<VectorClock>),
+    /// A lock's release clock (a missing lock and an empty clock mean the
+    /// same).
+    Lock(ObjId, VectorClock),
+    /// A location's state (a missing location and a default state mean
+    /// the same).
+    Var((ObjId, FieldKey), VarState),
 }
 
 /// The happens-before detector; feed it a concurrent execution.
 ///
 /// A steady-state access allocates nothing: the accessing thread's clock
 /// is borrowed, not copied, while its location's state is updated.
+/// [`FastTrackDetector::mark`] and [`FastTrackDetector::rewind`] restore
+/// an earlier state by undoing only what changed since (see
+/// [`crate::rewind`]).
 #[derive(Debug, Default, Clone)]
 pub struct FastTrackDetector {
-    threads: FxHashMap<ThreadId, VectorClock>,
-    locks: FxHashMap<ObjId, VectorClock>,
+    threads: FxHashMap<ThreadId, Clock>,
+    locks: FxHashMap<ObjId, Clock>,
     vars: FxHashMap<(ObjId, FieldKey), VarState>,
-    races: Vec<RaceReport>,
-    seen: FxHashSet<StaticRaceKey>,
+    races: RaceList,
+    journal: Journal<Undo>,
 }
 
-/// `tid`'s clock, created at `⟨tid: 1⟩` on first use.
-fn clock(threads: &mut FxHashMap<ThreadId, VectorClock>, tid: ThreadId) -> &mut VectorClock {
-    threads.entry(tid).or_insert_with(|| {
+/// `tid`'s clock, created at `⟨tid: 1⟩` on first use; its pre-image is
+/// logged on the first touch in the epoch.
+fn clock<'a>(
+    threads: &'a mut FxHashMap<ThreadId, Clock>,
+    journal: &mut Journal<Undo>,
+    tid: ThreadId,
+) -> &'a mut VectorClock {
+    let mut created = false;
+    let c = threads.entry(tid).or_insert_with(|| {
+        created = true;
         let mut vc = VectorClock::new();
         vc.set(tid, 1);
-        vc
-    })
+        Clock { vc, epoch: 0 }
+    });
+    if journal.first_touch(&mut c.epoch) {
+        journal.push(Undo::Thread(tid, (!created).then(|| c.vc.clone())));
+    }
+    &mut c.vc
 }
 
-/// Records the race `first`/`second` on `(obj, field)` unless its static
-/// key was already reported.
-fn report(
-    races: &mut Vec<RaceReport>,
-    seen: &mut FxHashSet<StaticRaceKey>,
-    obj: ObjId,
-    field: FieldKey,
-    first: RaceAccess,
-    second: RaceAccess,
-) {
-    let r = RaceReport {
-        obj,
-        field,
-        first,
-        second,
-        provenance: None,
-        static_verdict: None,
-    };
-    if seen.insert(r.static_key()) {
-        races.push(r);
+/// `loc`'s state, about to change; its pre-image is logged on the first
+/// touch in the epoch.
+fn var<'a>(
+    vars: &'a mut FxHashMap<(ObjId, FieldKey), VarState>,
+    journal: &mut Journal<Undo>,
+    loc: (ObjId, FieldKey),
+) -> &'a mut VarState {
+    let state = vars.entry(loc).or_default();
+    if journal.first_touch(&mut state.epoch) {
+        journal.push(Undo::Var(loc, state.clone()));
     }
+    state
 }
 
 impl FastTrackDetector {
@@ -79,17 +109,51 @@ impl FastTrackDetector {
 
     /// The distinct races detected so far.
     pub fn races(&self) -> &[RaceReport] {
-        &self.races
+        &self.races.races
     }
 
     /// Consumes the detector, returning its races.
     pub fn into_races(self) -> Vec<RaceReport> {
-        self.races
+        self.races.races
+    }
+
+    /// Opens a new undo epoch and returns a mark that
+    /// [`FastTrackDetector::rewind`] restores. Logging stays on from the
+    /// first mark for the detector's lifetime.
+    pub fn mark(&mut self) -> DetectorMark {
+        self.journal.mark(&self.races)
+    }
+
+    /// Restores the state at `mark`, a mark this detector took: every
+    /// change logged since is undone, newest first. The mark stays valid.
+    pub fn rewind(&mut self, mark: &DetectorMark) {
+        let (threads, locks, vars) = (&mut self.threads, &mut self.locks, &mut self.vars);
+        self.journal
+            .rewind(mark, &mut self.races, |undo| match undo {
+                Undo::Thread(tid, Some(vc)) => {
+                    if let Some(c) = threads.get_mut(&tid) {
+                        c.vc = vc;
+                    }
+                }
+                Undo::Thread(tid, None) => {
+                    threads.remove(&tid);
+                }
+                Undo::Lock(obj, vc) => {
+                    if let Some(c) = locks.get_mut(&obj) {
+                        c.vc = vc;
+                    }
+                }
+                Undo::Var(loc, state) => {
+                    if let Some(s) = vars.get_mut(&loc) {
+                        *s = state;
+                    }
+                }
+            });
     }
 
     fn on_read(&mut self, tid: ThreadId, obj: ObjId, field: FieldKey, span: Span) {
-        let ct = clock(&mut self.threads, tid);
-        let state = self.vars.entry((obj, field)).or_default();
+        let ct = clock(&mut self.threads, &mut self.journal, tid);
+        let state = var(&mut self.vars, &mut self.journal, (obj, field));
         // Write-read race: last write not ordered before this read. The
         // read is recorded either way (FastTrack reports and continues),
         // so later writes race against the most recent read.
@@ -105,7 +169,7 @@ impl FastTrackDetector {
                     is_write: false,
                     span,
                 };
-                report(&mut self.races, &mut self.seen, obj, field, first, second);
+                self.races.record(race(obj, field, first, second));
             }
         }
         let now = ct.get(tid);
@@ -116,9 +180,9 @@ impl FastTrackDetector {
     }
 
     fn on_write(&mut self, tid: ThreadId, obj: ObjId, field: FieldKey, span: Span) {
-        let ct = clock(&mut self.threads, tid);
+        let ct = clock(&mut self.threads, &mut self.journal, tid);
         let me = Epoch::of(tid, ct);
-        let state = self.vars.entry((obj, field)).or_default();
+        let state = var(&mut self.vars, &mut self.journal, (obj, field));
         // FastTrack fast path: same epoch as the last write. The stored
         // site still moves to the newest write so that race reports name
         // the access a later conflicting thread actually races with.
@@ -140,7 +204,7 @@ impl FastTrackDetector {
                     is_write: true,
                     span: wspan,
                 };
-                report(&mut self.races, &mut self.seen, obj, field, first, second);
+                self.races.record(race(obj, field, first, second));
             }
         }
         for &(u, c, rspan) in &state.reads {
@@ -150,7 +214,7 @@ impl FastTrackDetector {
                     is_write: false,
                     span: rspan,
                 };
-                report(&mut self.races, &mut self.seen, obj, field, first, second);
+                self.races.record(race(obj, field, first, second));
             }
         }
         state.write = Some((me, span));
@@ -158,24 +222,67 @@ impl FastTrackDetector {
     }
 }
 
+#[cfg(test)]
+impl FastTrackDetector {
+    /// Everything that decides future reports, in a canonical order:
+    /// clocks, non-empty lock clocks and non-default location states
+    /// (undo tags excluded), then the races.
+    pub(crate) fn canonical(&self) -> String {
+        let mut threads: Vec<_> = self.threads.iter().map(|(t, c)| (t, &c.vc)).collect();
+        threads.sort_by_key(|(t, _)| **t);
+        let mut locks: Vec<_> = self
+            .locks
+            .iter()
+            .filter(|(_, c)| c.vc != VectorClock::new())
+            .map(|(o, c)| (o, &c.vc))
+            .collect();
+        locks.sort_by_key(|(o, _)| **o);
+        let mut vars: Vec<_> = self
+            .vars
+            .iter()
+            .filter(|(_, v)| v.write.is_some() || !v.reads.is_empty())
+            .map(|(k, v)| (k, v.write, &v.reads))
+            .collect();
+        vars.sort_by_key(|(k, _, _)| format!("{k:?}"));
+        format!("{threads:?}\n{locks:?}\n{vars:?}\n{:?}", self.races())
+    }
+}
+
+/// The race `first`/`second` on `(obj, field)`.
+fn race(obj: ObjId, field: FieldKey, first: RaceAccess, second: RaceAccess) -> RaceReport {
+    RaceReport {
+        obj,
+        field,
+        first,
+        second,
+        provenance: None,
+        static_verdict: None,
+    }
+}
+
 impl EventSink for FastTrackDetector {
     fn event(&mut self, ev: &Event) {
+        let journal = &mut self.journal;
         match &ev.kind {
             EventKind::Lock { obj, .. } => {
-                let ct = clock(&mut self.threads, ev.tid);
-                if let Some(lvc) = self.locks.get(obj) {
-                    ct.join(lvc);
+                let ct = clock(&mut self.threads, journal, ev.tid);
+                if let Some(l) = self.locks.get(obj) {
+                    ct.join(&l.vc);
                 }
             }
             EventKind::Unlock { obj, .. } => {
-                let ct = clock(&mut self.threads, ev.tid);
-                self.locks.entry(*obj).or_default().clone_from(ct);
+                let ct = clock(&mut self.threads, journal, ev.tid);
+                let l = self.locks.entry(*obj).or_default();
+                if journal.first_touch(&mut l.epoch) {
+                    journal.push(Undo::Lock(*obj, l.vc.clone()));
+                }
+                l.vc.clone_from(ct);
                 ct.tick(ev.tid);
             }
             EventKind::ThreadSpawn { child } => {
-                let parent = clock(&mut self.threads, ev.tid).clone();
-                clock(&mut self.threads, *child).join(&parent);
-                clock(&mut self.threads, ev.tid).tick(ev.tid);
+                let parent = clock(&mut self.threads, journal, ev.tid).clone();
+                clock(&mut self.threads, journal, *child).join(&parent);
+                clock(&mut self.threads, journal, ev.tid).tick(ev.tid);
             }
             EventKind::Read { obj, field, .. } => {
                 self.on_read(ev.tid, *obj, *field, ev.span);
@@ -388,21 +495,21 @@ mod tests {
         let mut d = FastTrackDetector::new();
         d.event(&lock(0, 1, 9));
         d.event(&unlock(1, 1, 9));
-        let released = d.locks[&ObjId(9)].clone();
+        let released = d.locks[&ObjId(9)].vc.clone();
         assert_eq!(released.get(ThreadId(1)), 1);
         d.event(&lock(2, 1, 8));
         d.event(&unlock(3, 1, 8));
         d.event(&spawn(4, 1, 2));
-        assert_eq!(d.threads[&ThreadId(1)].get(ThreadId(1)), 4);
+        assert_eq!(d.threads[&ThreadId(1)].vc.get(ThreadId(1)), 4);
         assert_eq!(
-            d.locks[&ObjId(9)],
+            d.locks[&ObjId(9)].vc,
             released,
             "a release clock is a snapshot"
         );
         // Re-releasing reuses the entry and takes the current clock.
         d.event(&lock(5, 1, 9));
         d.event(&unlock(6, 1, 9));
-        assert_eq!(d.locks[&ObjId(9)].get(ThreadId(1)), 4);
+        assert_eq!(d.locks[&ObjId(9)].vc.get(ThreadId(1)), 4);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! *generate* tests (paper §1: "while Eraser uses this property to detect
 //! races, we apply the same property to generate race inducing tests").
 
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::race::{RaceAccess, RaceReport, StaticRaceKey};
+use crate::fxhash::FxHashMap;
+use crate::race::{RaceAccess, RaceReport};
+use crate::rewind::{DetectorMark, Journal, RaceList};
 use narada_lang::Span;
 use narada_vm::{Event, EventKind, EventSink, FieldKey, Label, ObjId, ThreadId};
 
@@ -26,25 +27,48 @@ struct AccessSummary {
     label: Label,
 }
 
+/// The locks one thread holds, stamped with the undo epoch it was last
+/// logged in.
+#[derive(Debug, Default, Clone)]
+struct Held {
+    locks: Vec<ObjId>,
+    epoch: u32,
+}
+
+/// One logged mutation (see [`crate::rewind`]).
+#[derive(Debug, Clone)]
+enum Undo {
+    /// A thread's held locks before their first change in the epoch.
+    Held(ThreadId, Vec<ObjId>),
+    /// A location's history grew by one summary.
+    Recorded((ObjId, FieldKey)),
+    /// A thread's spawn point before it was (re)recorded.
+    Spawned(ThreadId, Option<(ThreadId, Label)>),
+}
+
 /// The Eraser-style detector; implement [`EventSink`] and feed it a
 /// concurrent execution.
 ///
 /// A steady-state access allocates nothing: the location's history is
 /// scanned in place against the borrowed held-lock slice, and a
 /// summary's lockset is copied only when a new summary is recorded.
+/// [`LocksetDetector::mark`] and [`LocksetDetector::rewind`] restore an
+/// earlier state by undoing only what changed since (see
+/// [`crate::rewind`]).
 #[derive(Debug, Default, Clone)]
 pub struct LocksetDetector {
     /// Locks currently held, per thread.
-    held: FxHashMap<ThreadId, Vec<ObjId>>,
-    /// Access history per location.
+    held: FxHashMap<ThreadId, Held>,
+    /// Access history per location; a missing entry and an empty one
+    /// mean the same.
     history: FxHashMap<(ObjId, FieldKey), Vec<AccessSummary>>,
     /// Trace label at which each thread was spawned: accesses by the
     /// spawner before this point happen-before everything in the child
     /// (fork awareness — Eraser's exclusive-state analogue).
     spawned_at: FxHashMap<ThreadId, (ThreadId, Label)>,
     /// Distinct races found (deduplicated by static key).
-    races: Vec<RaceReport>,
-    seen: FxHashSet<StaticRaceKey>,
+    races: RaceList,
+    journal: Journal<Undo>,
 }
 
 impl LocksetDetector {
@@ -55,12 +79,54 @@ impl LocksetDetector {
 
     /// The distinct races detected so far.
     pub fn races(&self) -> &[RaceReport] {
-        &self.races
+        &self.races.races
     }
 
     /// Consumes the detector, returning its races.
     pub fn into_races(self) -> Vec<RaceReport> {
-        self.races
+        self.races.races
+    }
+
+    /// Opens a new undo epoch and returns a mark that
+    /// [`LocksetDetector::rewind`] restores. Logging stays on from the
+    /// first mark for the detector's lifetime.
+    pub fn mark(&mut self) -> DetectorMark {
+        self.journal.mark(&self.races)
+    }
+
+    /// Restores the state at `mark`, a mark this detector took: every
+    /// change logged since is undone, newest first. The mark stays valid.
+    pub fn rewind(&mut self, mark: &DetectorMark) {
+        let (held, history, spawned_at) = (&mut self.held, &mut self.history, &mut self.spawned_at);
+        self.journal
+            .rewind(mark, &mut self.races, |undo| match undo {
+                Undo::Held(tid, locks) => {
+                    if let Some(h) = held.get_mut(&tid) {
+                        h.locks = locks;
+                    }
+                }
+                Undo::Recorded(loc) => {
+                    if let Some(h) = history.get_mut(&loc) {
+                        h.pop();
+                    }
+                }
+                Undo::Spawned(child, Some(at)) => {
+                    spawned_at.insert(child, at);
+                }
+                Undo::Spawned(child, None) => {
+                    spawned_at.remove(&child);
+                }
+            });
+    }
+
+    /// `tid`'s held locks, about to change: logs their pre-image on the
+    /// first change in the epoch.
+    fn held_mut(&mut self, tid: ThreadId) -> &mut Vec<ObjId> {
+        let h = self.held.entry(tid).or_default();
+        if self.journal.first_touch(&mut h.epoch) {
+            self.journal.push(Undo::Held(tid, h.locks.clone()));
+        }
+        &mut h.locks
     }
 
     fn on_access(
@@ -72,7 +138,7 @@ impl LocksetDetector {
         span: Span,
         label: Label,
     ) {
-        let locks: &[ObjId] = self.held.get(&tid).map_or(&[], Vec::as_slice);
+        let locks: &[ObjId] = self.held.get(&tid).map_or(&[], |h| h.locks.as_slice());
         // `prev` happens-before this access through a fork edge.
         let spawn = self.spawned_at.get(&tid).copied();
         let fork_ordered = |prev: &AccessSummary| {
@@ -95,7 +161,7 @@ impl LocksetDetector {
             if fork_ordered(prev) {
                 continue; // ordered by thread creation
             }
-            let report = RaceReport {
+            self.races.record(RaceReport {
                 obj,
                 field,
                 first: RaceAccess {
@@ -110,10 +176,7 @@ impl LocksetDetector {
                 },
                 provenance: None,
                 static_verdict: None,
-            };
-            if self.seen.insert(report.static_key()) {
-                self.races.push(report);
-            }
+            });
         }
         if !dup && history.len() < MAX_HISTORY {
             history.push(AccessSummary {
@@ -123,7 +186,30 @@ impl LocksetDetector {
                 span,
                 label,
             });
+            if self.journal.on() {
+                self.journal.push(Undo::Recorded((obj, field)));
+            }
         }
+    }
+}
+
+#[cfg(test)]
+impl LocksetDetector {
+    /// Everything that decides future reports, in a canonical order:
+    /// non-empty held locks and histories, spawn points, then the races.
+    pub(crate) fn canonical(&self) -> String {
+        let mut held: Vec<_> = self
+            .held
+            .iter()
+            .filter(|(_, h)| !h.locks.is_empty())
+            .map(|(t, h)| (t, &h.locks))
+            .collect();
+        held.sort_by_key(|(t, _)| **t);
+        let mut history: Vec<_> = self.history.iter().filter(|(_, h)| !h.is_empty()).collect();
+        history.sort_by_key(|(k, _)| format!("{k:?}"));
+        let mut spawned: Vec<_> = self.spawned_at.iter().collect();
+        spawned.sort_by_key(|(t, _)| **t);
+        format!("{held:?}\n{history:?}\n{spawned:?}\n{:?}", self.races())
     }
 }
 
@@ -131,13 +217,12 @@ impl EventSink for LocksetDetector {
     fn event(&mut self, ev: &Event) {
         match &ev.kind {
             EventKind::Lock { obj, .. } => {
-                self.held.entry(ev.tid).or_default().push(*obj);
+                self.held_mut(ev.tid).push(*obj);
             }
             EventKind::Unlock { obj, .. } => {
-                if let Some(held) = self.held.get_mut(&ev.tid) {
-                    if let Some(pos) = held.iter().rposition(|l| l == obj) {
-                        held.remove(pos);
-                    }
+                let held = self.held.get(&ev.tid).map_or(&[][..], |h| &h.locks);
+                if let Some(pos) = held.iter().rposition(|l| l == obj) {
+                    self.held_mut(ev.tid).remove(pos);
                 }
             }
             EventKind::Read { obj, field, .. } => {
@@ -147,7 +232,10 @@ impl EventSink for LocksetDetector {
                 self.on_access(ev.tid, *obj, *field, true, ev.span, ev.label);
             }
             EventKind::ThreadSpawn { child } => {
-                self.spawned_at.insert(*child, (ev.tid, ev.label));
+                let before = self.spawned_at.insert(*child, (ev.tid, ev.label));
+                if self.journal.on() {
+                    self.journal.push(Undo::Spawned(*child, before));
+                }
             }
             _ => {}
         }
