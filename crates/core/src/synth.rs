@@ -12,7 +12,7 @@
 //! 4. Spawn two threads performing the racy invocations and run them under
 //!    the caller-provided scheduler (lines 8–9).
 
-use crate::context::{ObjRef, Slot, TestPlan};
+use crate::context::{CaptureSpec, ObjRef, Slot, TestPlan};
 use narada_lang::hir::{Program, TestId};
 use narada_lang::mir::MirProgram;
 use narada_vm::{
@@ -119,39 +119,70 @@ pub fn execute_plan_prefix(
     plan: &TestPlan,
     sink: &mut dyn EventSink,
 ) -> Result<PlanPrefix, ExecError> {
-    // 1. collectObjects.
-    let mut captures: Vec<CallSite> = Vec::with_capacity(plan.captures.len());
-    for cap in &plan.captures {
-        let mut found = None;
-        for &seed in seeds {
-            let got = machine
-                .run_test_until_call(seed, sink, &mut |site| site.method == cap.method)
-                .map_err(ExecError::SeedFailed)?;
-            if let Some(site) = got {
-                found = Some(site);
-                break;
-            }
-        }
-        let site = found
-            .ok_or_else(|| ExecError::CaptureMissed(machine.program.qualified_name(cap.method)))?;
-        captures.push(site);
-    }
+    let captures = plan
+        .captures
+        .iter()
+        .map(|cap| run_capture(machine, seeds, cap, sink))
+        .collect::<Result<Vec<_>, _>>()?;
+    let built = run_setup(machine, plan, &captures, sink)?;
+    Ok(PlanPrefix { captures, built })
+}
 
-    // 2–3. Builders, then setters, resolving shared object references.
+/// One `collectObjects` run (step 1 of Algorithm 1): runs the seed tests
+/// in order until one reaches a client-level call of `cap`'s method,
+/// and returns that call site. Seeds that complete without one leave
+/// their objects on the heap.
+///
+/// # Errors
+///
+/// [`ExecError::SeedFailed`] if a seed run aborts first, and
+/// [`ExecError::CaptureMissed`] if no seed reaches the call.
+pub fn run_capture(
+    machine: &mut Machine<'_>,
+    seeds: &[TestId],
+    cap: &CaptureSpec,
+    sink: &mut dyn EventSink,
+) -> Result<CallSite, ExecError> {
+    for &seed in seeds {
+        let got = machine
+            .run_test_until_call(seed, sink, &mut |site| site.method == cap.method)
+            .map_err(ExecError::SeedFailed)?;
+        if let Some(site) = got {
+            return Ok(site);
+        }
+    }
+    Err(ExecError::CaptureMissed(
+        machine.program.qualified_name(cap.method),
+    ))
+}
+
+/// Steps 2–3 of Algorithm 1 after the captures: runs `plan`'s builders,
+/// then its setters, resolving shared object references against
+/// `captures`, and returns the built objects.
+///
+/// # Errors
+///
+/// [`ExecError::SetupFailed`] or [`ExecError::BuilderNoObject`].
+pub fn run_setup(
+    machine: &mut Machine<'_>,
+    plan: &TestPlan,
+    captures: &[CallSite],
+    sink: &mut dyn EventSink,
+) -> Result<Vec<Value>, ExecError> {
     let mut built: Vec<Value> = Vec::with_capacity(plan.builders.len());
     for call in &plan.builders {
         let m = machine.program.method(call.method);
         let value = if m.is_ctor {
             // `new C(shared, …)`: allocate, then run the constructor.
             let obj = machine.heap.alloc_instance(machine.program, m.owner);
-            let args = resolve_args(&captures, &built, &call.args);
+            let args = resolve_args(captures, &built, &call.args);
             machine
                 .invoke(call.method, Some(Value::Ref(obj)), args, sink)
                 .map_err(ExecError::SetupFailed)?;
             Value::Ref(obj)
         } else {
-            let recv = call.recv.map(|r| resolve(&captures, &built, r));
-            let args = resolve_args(&captures, &built, &call.args);
+            let recv = call.recv.map(|r| resolve(captures, &built, r));
+            let args = resolve_args(captures, &built, &call.args);
             machine
                 .invoke(call.method, recv, args, sink)
                 .map_err(ExecError::SetupFailed)?
@@ -162,8 +193,8 @@ pub fn execute_plan_prefix(
         built.push(value);
     }
     for call in &plan.setters {
-        let recv = call.recv.map(|r| resolve(&captures, &built, r));
-        let args = resolve_args(&captures, &built, &call.args);
+        let recv = call.recv.map(|r| resolve(captures, &built, r));
+        let args = resolve_args(captures, &built, &call.args);
         match call.stop_after {
             // §4 partial invocation: a later library-internal write would
             // clobber the context, so the setter is suspended right after
@@ -180,7 +211,7 @@ pub fn execute_plan_prefix(
             }
         }
     }
-    Ok(PlanPrefix { captures, built })
+    Ok(built)
 }
 
 /// Executes the concurrent suffix of `plan` from a machine positioned at

@@ -1,14 +1,13 @@
-//! Snapshot round-trip properties for the fork explorer's substrate.
+//! Mark/rewind round-trip properties for the capture walk's substrate.
 //!
-//! The fork explorer's correctness rests on one claim: a machine
-//! restored (or rewound) to a fork point is *bit-for-bit* the machine
-//! that paused there. This suite checks the claim across every corpus
-//! class, every synthesized plan shape, and — via a probe
-//! budget sweep — fork points landed mid-monitor (between `MonitorEnter`
-//! and `MonitorExit`) and mid-array-write, the two states most likely to
-//! smear across a buggy undo log. Oracles: the deterministic heap render
-//! and the full-trace digest of the resumed run (the ISSUE's
-//! "byte-identical (heap render + trace digest)").
+//! The capture walk's correctness rests on one claim: a machine rewound
+//! to a fork point is *bit-for-bit* the machine that paused there. This
+//! suite checks the claim across every corpus class, every synthesized
+//! plan shape, and — via a probe budget sweep — fork points landed
+//! mid-monitor (between `MonitorEnter` and `MonitorExit`) and
+//! mid-array-write, the two states most likely to smear across a buggy
+//! undo log. Oracles: the deterministic heap render and the full-trace
+//! digest of the resumed run.
 
 use narada_core::synth::{execute_plan_prefix, execute_plan_suffix};
 use narada_core::{synthesize_source, SynthesisOptions, TestPlan};
@@ -56,8 +55,7 @@ fn reference_run(
 /// The property, for one plan: run the prefix once, then
 /// mark → probe K steps under a *different* scheduler → rewind, for a
 /// sweep of K; after all that vandalism the resumed suffix must be
-/// byte-identical to the uninterrupted reference. Also checks the owned
-/// snapshot the same way on a fresh machine.
+/// byte-identical to the uninterrupted reference.
 fn check_plan(prog: &Program, mir: &MirProgram, seeds: &[TestId], plan: &TestPlan) -> bool {
     let Some((ref_digest, ref_heap)) = reference_run(prog, mir, seeds, plan) else {
         return false; // plan doesn't execute (capture miss etc.) — skip
@@ -67,9 +65,7 @@ fn check_plan(prog: &Program, mir: &MirProgram, seeds: &[TestId], plan: &TestPla
     let mut sink = VecSink::new();
     let prefix = execute_plan_prefix(&mut m, seeds, plan, &mut sink).expect("prefix re-runs");
     assert_eq!(m.rng_draws(), 0, "corpus prefixes must be seed-independent");
-    let prefix_len = sink.events.len();
     let fork_heap = m.heap.render();
-    let snap = m.snapshot();
 
     // In-place mark/rewind probes at every budget.
     let mark = m.mark();
@@ -97,24 +93,6 @@ fn check_plan(prog: &Program, mir: &MirProgram, seeds: &[TestId], plan: &TestPla
         "trace diverged after probe storm"
     );
     assert_eq!(m.heap.render(), ref_heap, "final heap diverged");
-
-    // Owned-snapshot restore, onto a fresh machine.
-    let mut fresh = machine_for(prog, mir);
-    fresh.restore(&snap);
-    assert_eq!(fresh.heap.render(), fork_heap, "restore(snapshot) heap");
-    // Pre-load the shared prefix events so the digest compares the full
-    // trace against the uninterrupted reference.
-    let mut sink2 = VecSink::new();
-    sink2.events = sink.events[..prefix_len].to_vec();
-    let mut sched = PctScheduler::new(SCHED_SEED, 3, 1_000);
-    execute_plan_suffix(&mut fresh, plan, &prefix, &mut sched, &mut sink2, 1_000_000)
-        .expect("suffix from restored snapshot");
-    assert_eq!(
-        trace_digest(&sink2.events),
-        ref_digest,
-        "restored snapshot diverged from the reference"
-    );
-    assert_eq!(fresh.heap.render(), ref_heap);
     true
 }
 

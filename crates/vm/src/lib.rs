@@ -49,8 +49,8 @@ pub use event::{
 };
 pub use heap::{Heap, HeapMark, Object, ObjectData};
 pub use machine::{
-    CallSite, Machine, MachineMark, MachineOptions, MachineSnapshot, PendingInvoke, Preview,
-    RunOutcome, ThreadStatus, SATURATION_WINDOW,
+    CallSite, Machine, MachineMark, MachineOptions, PendingInvoke, Preview, RunOutcome,
+    ThreadStatus, SATURATION_WINDOW,
 };
 pub use render::{render_schedule_summary, TraceRenderer};
 pub use rng::{derive_seed, splitmix64, SplitMix64};
