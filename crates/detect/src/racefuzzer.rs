@@ -187,14 +187,23 @@ impl Scheduler for RaceFuzzerScheduler {
             }
         }
 
-        // Find threads whose next step is a targeted access.
+        // Find threads whose next step is a targeted access. The
+        // postponed thread cannot collide with itself, and a span test
+        // comes before any classification: most decisions find no thread
+        // at a target site.
         for &t in runnable {
-            let Some((preview, span)) = machine.preview_detail(t) else {
+            if self.postponed.is_some_and(|p| p.tid == t) {
+                continue;
+            }
+            let Some(span) = machine.next_span(t) else {
                 continue;
             };
             if span != self.target.span_a && span != self.target.span_b {
                 continue;
             }
+            let Some(preview) = machine.preview(t) else {
+                continue;
+            };
             let Some((obj, field, is_write)) = preview.access() else {
                 continue;
             };

@@ -365,11 +365,17 @@ impl<'p> Machine<'p> {
     /// next instruction (used by directed schedulers to match static
     /// program points).
     pub fn preview_detail(&self, tid: ThreadId) -> Option<(Preview, Span)> {
-        let t = &self.threads[tid.index()];
-        let frame = t.frames.last()?;
-        let body = self.mir.body(frame.body);
-        let span = body.instrs.get(frame.pc)?.span;
+        let span = self.next_span(tid)?;
         Some((self.preview(tid)?, span))
+    }
+
+    /// Source span of the next instruction of `tid`, without classifying
+    /// it: the cheap first test of a directed scheduler, which calls
+    /// [`Machine::preview`] only when the span is one it targets.
+    /// Returns `None` for a thread with no frame.
+    pub fn next_span(&self, tid: ThreadId) -> Option<Span> {
+        let frame = self.threads[tid.index()].frames.last()?;
+        Some(self.mir.body(frame.body).instrs.get(frame.pc)?.span)
     }
 
     /// Classifies the next instruction of `tid` without executing it.
