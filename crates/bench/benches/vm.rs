@@ -64,7 +64,7 @@ fn bench_concurrent() {
 
     bench_function("vm/concurrent_4_threads", || {
         let mut m = Machine::with_defaults(&prog, &mir);
-        let obj = m.heap.alloc_instance(&prog, work);
+        let obj = m.heap.alloc_instance(work);
         for _ in 0..4 {
             m.spawn_invoke(
                 spin,

@@ -292,7 +292,7 @@ fn instantiate(
     if depth > 3 {
         return None;
     }
-    let obj = machine.heap.alloc_instance(prog, class);
+    let obj = machine.heap.alloc_instance(class);
     if let Some(ctor) = prog.ctor_for(class) {
         let mut args = Vec::new();
         for ty in prog.method(ctor).param_tys() {

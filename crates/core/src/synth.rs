@@ -174,7 +174,7 @@ pub fn run_setup(
         let m = machine.program.method(call.method);
         let value = if m.is_ctor {
             // `new C(shared, …)`: allocate, then run the constructor.
-            let obj = machine.heap.alloc_instance(machine.program, m.owner);
+            let obj = machine.heap.alloc_instance(m.owner);
             let args = resolve_args(captures, &built, &call.args);
             machine
                 .invoke(call.method, Some(Value::Ref(obj)), args, sink)

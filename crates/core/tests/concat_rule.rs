@@ -104,8 +104,8 @@ fn concat_execution_shares_the_deep_object() {
     let deep_x: Vec<Value> = (0..machine.heap.len() as u32)
         .map(narada_vm::ObjId)
         .filter(|&o| machine.heap.class_of(o) == Some(m_class))
-        .filter_map(|o| machine.heap.get_field(o, f).as_obj())
-        .map(|n| machine.heap.get_field(n, g))
+        .filter_map(|o| machine.heap.get_field(o, f).unwrap().as_obj())
+        .map(|n| machine.heap.get_field(n, g).unwrap())
         .collect();
     let shared_exists = deep_x
         .iter()

@@ -105,7 +105,7 @@ fn partial_execution_preserves_the_shared_context() {
     let racy_xs: Vec<Value> = (0..machine.heap.len() as u32)
         .map(narada_vm::ObjId)
         .filter(|&o| machine.heap.class_of(o) == Some(h_class))
-        .map(|o| machine.heap.get_field(o, x_field))
+        .map(|o| machine.heap.get_field(o, x_field).unwrap())
         .collect();
     let shared: Vec<_> = racy_xs
         .iter()

@@ -179,7 +179,7 @@ fn fig1_executed_plan_can_lose_update() {
         for i in 0..machine.heap.len() as u32 {
             let o = narada_vm::ObjId(i);
             if machine.heap.class_of(o) == Some(counter) {
-                if let Value::Int(n) = machine.heap.get_field(o, count) {
+                if let Value::Int(n) = machine.heap.get_field(o, count).unwrap() {
                     if n > 0 {
                         counts.push(n);
                     }
@@ -314,7 +314,7 @@ fn hazelcast_race_reproduces_lost_decrement() {
         for i in 0..machine.heap.len() as u32 {
             let o = narada_vm::ObjId(i);
             if machine.heap.class_of(o) == Some(base) {
-                if let Value::Int(n) = machine.heap.get_field(o, size) {
+                if let Value::Int(n) = machine.heap.get_field(o, size).unwrap() {
                     if n < 0 {
                         sizes.push(n);
                     }

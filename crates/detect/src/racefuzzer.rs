@@ -139,9 +139,10 @@ impl RaceFuzzerScheduler {
     ) -> bool {
         // benign ⇔ the conflicting values are indistinguishable.
         let current = match field {
-            FieldKey::Field(f) => Some(machine.heap.get_field(obj, f)),
+            FieldKey::Field(f) => machine.heap.get_field(obj, f),
             FieldKey::Elem(i) => machine.heap.get_elem(obj, i),
-        };
+        }
+        .ok();
         match (a_write, b_write) {
             (true, true) => match (a_value, b_value) {
                 (Some(x), Some(y)) => x.same(y),

@@ -41,7 +41,7 @@ fn compile() -> (Program, MirProgram) {
 fn two_puts<'p>(prog: &'p Program, mir: &'p MirProgram) -> (Machine<'p>, ObjId, [ThreadId; 2]) {
     let mut m = Machine::with_defaults(prog, mir);
     let class = prog.class_by_name("C").unwrap();
-    let obj = m.heap.alloc_instance(prog, class);
+    let obj = m.heap.alloc_instance(class);
     let put = prog.methods.iter().find(|mm| mm.name == "put").unwrap().id;
     let t1 = m
         .spawn_invoke(
@@ -104,7 +104,7 @@ impl Scheduler for Watch<'_> {
 fn field(m: &Machine<'_>, prog: &Program, obj: ObjId, name: &str) -> Value {
     let class = prog.class_by_name("C").unwrap();
     m.heap
-        .get_field(obj, prog.field_by_name(class, name).unwrap())
+        .get_field(obj, prog.field_by_name(class, name).unwrap()).unwrap()
 }
 
 #[test]

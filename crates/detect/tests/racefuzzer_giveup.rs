@@ -61,7 +61,7 @@ fn x_race_key(prog: &Program, mir: &MirProgram, a: &str, b: &str) -> StaticRaceK
     let mut m = Machine::new(prog, mir, MachineOptions::default());
     let c = m
         .heap
-        .alloc_instance(prog, prog.class_by_name("C").unwrap());
+        .alloc_instance(prog.class_by_name("C").unwrap());
     let mut lockset = LocksetDetector::new();
     for name in [a, b] {
         m.spawn_invoke(
@@ -92,7 +92,7 @@ fn run_partnerless(n: i64, mut fuzzer: RaceFuzzerScheduler) -> RaceFuzzerSchedul
     let mut m = Machine::new(&prog, &mir, MachineOptions::default());
     let c = m
         .heap
-        .alloc_instance(&prog, prog.class_by_name("C").unwrap());
+        .alloc_instance(prog.class_by_name("C").unwrap());
     let mut sink = NullSink;
     m.spawn_invoke(
         method(&prog, "poke"),
@@ -220,7 +220,7 @@ fn blocked_partner_keeps_the_run_going() {
         let mut m = Machine::new(&prog, &mir, MachineOptions::default());
         let c = m
             .heap
-            .alloc_instance(&prog, prog.class_by_name("C").unwrap());
+            .alloc_instance(prog.class_by_name("C").unwrap());
         let mut sink = NullSink;
         let mut spawn = |name| {
             m.spawn_invoke(method(&prog, name), Some(Value::Ref(c)), vec![], &mut sink)
@@ -247,7 +247,7 @@ fn blocked_partner_keeps_the_run_going() {
         assert!(watch.inner.confirmed.is_empty(), "seed {seed}");
         if watch.released + watch.unpostponed > 0 {
             // `guarded` ran its write and let `locker` go on.
-            assert_eq!(m.heap.get_field(c, x), Value::Int(3), "seed {seed}");
+            assert_eq!(m.heap.get_field(c, x).unwrap(), Value::Int(3), "seed {seed}");
             assert!(
                 !matches!(m.thread_status(locker), ThreadStatus::Blocked(_)),
                 "seed {seed}"

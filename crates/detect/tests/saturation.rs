@@ -61,7 +61,7 @@ fn run(
     let mut m = Machine::new(&prog, &mir, MachineOptions::default());
     let c = m
         .heap
-        .alloc_instance(&prog, prog.class_by_name("C").unwrap());
+        .alloc_instance(prog.class_by_name("C").unwrap());
     for &(name, arg) in calls {
         let method = prog.methods.iter().find(|m| m.name == name).unwrap().id;
         let args = arg.map(Value::Int).into_iter().collect();

@@ -459,9 +459,63 @@ pub struct Program {
     pub tests: Vec<Test>,
     /// Class lookup by name.
     pub class_names: HashMap<String, ClassId>,
+    /// Slot of each field in the instances that carry it, indexed by
+    /// [`FieldId`] (see [`Program::field_slot`]).
+    field_slots: Vec<u32>,
+    /// Dense dispatch table, `classes × methods` (see
+    /// [`Program::dispatch_target`]); [`NO_TARGET`] where the class has
+    /// no method of that name.
+    targets: Vec<u32>,
 }
 
+/// A [`Program`] dispatch-table entry for a class with no method of the
+/// name.
+const NO_TARGET: u32 = u32::MAX;
+
 impl Program {
+    /// Builds the per-program resolution tables behind
+    /// [`Program::field_slot`] and [`Program::dispatch_target`] from the
+    /// finished `all_fields` and `vtable`s. The type checker calls it
+    /// once per program; the VM then resolves fields and calls by
+    /// indexing, never by name or hash.
+    pub(crate) fn build_resolution_tables(&mut self) {
+        let mut field_slots = vec![0; self.fields.len()];
+        for class in &self.classes {
+            for (slot, f) in class.all_fields.iter().enumerate() {
+                field_slots[f.index()] = slot as u32;
+            }
+        }
+        let mut targets = Vec::with_capacity(self.classes.len() * self.methods.len());
+        for class in &self.classes {
+            targets.extend(self.methods.iter().map(|m| {
+                class.vtable.get(&m.name).map_or(NO_TARGET, |t| t.0)
+            }));
+        }
+        self.field_slots = field_slots;
+        self.targets = targets;
+    }
+
+    /// Slot of `field` in every instance that carries it. Layouts are
+    /// parent-prefix (a class's `all_fields` extends its parent's), so
+    /// the slot does not depend on the runtime class; whether an
+    /// instance carries the field at all is the caller's check
+    /// (`fields_of(class).get(slot) == Some(&field)`).
+    #[inline]
+    pub fn field_slot(&self, field: FieldId) -> usize {
+        self.field_slots[field.index()] as usize
+    }
+
+    /// What a virtual call of `method` dispatches to on an instance of
+    /// `class`: [`Program::dispatch`] of `method`'s name, read from the
+    /// dense table instead of the name-keyed vtable.
+    #[inline]
+    pub fn dispatch_target(&self, class: ClassId, method: MethodId) -> Option<MethodId> {
+        match self.targets[class.index() * self.methods.len() + method.index()] {
+            NO_TARGET => None,
+            t => Some(MethodId(t)),
+        }
+    }
+
     /// The class with the given id.
     ///
     /// # Panics

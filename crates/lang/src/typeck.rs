@@ -39,6 +39,7 @@ pub fn check(ast: &ast::Program) -> Result<Program, Diagnostics> {
         cx.check_bodies(ast);
     }
     if cx.errors.is_empty() {
+        cx.prog.build_resolution_tables();
         Ok(cx.prog)
     } else {
         Err(Diagnostics::new(cx.errors))

@@ -2,6 +2,7 @@
 //! executing thread (like an uncaught Java exception) — the ConTeGe-style
 //! baseline uses exactly this as its thread-safety-violation oracle.
 
+use crate::value::ObjId;
 use narada_lang::Span;
 use std::error::Error;
 use std::fmt;
@@ -30,6 +31,16 @@ pub enum VmErrorKind {
     StackOverflow,
     /// Thread exceeded the configured step budget (runaway loop).
     StepLimit,
+    /// A heap operation met an object of the wrong shape: a field access
+    /// on an array or on an instance whose class lacks the field, or an
+    /// array operation on an instance. Well-typed code cannot get here;
+    /// an ill-typed harness invocation can.
+    TypeConfusion {
+        /// The operation attempted (`"field read"`, `"index write"`, …).
+        op: &'static str,
+        /// The object it was attempted on.
+        obj: ObjId,
+    },
     /// Internal invariant violation (a bug in the VM or front end).
     Internal(String),
 }
@@ -47,6 +58,9 @@ impl fmt::Display for VmErrorKind {
             VmErrorKind::MissingReturn => write!(f, "non-void method returned no value"),
             VmErrorKind::StackOverflow => write!(f, "call stack overflow"),
             VmErrorKind::StepLimit => write!(f, "step limit exceeded"),
+            VmErrorKind::TypeConfusion { op, obj } => {
+                write!(f, "{op} on {obj}, an object of the wrong shape")
+            }
             VmErrorKind::Internal(msg) => write!(f, "internal vm error: {msg}"),
         }
     }

@@ -17,9 +17,9 @@
 //! so the next probe re-logs. Until the first mark the log is off
 //! (`epoch == 0`) and `object_mut` costs one predictable branch.
 
+use crate::error::VmErrorKind;
 use crate::value::{ObjId, Value};
 use narada_lang::hir::{ClassId, FieldId, Program, Ty};
-use std::collections::HashMap;
 
 /// Payload of one heap object.
 #[derive(Debug, Clone)]
@@ -69,12 +69,13 @@ impl Object {
     }
 }
 
-/// The heap: an arena of objects plus per-class field layouts.
+/// The heap: an arena of objects of one program's classes.
 #[derive(Debug, Clone)]
-pub struct Heap {
+pub struct Heap<'p> {
+    /// The program whose classes the instances belong to; its
+    /// [`Program::field_slot`] table places every field.
+    prog: &'p Program,
     objects: Vec<Object>,
-    /// Per-class map field → slot index (includes inherited fields).
-    layouts: Vec<HashMap<FieldId, usize>>,
     /// Current undo-log epoch; `0` means no mark has ever been taken and
     /// the log is off.
     epoch: u64,
@@ -92,23 +93,12 @@ pub struct HeapMark {
     objects_len: usize,
 }
 
-impl Heap {
-    /// Creates an empty heap with layouts derived from `prog`.
-    pub fn new(prog: &Program) -> Self {
-        let layouts = prog
-            .classes
-            .iter()
-            .map(|c| {
-                c.all_fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| (f, i))
-                    .collect()
-            })
-            .collect();
+impl<'p> Heap<'p> {
+    /// Creates an empty heap for instances of `prog`'s classes.
+    pub fn new(prog: &'p Program) -> Self {
         Heap {
+            prog,
             objects: Vec::new(),
-            layouts,
             epoch: 0,
             undo: Vec::new(),
         }
@@ -126,14 +116,13 @@ impl Heap {
 
     /// Allocates an instance of `class` with default field values
     /// (`0`, `false`, `null`).
-    pub fn alloc_instance(&mut self, prog: &Program, class: ClassId) -> ObjId {
-        let nfields = prog.fields_of(class).len();
+    pub fn alloc_instance(&mut self, class: ClassId) -> ObjId {
+        let prog = self.prog;
         let fields = prog
             .fields_of(class)
             .iter()
             .map(|&f| default_value(&prog.field(f).ty))
             .collect::<Vec<_>>();
-        debug_assert_eq!(fields.len(), nfields);
         self.push(Object {
             data: ObjectData::Instance { class, fields },
             lock_owner: None,
@@ -273,71 +262,113 @@ impl Heap {
         self.object(id).class()
     }
 
-    /// Slot index of `field` in instances of `class`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `field` is not a field of `class` — the type checker rules
-    /// that out for well-typed programs.
-    pub fn field_slot(&self, class: ClassId, field: FieldId) -> usize {
-        self.layouts[class.index()][&field]
+    /// The slot of `field` in `obj`, or `None` when `obj` is an array or
+    /// an instance whose class lacks the field (a field's slot is the
+    /// same in every class that has it; see [`Program::field_slot`]).
+    #[inline]
+    fn field_slot_of(&self, obj: ObjId, field: FieldId) -> Option<usize> {
+        let slot = self.prog.field_slot(field);
+        match &self.object(obj).data {
+            ObjectData::Instance { class, .. }
+                if self.prog.fields_of(*class).get(slot) == Some(&field) =>
+            {
+                Some(slot)
+            }
+            _ => None,
+        }
     }
 
     /// Reads `obj.field`.
+    ///
+    /// # Errors
+    ///
+    /// [`VmErrorKind::TypeConfusion`] when `obj` is an array or an
+    /// instance whose class lacks `field`.
     #[inline]
-    pub fn get_field(&self, obj: ObjId, field: FieldId) -> Value {
+    pub fn get_field(&self, obj: ObjId, field: FieldId) -> Result<Value, VmErrorKind> {
+        let slot = self.prog.field_slot(field);
         match &self.object(obj).data {
-            ObjectData::Instance { class, fields } => fields[self.field_slot(*class, field)],
-            ObjectData::Array { .. } => panic!("field read on array {obj}"),
+            ObjectData::Instance { class, fields }
+                if self.prog.fields_of(*class).get(slot) == Some(&field) =>
+            {
+                Ok(fields[slot])
+            }
+            _ => Err(confusion("field read", obj)),
         }
     }
 
     /// Writes `obj.field := value`.
-    pub fn set_field(&mut self, obj: ObjId, field: FieldId, value: Value) {
-        let slot = match &self.object(obj).data {
-            ObjectData::Instance { class, .. } => self.field_slot(*class, field),
-            ObjectData::Array { .. } => panic!("field write on array {obj}"),
+    ///
+    /// # Errors
+    ///
+    /// As [`Heap::get_field`]; the heap is left unchanged.
+    pub fn set_field(&mut self, obj: ObjId, field: FieldId, value: Value) -> Result<(), VmErrorKind> {
+        let Some(slot) = self.field_slot_of(obj, field) else {
+            return Err(confusion("field write", obj));
         };
         match &mut self.object_mut(obj).data {
             ObjectData::Instance { fields, .. } => fields[slot] = value,
-            ObjectData::Array { .. } => unreachable!(),
+            ObjectData::Array { .. } => unreachable!("slot found on an instance"),
         }
+        Ok(())
     }
 
     /// Array length of `obj`.
-    pub fn array_len(&self, obj: ObjId) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// [`VmErrorKind::TypeConfusion`] when `obj` is an instance.
+    pub fn array_len(&self, obj: ObjId) -> Result<usize, VmErrorKind> {
         match &self.object(obj).data {
+            ObjectData::Array { data, .. } => Ok(data.len()),
+            ObjectData::Instance { .. } => Err(confusion("array length", obj)),
+        }
+    }
+
+    /// Reads `obj[idx]`.
+    ///
+    /// # Errors
+    ///
+    /// [`VmErrorKind::IndexOutOfBounds`] when `idx` is out of bounds, and
+    /// [`VmErrorKind::TypeConfusion`] when `obj` is an instance.
+    pub fn get_elem(&self, obj: ObjId, idx: i64) -> Result<Value, VmErrorKind> {
+        match &self.object(obj).data {
+            ObjectData::Array { data, .. } => usize::try_from(idx)
+                .ok()
+                .and_then(|i| data.get(i).copied())
+                .ok_or(VmErrorKind::IndexOutOfBounds {
+                    idx,
+                    len: data.len(),
+                }),
+            ObjectData::Instance { .. } => Err(confusion("index read", obj)),
+        }
+    }
+
+    /// Writes `obj[idx] := value`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Heap::get_elem`]; the heap is left unchanged.
+    pub fn set_elem(&mut self, obj: ObjId, idx: i64, value: Value) -> Result<(), VmErrorKind> {
+        let len = match &self.object(obj).data {
             ObjectData::Array { data, .. } => data.len(),
-            ObjectData::Instance { .. } => panic!("length of non-array {obj}"),
-        }
-    }
-
-    /// Reads `obj[idx]`; `None` when out of bounds.
-    pub fn get_elem(&self, obj: ObjId, idx: i64) -> Option<Value> {
-        match &self.object(obj).data {
-            ObjectData::Array { data, .. } => {
-                usize::try_from(idx).ok().and_then(|i| data.get(i).copied())
-            }
-            ObjectData::Instance { .. } => panic!("index read on non-array {obj}"),
-        }
-    }
-
-    /// Writes `obj[idx] := value`; `false` when out of bounds.
-    #[must_use]
-    pub fn set_elem(&mut self, obj: ObjId, idx: i64, value: Value) -> bool {
+            ObjectData::Instance { .. } => return Err(confusion("index write", obj)),
+        };
+        let Some(i) = usize::try_from(idx).ok().filter(|&i| i < len) else {
+            return Err(VmErrorKind::IndexOutOfBounds { idx, len });
+        };
         match &mut self.object_mut(obj).data {
-            ObjectData::Array { data, .. } => {
-                match usize::try_from(idx).ok().and_then(|i| data.get_mut(i)) {
-                    Some(slot) => {
-                        *slot = value;
-                        true
-                    }
-                    None => false,
-                }
-            }
-            ObjectData::Instance { .. } => panic!("index write on non-array {obj}"),
+            ObjectData::Array { data, .. } => data[i] = value,
+            ObjectData::Instance { .. } => unreachable!("length read from an array"),
         }
+        Ok(())
     }
+}
+
+/// The trap for a heap operation on an object of the wrong shape.
+#[cold]
+fn confusion(op: &'static str, obj: ObjId) -> VmErrorKind {
+    VmErrorKind::TypeConfusion { op, obj }
 }
 
 /// Default value for a type: `0`, `false`, or `null`.
@@ -354,61 +385,93 @@ mod tests {
     use super::*;
     use narada_lang::compile;
 
-    fn heap_and_prog() -> (Program, Heap) {
-        let prog = compile(
+    fn prog() -> Program {
+        compile(
             r#"
             class Base { int a; Base link; }
             class Derived extends Base { bool flag; }
+            class Other { int b; }
         "#,
         )
-        .unwrap();
-        let heap = Heap::new(&prog);
-        (prog, heap)
+        .unwrap()
     }
 
     #[test]
     fn instance_defaults() {
-        let (prog, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let derived = prog.class_by_name("Derived").unwrap();
-        let o = heap.alloc_instance(&prog, derived);
+        let o = heap.alloc_instance(derived);
         let a = prog.field_by_name(derived, "a").unwrap();
         let link = prog.field_by_name(derived, "link").unwrap();
         let flag = prog.field_by_name(derived, "flag").unwrap();
-        assert_eq!(heap.get_field(o, a), Value::Int(0));
-        assert_eq!(heap.get_field(o, link), Value::Null);
-        assert_eq!(heap.get_field(o, flag), Value::Bool(false));
+        assert_eq!(heap.get_field(o, a).unwrap(), Value::Int(0));
+        assert_eq!(heap.get_field(o, link).unwrap(), Value::Null);
+        assert_eq!(heap.get_field(o, flag).unwrap(), Value::Bool(false));
     }
 
     #[test]
     fn inherited_field_slots_work() {
-        let (prog, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let derived = prog.class_by_name("Derived").unwrap();
-        let o = heap.alloc_instance(&prog, derived);
+        let o = heap.alloc_instance(derived);
         let a = prog.field_by_name(derived, "a").unwrap();
-        heap.set_field(o, a, Value::Int(42));
-        assert_eq!(heap.get_field(o, a), Value::Int(42));
+        heap.set_field(o, a, Value::Int(42)).unwrap();
+        assert_eq!(heap.get_field(o, a).unwrap(), Value::Int(42));
     }
 
     #[test]
     fn arrays() {
-        let (_, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let a = heap.alloc_array(Ty::Int, 3);
-        assert_eq!(heap.array_len(a), 3);
-        assert_eq!(heap.get_elem(a, 0), Some(Value::Int(0)));
-        assert!(heap.set_elem(a, 2, Value::Int(9)));
-        assert_eq!(heap.get_elem(a, 2), Some(Value::Int(9)));
-        assert_eq!(heap.get_elem(a, 3), None);
-        assert_eq!(heap.get_elem(a, -1), None);
-        assert!(!heap.set_elem(a, 3, Value::Int(1)));
-        assert!(!heap.set_elem(a, -5, Value::Int(1)));
+        fn oob<T>(idx: i64, len: usize) -> Result<T, VmErrorKind> {
+            Err(VmErrorKind::IndexOutOfBounds { idx, len })
+        }
+        assert_eq!(heap.array_len(a), Ok(3));
+        assert_eq!(heap.get_elem(a, 0), Ok(Value::Int(0)));
+        assert_eq!(heap.set_elem(a, 2, Value::Int(9)), Ok(()));
+        assert_eq!(heap.get_elem(a, 2), Ok(Value::Int(9)));
+        assert_eq!(heap.get_elem(a, 3), oob(3, 3));
+        assert_eq!(heap.get_elem(a, -1), oob(-1, 3));
+        assert_eq!(heap.set_elem(a, 3, Value::Int(1)), oob(3, 3));
+        assert_eq!(heap.set_elem(a, -5, Value::Int(1)), oob(-5, 3));
+    }
+
+    #[test]
+    fn shape_confusion_is_an_error_not_a_wrong_slot() {
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
+        let derived = prog.class_by_name("Derived").unwrap();
+        let other = prog.class_by_name("Other").unwrap();
+        let o = heap.alloc_instance(derived);
+        let arr = heap.alloc_array(Ty::Int, 2);
+        // `Other.b` has slot 0, which `Derived` instances fill with `a`.
+        let b = prog.field_by_name(other, "b").unwrap();
+        assert_eq!(prog.field_slot(b), 0);
+        fn confused<T>(op: &'static str, obj: ObjId) -> Result<T, VmErrorKind> {
+            Err(VmErrorKind::TypeConfusion { op, obj })
+        }
+        assert_eq!(heap.get_field(o, b), confused("field read", o));
+        assert_eq!(heap.set_field(o, b, Value::Int(1)), confused("field write", o));
+        assert_eq!(heap.get_field(arr, b), confused("field read", arr));
+        assert_eq!(heap.set_field(arr, b, Value::Int(1)), confused("field write", arr));
+        assert_eq!(heap.array_len(o), confused("array length", o));
+        assert_eq!(heap.get_elem(o, 0), confused("index read", o));
+        assert_eq!(heap.set_elem(o, 0, Value::Int(1)), confused("index write", o));
+        assert_eq!(heap.undo_len(), 0);
+        let a = prog.field_by_name(derived, "a").unwrap();
+        assert_eq!(heap.get_field(o, a), Ok(Value::Int(0)), "untouched");
     }
 
     #[test]
     fn object_identity_distinct() {
-        let (prog, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let base = prog.class_by_name("Base").unwrap();
-        let o1 = heap.alloc_instance(&prog, base);
-        let o2 = heap.alloc_instance(&prog, base);
+        let o1 = heap.alloc_instance(base);
+        let o2 = heap.alloc_instance(base);
         assert_ne!(o1, o2);
         assert_eq!(heap.len(), 2);
         assert_eq!(heap.class_of(o1), Some(base));
@@ -416,7 +479,8 @@ mod tests {
 
     #[test]
     fn array_has_no_class() {
-        let (_, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let a = heap.alloc_array(Ty::Bool, 1);
         assert_eq!(heap.class_of(a), None);
         assert!(!heap.object(a).is_locked());
@@ -424,37 +488,39 @@ mod tests {
 
     #[test]
     fn mark_rewind_restores_mutations_and_allocations() {
-        let (prog, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let base = prog.class_by_name("Base").unwrap();
         let a = prog.field_by_name(base, "a").unwrap();
-        let o = heap.alloc_instance(&prog, base);
-        heap.set_field(o, a, Value::Int(1));
+        let o = heap.alloc_instance(base);
+        heap.set_field(o, a, Value::Int(1)).unwrap();
         let before = heap.render();
 
         let mark = heap.mark();
-        heap.set_field(o, a, Value::Int(99));
-        heap.set_field(o, a, Value::Int(100)); // second write, same epoch: one log entry
-        let fresh = heap.alloc_instance(&prog, base);
-        heap.set_field(fresh, a, Value::Int(7));
+        heap.set_field(o, a, Value::Int(99)).unwrap();
+        heap.set_field(o, a, Value::Int(100)).unwrap(); // second write, same epoch: one log entry
+        let fresh = heap.alloc_instance(base);
+        heap.set_field(fresh, a, Value::Int(7)).unwrap();
         assert_eq!(heap.undo_len(), 1, "fresh objects are never logged");
         assert_eq!(heap.len(), 2);
 
         heap.rewind(&mark);
         assert_eq!(heap.render(), before);
         assert_eq!(heap.len(), 1);
-        assert_eq!(heap.get_field(o, a), Value::Int(1));
+        assert_eq!(heap.get_field(o, a).unwrap(), Value::Int(1));
     }
 
     #[test]
     fn mark_is_reusable_across_probes() {
-        let (prog, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let base = prog.class_by_name("Base").unwrap();
         let a = prog.field_by_name(base, "a").unwrap();
-        let o = heap.alloc_instance(&prog, base);
+        let o = heap.alloc_instance(base);
         let before = heap.render();
         let mark = heap.mark();
         for probe in 0..5 {
-            heap.set_field(o, a, Value::Int(probe));
+            heap.set_field(o, a, Value::Int(probe)).unwrap();
             heap.alloc_array(Ty::Int, 4);
             heap.rewind(&mark);
             assert_eq!(heap.render(), before, "probe {probe}");
@@ -463,16 +529,17 @@ mod tests {
 
     #[test]
     fn nested_marks_rewind_to_outer() {
-        let (prog, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let base = prog.class_by_name("Base").unwrap();
         let a = prog.field_by_name(base, "a").unwrap();
-        let o = heap.alloc_instance(&prog, base);
+        let o = heap.alloc_instance(base);
         let outer_render = heap.render();
         let outer = heap.mark();
-        heap.set_field(o, a, Value::Int(1));
+        heap.set_field(o, a, Value::Int(1)).unwrap();
         let inner_render = heap.render();
         let inner = heap.mark();
-        heap.set_field(o, a, Value::Int(2));
+        heap.set_field(o, a, Value::Int(2)).unwrap();
         heap.rewind(&inner);
         assert_eq!(heap.render(), inner_render);
         heap.rewind(&outer);
@@ -481,9 +548,10 @@ mod tests {
 
     #[test]
     fn rewind_restores_lock_state() {
-        let (prog, mut heap) = heap_and_prog();
+        let prog = prog();
+        let mut heap = Heap::new(&prog);
         let base = prog.class_by_name("Base").unwrap();
-        let o = heap.alloc_instance(&prog, base);
+        let o = heap.alloc_instance(base);
         let mark = heap.mark();
         let obj = heap.object_mut(o);
         obj.lock_owner = Some(1);

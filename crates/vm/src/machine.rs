@@ -187,7 +187,7 @@ pub struct Machine<'p> {
     /// Its lowered MIR.
     pub mir: &'p MirProgram,
     /// The shared heap.
-    pub heap: Heap,
+    pub heap: Heap<'p>,
     threads: Vec<ThreadState>,
     /// Return values of finished single-invocation threads.
     thread_results: Vec<(ThreadId, Value)>,
@@ -520,7 +520,7 @@ impl<'p> Machine<'p> {
                 let target = rv
                     .as_obj()
                     .and_then(|o| self.heap.class_of(o))
-                    .and_then(|c| self.program.dispatch(c, &self.program.method(*method).name))
+                    .and_then(|c| self.program.dispatch_target(c, *method))
                     .unwrap_or(*method);
                 Some(CallSite {
                     method: target,
@@ -831,7 +831,7 @@ impl<'p> Machine<'p> {
             .and_then(Value::as_obj)
             .and_then(|o| self.heap.class_of(o))
         {
-            Some(c) if !m.is_static => self.program.dispatch(c, &m.name).unwrap_or(method),
+            Some(c) if !m.is_static => self.program.dispatch_target(c, method).unwrap_or(method),
             _ => method,
         };
         let tm = self.program.method(target);
@@ -1069,7 +1069,10 @@ impl<'p> Machine<'p> {
             }
             InstrKind::ReadField { dst, obj, field } => {
                 let o = obj_of!(obj);
-                let value = self.heap.get_field(o, field);
+                let value = match self.heap.get_field(o, field) {
+                    Ok(v) => v,
+                    Err(kind) => fail!(kind),
+                };
                 set_reg!(dst, value);
                 self.emit(
                     tid,
@@ -1089,7 +1092,9 @@ impl<'p> Machine<'p> {
             InstrKind::WriteField { obj, field, src } => {
                 let o = obj_of!(obj);
                 let value = reg!(src);
-                self.heap.set_field(o, field, value);
+                if let Err(kind) = self.heap.set_field(o, field, value) {
+                    fail!(kind);
+                }
                 self.emit(
                     tid,
                     span,
@@ -1108,11 +1113,9 @@ impl<'p> Machine<'p> {
             InstrKind::ReadIndex { dst, arr, idx } => {
                 let o = obj_of!(arr);
                 let i = reg!(idx).as_int().unwrap_or(0);
-                let Some(value) = self.heap.get_elem(o, i) else {
-                    fail!(VmErrorKind::IndexOutOfBounds {
-                        idx: i,
-                        len: self.heap.array_len(o),
-                    });
+                let value = match self.heap.get_elem(o, i) {
+                    Ok(v) => v,
+                    Err(kind) => fail!(kind),
                 };
                 set_reg!(dst, value);
                 self.emit(
@@ -1134,11 +1137,8 @@ impl<'p> Machine<'p> {
                 let o = obj_of!(arr);
                 let i = reg!(idx).as_int().unwrap_or(0);
                 let value = reg!(src);
-                if !self.heap.set_elem(o, i, value) {
-                    fail!(VmErrorKind::IndexOutOfBounds {
-                        idx: i,
-                        len: self.heap.array_len(o),
-                    });
+                if let Err(kind) = self.heap.set_elem(o, i, value) {
+                    fail!(kind);
                 }
                 self.emit(
                     tid,
@@ -1157,7 +1157,10 @@ impl<'p> Machine<'p> {
             }
             InstrKind::ArrayLen { dst, arr } => {
                 let o = obj_of!(arr);
-                let value = Value::Int(self.heap.array_len(o) as i64);
+                let value = match self.heap.array_len(o) {
+                    Ok(n) => Value::Int(n as i64),
+                    Err(kind) => fail!(kind),
+                };
                 set_reg!(dst, value);
                 self.emit(
                     tid,
@@ -1173,7 +1176,7 @@ impl<'p> Machine<'p> {
                 advance!();
             }
             InstrKind::AllocObj { dst, class } => {
-                let obj = self.heap.alloc_instance(self.program, class);
+                let obj = self.heap.alloc_instance(class);
                 set_reg!(dst, Value::Ref(obj));
                 self.emit(
                     tid,
@@ -1233,8 +1236,8 @@ impl<'p> Machine<'p> {
                 let Some(class) = self.heap.class_of(o) else {
                     fail!(VmErrorKind::Internal("method call on array".into()));
                 };
-                let name = &self.program.method(method).name;
-                let Some(target) = self.program.dispatch(class, name) else {
+                let Some(target) = self.program.dispatch_target(class, method) else {
+                    let name = &self.program.method(method).name;
                     fail!(VmErrorKind::Internal(format!(
                         "no method {name} on {class}"
                     )));

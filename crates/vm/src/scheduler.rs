@@ -644,7 +644,7 @@ mod tests {
         let mut sink = crate::NullSink;
         let c = m
             .heap
-            .alloc_instance(&prog, prog.class_by_name("C").unwrap());
+            .alloc_instance(prog.class_by_name("C").unwrap());
         let bump = prog.methods.iter().find(|mm| mm.name == "bump").unwrap().id;
         m.spawn_invoke(bump, Some(crate::Value::Ref(c)), vec![], &mut sink)
             .unwrap();

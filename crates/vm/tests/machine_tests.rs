@@ -30,7 +30,7 @@ fn run_and_get_field(src: &str, test: &str, class: &str, field: &str) -> Value {
         .map(narada_vm::ObjId)
         .find(|&o| m.heap.class_of(o) == Some(cid))
         .expect("instance allocated");
-    m.heap.get_field(obj, fid)
+    m.heap.get_field(obj, fid).unwrap()
 }
 
 #[test]
@@ -470,7 +470,7 @@ fn run_test_until_call_captures_receiver_and_args() {
     // The objects survive in the heap and the method was NOT executed.
     let q = prog.class_by_name("Q").unwrap();
     let n = prog.field_by_name(q, "n").unwrap();
-    assert_eq!(m.heap.get_field(recv, n), Value::Int(0));
+    assert_eq!(m.heap.get_field(recv, n).unwrap(), Value::Int(0));
 }
 
 /// Collection suspends before the *chosen* occurrence of a call: the
@@ -518,7 +518,7 @@ fn run_test_until_call_captures_the_second_set() {
     assert_eq!(writes, vec![Value::Int(41)], "only the first set() ran");
     let cid = prog.class_by_name("Box").unwrap();
     let v = prog.field_by_name(cid, "v").unwrap();
-    assert_eq!(m.heap.get_field(ObjId(0), v), Value::Int(41));
+    assert_eq!(m.heap.get_field(ObjId(0), v).unwrap(), Value::Int(41));
 }
 
 #[test]
@@ -589,7 +589,7 @@ fn unsynchronized_increments_can_lose_updates() {
     for seed in 0..20 {
         let (prog2, mir2) = (&prog, &mir);
         let mut m = Machine::with_defaults(prog2, mir2);
-        let obj = m.heap.alloc_instance(prog2, counter);
+        let obj = m.heap.alloc_instance(counter);
         let t1 = m
             .spawn_invoke(inc, Some(Value::Ref(obj)), vec![], &mut NullSink)
             .unwrap();
@@ -601,7 +601,7 @@ fn unsynchronized_increments_can_lose_updates() {
         assert_eq!(out, RunOutcome::Completed);
         assert_eq!(*m.thread_status(t1), ThreadStatus::Finished);
         assert_eq!(*m.thread_status(t2), ThreadStatus::Finished);
-        if m.heap.get_field(obj, count) == Value::Int(1) {
+        if m.heap.get_field(obj, count).unwrap() == Value::Int(1) {
             lost = true;
             break;
         }
@@ -630,7 +630,7 @@ fn synchronized_increments_never_lose_updates() {
     let count = prog.field_by_name(counter, "count").unwrap();
     for seed in 0..10 {
         let mut m = Machine::with_defaults(&prog, &mir);
-        let obj = m.heap.alloc_instance(&prog, counter);
+        let obj = m.heap.alloc_instance(counter);
         m.spawn_invoke(inc, Some(Value::Ref(obj)), vec![], &mut NullSink)
             .unwrap();
         m.spawn_invoke(inc, Some(Value::Ref(obj)), vec![], &mut NullSink)
@@ -638,7 +638,7 @@ fn synchronized_increments_never_lose_updates() {
         let mut sched = RandomScheduler::new(seed);
         let out = m.run_threads(&mut sched, &mut NullSink, 1_000_000);
         assert_eq!(out, RunOutcome::Completed);
-        assert_eq!(m.heap.get_field(obj, count), Value::Int(2), "seed {seed}");
+        assert_eq!(m.heap.get_field(obj, count).unwrap(), Value::Int(2), "seed {seed}");
     }
 }
 
@@ -670,15 +670,15 @@ fn deadlock_detected() {
     let mut found_deadlock = false;
     for _seed in 0..40 {
         let mut m = Machine::with_defaults(&prog, &mir);
-        let la = m.heap.alloc_instance(&prog, l);
-        let lb = m.heap.alloc_instance(&prog, l);
-        let t1o = m.heap.alloc_instance(&prog, t);
-        let t2o = m.heap.alloc_instance(&prog, t);
+        let la = m.heap.alloc_instance(l);
+        let lb = m.heap.alloc_instance(l);
+        let t1o = m.heap.alloc_instance(t);
+        let t2o = m.heap.alloc_instance(t);
         // t1 locks a then b; t2 locks b then a.
-        m.heap.set_field(t1o, fa, Value::Ref(la));
-        m.heap.set_field(t1o, fb, Value::Ref(lb));
-        m.heap.set_field(t2o, fa, Value::Ref(lb));
-        m.heap.set_field(t2o, fb, Value::Ref(la));
+        m.heap.set_field(t1o, fa, Value::Ref(la)).unwrap();
+        m.heap.set_field(t1o, fb, Value::Ref(lb)).unwrap();
+        m.heap.set_field(t2o, fa, Value::Ref(lb)).unwrap();
+        m.heap.set_field(t2o, fb, Value::Ref(la)).unwrap();
         m.spawn_invoke(go, Some(Value::Ref(t1o)), vec![], &mut NullSink)
             .unwrap();
         m.spawn_invoke(go, Some(Value::Ref(t2o)), vec![], &mut NullSink)
@@ -714,7 +714,7 @@ fn blocked_thread_resumes_after_release() {
     let c = prog.class_by_name("C").unwrap();
     let hits = prog.field_by_name(c, "hits").unwrap();
     let mut m = Machine::with_defaults(&prog, &mir);
-    let obj = m.heap.alloc_instance(&prog, c);
+    let obj = m.heap.alloc_instance(c);
     m.spawn_invoke(work, Some(Value::Ref(obj)), vec![], &mut NullSink)
         .unwrap();
     m.spawn_invoke(work, Some(Value::Ref(obj)), vec![], &mut NullSink)
@@ -722,7 +722,7 @@ fn blocked_thread_resumes_after_release() {
     let mut sched = RoundRobin::new();
     let out = m.run_threads(&mut sched, &mut NullSink, 1_000_000);
     assert_eq!(out, RunOutcome::Completed);
-    assert_eq!(m.heap.get_field(obj, hits), Value::Int(2));
+    assert_eq!(m.heap.get_field(obj, hits).unwrap(), Value::Int(2));
 }
 
 #[test]
@@ -737,7 +737,7 @@ fn invoke_runs_setters_on_main_thread() {
     let get = prog.methods.iter().find(|m| m.name == "get").unwrap().id;
     let a = prog.class_by_name("A").unwrap();
     let mut m = Machine::with_defaults(&prog, &mir);
-    let obj = m.heap.alloc_instance(&prog, a);
+    let obj = m.heap.alloc_instance(a);
     m.invoke(
         set,
         Some(Value::Ref(obj)),
@@ -832,7 +832,7 @@ fn thread_failure_releases_locks_and_reports() {
     let ok = prog.methods.iter().find(|m| m.name == "ok").unwrap().id;
     let c = prog.class_by_name("C").unwrap();
     let mut m = Machine::with_defaults(&prog, &mir);
-    let obj = m.heap.alloc_instance(&prog, c);
+    let obj = m.heap.alloc_instance(c);
     let mut sink = VecSink::new();
     let t1 = m
         .spawn_invoke(boom, Some(Value::Ref(obj)), vec![], &mut sink)
@@ -865,7 +865,7 @@ fn spawn_invoke_seq_runs_calls_in_order() {
     let l = prog.class_by_name("L").unwrap();
     let log = prog.field_by_name(l, "log").unwrap();
     let mut m = Machine::with_defaults(&prog, &mir);
-    let obj = m.heap.alloc_instance(&prog, l);
+    let obj = m.heap.alloc_instance(l);
     let ctor = prog.ctor_for(l).unwrap();
     m.invoke(ctor, Some(Value::Ref(obj)), vec![], &mut NullSink)
         .unwrap();
@@ -882,9 +882,9 @@ fn spawn_invoke_seq_runs_calls_in_order() {
         m.run_threads(&mut sched, &mut NullSink, 100_000),
         RunOutcome::Completed
     );
-    let arr = m.heap.get_field(obj, log).as_obj().unwrap();
+    let arr = m.heap.get_field(obj, log).unwrap().as_obj().unwrap();
     for i in 0..3 {
-        assert_eq!(m.heap.get_elem(arr, i), Some(Value::Int(i + 1)));
+        assert_eq!(m.heap.get_elem(arr, i), Ok(Value::Int(i + 1)));
     }
 }
 
@@ -901,7 +901,7 @@ fn queued_calls_do_not_run_after_a_crash() {
     let l = prog.class_by_name("L").unwrap();
     let n = prog.field_by_name(l, "n").unwrap();
     let mut m = Machine::with_defaults(&prog, &mir);
-    let obj = m.heap.alloc_instance(&prog, l);
+    let obj = m.heap.alloc_instance(l);
     let tid = m
         .spawn_invoke_seq(
             vec![
@@ -922,7 +922,7 @@ fn queued_calls_do_not_run_after_a_crash() {
     let mut sched = RoundRobin::new();
     m.run_threads(&mut sched, &mut NullSink, 100_000);
     assert!(matches!(m.thread_status(tid), ThreadStatus::Failed(_)));
-    assert_eq!(m.heap.get_field(obj, n), Value::Int(0), "mark never ran");
+    assert_eq!(m.heap.get_field(obj, n).unwrap(), Value::Int(0), "mark never ran");
 }
 
 #[test]
@@ -937,7 +937,7 @@ fn parked_threads_are_not_scheduled_until_unparked() {
     let w = prog.class_by_name("W").unwrap();
     let n = prog.field_by_name(w, "n").unwrap();
     let mut m = Machine::with_defaults(&prog, &mir);
-    let obj = m.heap.alloc_instance(&prog, w);
+    let obj = m.heap.alloc_instance(w);
     let t1 = m
         .spawn_invoke(bump, Some(Value::Ref(obj)), vec![], &mut NullSink)
         .unwrap();
@@ -951,13 +951,13 @@ fn parked_threads_are_not_scheduled_until_unparked() {
         m.run_threads(&mut sched, &mut NullSink, 10_000),
         RunOutcome::Completed
     );
-    assert_eq!(m.heap.get_field(obj, n), Value::Int(0));
+    assert_eq!(m.heap.get_field(obj, n).unwrap(), Value::Int(0));
     m.unpark(t1);
     assert_eq!(
         m.run_threads(&mut sched, &mut NullSink, 10_000),
         RunOutcome::Completed
     );
-    assert_eq!(m.heap.get_field(obj, n), Value::Int(1));
+    assert_eq!(m.heap.get_field(obj, n).unwrap(), Value::Int(1));
 }
 
 #[test]
@@ -994,10 +994,10 @@ fn invoke_partial_stops_after_target_write() {
         .unwrap();
 
     let mut m = Machine::with_defaults(&prog, &mir);
-    let hobj = m.heap.alloc_instance(&prog, h);
+    let hobj = m.heap.alloc_instance(h);
     let xobj = m
         .heap
-        .alloc_instance(&prog, prog.class_by_name("X").unwrap());
+        .alloc_instance(prog.class_by_name("X").unwrap());
     let tid = m
         .invoke_partial(
             set,
@@ -1009,8 +1009,8 @@ fn invoke_partial_stops_after_target_write() {
         .unwrap();
     assert_eq!(*m.thread_status(tid), ThreadStatus::Parked);
     // The first write happened; the clobbering write and `done` did not.
-    assert_eq!(m.heap.get_field(hobj, xf), Value::Ref(xobj));
-    assert_eq!(m.heap.get_field(hobj, done), Value::Bool(false));
+    assert_eq!(m.heap.get_field(hobj, xf).unwrap(), Value::Ref(xobj));
+    assert_eq!(m.heap.get_field(hobj, done).unwrap(), Value::Bool(false));
 }
 
 /// Stopping at a write inside a `sync` method parks the thread only once
@@ -1051,7 +1051,7 @@ fn invoke_partial_parks_outside_the_monitor() {
         .unwrap();
     assert_eq!(*m.thread_status(tid), ThreadStatus::Parked);
     assert!(m.held_locks(tid).is_empty(), "parked inside a monitor");
-    assert_eq!(m.heap.get_field(ObjId(0), a), Value::Int(9));
+    assert_eq!(m.heap.get_field(ObjId(0), a).unwrap(), Value::Int(9));
 }
 
 #[test]
@@ -1065,13 +1065,13 @@ fn recorded_schedule_replays_the_same_outcome() {
 
     let run = |sched: &mut dyn narada_vm::Scheduler| -> Value {
         let mut m = Machine::with_defaults(&prog, &mir);
-        let obj = m.heap.alloc_instance(&prog, counter);
+        let obj = m.heap.alloc_instance(counter);
         m.spawn_invoke(inc, Some(Value::Ref(obj)), vec![], &mut NullSink)
             .unwrap();
         m.spawn_invoke(inc, Some(Value::Ref(obj)), vec![], &mut NullSink)
             .unwrap();
         m.run_threads(sched, &mut NullSink, 1_000_000);
-        m.heap.get_field(obj, count)
+        m.heap.get_field(obj, count).unwrap()
     };
 
     for seed in 0..10 {
@@ -1155,7 +1155,7 @@ fn decided_scheduler_ends_the_run_when_one_thread_is_left() {
     let c = prog.class_by_name("C").unwrap();
     let hits = prog.field_by_name(c, "hits").unwrap();
     let mut m = Machine::with_defaults(&prog, &mir);
-    let obj = m.heap.alloc_instance(&prog, c);
+    let obj = m.heap.alloc_instance(c);
     let t1 = m
         .spawn_invoke(work, Some(Value::Ref(obj)), vec![], &mut NullSink)
         .unwrap();
@@ -1168,7 +1168,7 @@ fn decided_scheduler_ends_the_run_when_one_thread_is_left() {
     };
     let out = m.run_threads(&mut sched, &mut NullSink, 1_000_000);
     assert_eq!(out, RunOutcome::Decided);
-    assert_eq!(m.heap.get_field(obj, hits), Value::Int(1));
+    assert_eq!(m.heap.get_field(obj, hits).unwrap(), Value::Int(1));
     assert_eq!(*m.thread_status(t1), ThreadStatus::Finished);
     assert_eq!(*m.thread_status(t2), ThreadStatus::Runnable);
     // Asked before every decision, and the one `true` ended the run.
@@ -1188,7 +1188,7 @@ fn replay_stops_at_the_end_of_its_log() {
     let counter = prog.class_by_name("Counter").unwrap();
     let run = |sched: &mut dyn narada_vm::Scheduler| {
         let mut m = Machine::with_defaults(&prog, &mir);
-        let obj = m.heap.alloc_instance(&prog, counter);
+        let obj = m.heap.alloc_instance(counter);
         let mut sink = VecSink::new();
         m.spawn_invoke(inc, Some(Value::Ref(obj)), vec![], &mut sink)
             .unwrap();

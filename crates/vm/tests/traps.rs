@@ -255,3 +255,111 @@ fn trap_unwinds_monitors() {
         .unwrap();
     assert!(unlock < fail, "unlock must precede the failure event");
 }
+
+/// The shapes an ill-typed harness invocation can confuse: every heap
+/// operation on the wrong kind of object traps with `TypeConfusion`
+/// through `Machine::step` instead of panicking or reading a wrong slot.
+const SHAPES: &str = r#"
+    class Box {
+        int v;
+        int readv(Box b) { return b.v; }
+        void writev(Box b) { b.v = 7; }
+        int len(int[] a) { return a.length; }
+        int at(int[] a) { return a[0]; }
+        void put(int[] a) { a[0] = 7; }
+    }
+    class Other { int w; }
+    test t { var b = new Box(); var o = new Other(); var xs = new int[1]; b.readv(b); }
+"#;
+
+/// Invokes `Box.<method>` on the test's `Box` with the object `arg`
+/// (0 = the `Box`, 1 = the `Other`, 2 = the `int[1]`) and returns the
+/// trap it fails with, after checking that it surfaced as a
+/// `ThreadFail` and left the heap untouched.
+fn confuse(method: &str, arg: u32) -> VmErrorKind {
+    let (prog, mir) = build(SHAPES);
+    let boxc = prog.class_by_name("Box").unwrap();
+    let m_id = prog.dispatch(boxc, method).unwrap();
+    let mut m = Machine::with_defaults(&prog, &mir);
+    let mut sink = VecSink::new();
+    m.run_test(prog.tests[0].id, &mut sink).unwrap();
+    let before = m.heap.render();
+    let recv = Some(Value::Ref(narada_vm::ObjId(0)));
+    let arg = vec![Value::Ref(narada_vm::ObjId(arg))];
+    let err = m
+        .invoke(m_id, recv, arg, &mut sink)
+        .expect_err("an ill-typed argument must trap");
+    assert!(
+        sink.events
+            .iter()
+            .any(|e| matches!(e.kind, narada_vm::EventKind::ThreadFail { .. })),
+        "no ThreadFail event emitted"
+    );
+    assert_eq!(m.heap.render(), before, "a trapped access changes nothing");
+    err.kind
+}
+
+fn confusion(op: &'static str, obj: u32) -> VmErrorKind {
+    VmErrorKind::TypeConfusion {
+        op,
+        obj: narada_vm::ObjId(obj),
+    }
+}
+
+#[test]
+fn trap_field_read_on_array() {
+    assert_eq!(confuse("readv", 2), confusion("field read", 2));
+}
+
+#[test]
+fn trap_field_write_on_array() {
+    assert_eq!(confuse("writev", 2), confusion("field write", 2));
+}
+
+/// `Other.w` sits in slot 0, where `Box.v` sits too: without the
+/// field-membership check the read would return `w` silently.
+#[test]
+fn trap_field_read_on_class_without_the_field() {
+    assert_eq!(confuse("readv", 1), confusion("field read", 1));
+}
+
+#[test]
+fn trap_field_write_on_class_without_the_field() {
+    assert_eq!(confuse("writev", 1), confusion("field write", 1));
+}
+
+#[test]
+fn trap_array_length_on_instance() {
+    assert_eq!(confuse("len", 0), confusion("array length", 0));
+}
+
+#[test]
+fn trap_index_read_on_instance() {
+    assert_eq!(confuse("at", 0), confusion("index read", 0));
+}
+
+#[test]
+fn trap_index_write_on_instance() {
+    assert_eq!(confuse("put", 1), confusion("index write", 1));
+}
+
+/// The well-typed calls of the same methods run clean, so the traps
+/// above come from the arguments alone.
+#[test]
+fn shapes_run_clean_when_well_typed() {
+    let (prog, mir) = build(SHAPES);
+    let boxc = prog.class_by_name("Box").unwrap();
+    let mut m = Machine::with_defaults(&prog, &mir);
+    let mut sink = VecSink::new();
+    m.run_test(prog.tests[0].id, &mut sink).unwrap();
+    let recv = Some(Value::Ref(narada_vm::ObjId(0)));
+    for (method, arg) in [("writev", 0), ("readv", 0), ("put", 2), ("at", 2), ("len", 2)] {
+        let m_id = prog.dispatch(boxc, method).unwrap();
+        let arg = vec![Value::Ref(narada_vm::ObjId(arg))];
+        m.invoke(m_id, recv, arg, &mut sink)
+            .unwrap_or_else(|e| panic!("{method}: {e}"));
+    }
+    let v = prog.field_by_name(boxc, "v").unwrap();
+    assert_eq!(m.heap.get_field(narada_vm::ObjId(0), v), Ok(Value::Int(7)));
+    assert_eq!(m.heap.get_elem(narada_vm::ObjId(2), 0), Ok(Value::Int(7)));
+}

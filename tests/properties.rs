@@ -99,7 +99,7 @@ fn vm_arithmetic_matches_oracle() {
         let v = prog.field_by_name(out, "v").unwrap();
         let obj = ObjId(0);
         assert_eq!(
-            m.heap.get_field(obj, v),
+            m.heap.get_field(obj, v).unwrap(),
             Value::Int(e.eval()),
             "case {case}: vm disagrees with oracle on {}",
             e.to_mj()
