@@ -79,12 +79,12 @@ pub struct ExecReport {
 /// Returns [`ExecError`] when object collection or context setup fails; the
 /// concurrent phase itself never errors (thread crashes are reported in
 /// [`ExecReport::failures`]).
-pub fn execute_plan(
+pub fn execute_plan<S: Scheduler + ?Sized, K: EventSink + ?Sized>(
     machine: &mut Machine<'_>,
     seeds: &[TestId],
     plan: &TestPlan,
-    scheduler: &mut dyn Scheduler,
-    sink: &mut dyn EventSink,
+    scheduler: &mut S,
+    sink: &mut K,
     budget: u64,
 ) -> Result<ExecReport, ExecError> {
     let prefix = execute_plan_prefix(machine, seeds, plan, sink)?;
@@ -113,11 +113,11 @@ pub struct PlanPrefix {
 /// # Errors
 ///
 /// Same as [`execute_plan`] (all of whose error cases arise here).
-pub fn execute_plan_prefix(
+pub fn execute_plan_prefix<K: EventSink + ?Sized>(
     machine: &mut Machine<'_>,
     seeds: &[TestId],
     plan: &TestPlan,
-    sink: &mut dyn EventSink,
+    sink: &mut K,
 ) -> Result<PlanPrefix, ExecError> {
     let captures = plan
         .captures
@@ -137,11 +137,11 @@ pub fn execute_plan_prefix(
 ///
 /// [`ExecError::SeedFailed`] if a seed run aborts first, and
 /// [`ExecError::CaptureMissed`] if no seed reaches the call.
-pub fn run_capture(
+pub fn run_capture<K: EventSink + ?Sized>(
     machine: &mut Machine<'_>,
     seeds: &[TestId],
     cap: &CaptureSpec,
-    sink: &mut dyn EventSink,
+    sink: &mut K,
 ) -> Result<CallSite, ExecError> {
     for &seed in seeds {
         let got = machine
@@ -163,11 +163,11 @@ pub fn run_capture(
 /// # Errors
 ///
 /// [`ExecError::SetupFailed`] or [`ExecError::BuilderNoObject`].
-pub fn run_setup(
+pub fn run_setup<K: EventSink + ?Sized>(
     machine: &mut Machine<'_>,
     plan: &TestPlan,
     captures: &[CallSite],
-    sink: &mut dyn EventSink,
+    sink: &mut K,
 ) -> Result<Vec<Value>, ExecError> {
     let mut built: Vec<Value> = Vec::with_capacity(plan.builders.len());
     for call in &plan.builders {
@@ -222,12 +222,12 @@ pub fn run_setup(
 ///
 /// Returns [`ExecError::SetupFailed`] if spawning an invocation fails;
 /// the concurrent phase itself never errors.
-pub fn execute_plan_suffix(
+pub fn execute_plan_suffix<S: Scheduler + ?Sized, K: EventSink + ?Sized>(
     machine: &mut Machine<'_>,
     plan: &TestPlan,
     prefix: &PlanPrefix,
-    scheduler: &mut dyn Scheduler,
-    sink: &mut dyn EventSink,
+    scheduler: &mut S,
+    sink: &mut K,
     budget: u64,
 ) -> Result<ExecReport, ExecError> {
     let PlanPrefix { captures, built } = prefix;

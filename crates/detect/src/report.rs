@@ -270,12 +270,12 @@ impl<'a, 'p> TestRun<'a, 'p> {
     /// start reproduces exactly the state a fresh start reaches at the
     /// fork point (the prefix drew no RNG), and schedulers are consulted
     /// only in the suffix, so both record the same suffix-only schedules.
-    fn run(
+    fn run<S: Scheduler + ?Sized, K: EventSink + ?Sized>(
         &self,
         machine: &mut Machine<'p>,
         prefix: Option<&PlanPrefix>,
-        sched: &mut dyn Scheduler,
-        sink: &mut dyn EventSink,
+        sched: &mut S,
+        sink: &mut K,
     ) -> Result<ExecReport, ExecError> {
         let budget = self.cfg.budget;
         match prefix {

@@ -521,16 +521,19 @@ impl Program {
     /// # Panics
     ///
     /// Panics if `id` is out of range (ids always come from this program).
+    #[inline]
     pub fn class(&self, id: ClassId) -> &Class {
         &self.classes[id.index()]
     }
 
     /// The method with the given id.
+    #[inline]
     pub fn method(&self, id: MethodId) -> &Method {
         &self.methods[id.index()]
     }
 
     /// The field with the given id.
+    #[inline]
     pub fn field(&self, id: FieldId) -> &Field {
         &self.fields[id.index()]
     }
@@ -614,6 +617,7 @@ impl Program {
     }
 
     /// All fields of `class`, including inherited ones.
+    #[inline]
     pub fn fields_of(&self, class: ClassId) -> &[FieldId] {
         &self.class(class).all_fields
     }

@@ -470,6 +470,7 @@ pub struct MirProgram {
 
 impl MirProgram {
     /// Looks up a body.
+    #[inline]
     pub fn body(&self, id: BodyId) -> &Body {
         match id {
             BodyId::Method(m) => &self.methods[m.index()],
@@ -479,6 +480,7 @@ impl MirProgram {
     }
 
     /// Body for a method.
+    #[inline]
     pub fn method(&self, m: MethodId) -> &Body {
         &self.methods[m.index()]
     }

@@ -258,6 +258,7 @@ impl<'p> Heap<'p> {
     }
 
     /// The runtime class of `id`, if it is an instance.
+    #[inline]
     pub fn class_of(&self, id: ObjId) -> Option<ClassId> {
         self.object(id).class()
     }
@@ -302,6 +303,7 @@ impl<'p> Heap<'p> {
     /// # Errors
     ///
     /// As [`Heap::get_field`]; the heap is left unchanged.
+    #[inline]
     pub fn set_field(&mut self, obj: ObjId, field: FieldId, value: Value) -> Result<(), VmErrorKind> {
         let Some(slot) = self.field_slot_of(obj, field) else {
             return Err(confusion("field write", obj));
@@ -318,6 +320,7 @@ impl<'p> Heap<'p> {
     /// # Errors
     ///
     /// [`VmErrorKind::TypeConfusion`] when `obj` is an instance.
+    #[inline]
     pub fn array_len(&self, obj: ObjId) -> Result<usize, VmErrorKind> {
         match &self.object(obj).data {
             ObjectData::Array { data, .. } => Ok(data.len()),
@@ -331,6 +334,7 @@ impl<'p> Heap<'p> {
     ///
     /// [`VmErrorKind::IndexOutOfBounds`] when `idx` is out of bounds, and
     /// [`VmErrorKind::TypeConfusion`] when `obj` is an instance.
+    #[inline]
     pub fn get_elem(&self, obj: ObjId, idx: i64) -> Result<Value, VmErrorKind> {
         match &self.object(obj).data {
             ObjectData::Array { data, .. } => usize::try_from(idx)
@@ -349,6 +353,7 @@ impl<'p> Heap<'p> {
     /// # Errors
     ///
     /// As [`Heap::get_elem`]; the heap is left unchanged.
+    #[inline]
     pub fn set_elem(&mut self, obj: ObjId, idx: i64, value: Value) -> Result<(), VmErrorKind> {
         let len = match &self.object(obj).data {
             ObjectData::Array { data, .. } => data.len(),

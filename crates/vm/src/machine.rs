@@ -334,6 +334,7 @@ impl<'p> Machine<'p> {
 
     /// Replaces the contents of `runnable` with the threads currently
     /// able to run, in thread order, reusing its allocation.
+    #[inline]
     fn fill_runnable(&self, runnable: &mut Vec<ThreadId>) {
         runnable.clear();
         runnable.extend(
@@ -346,6 +347,7 @@ impl<'p> Machine<'p> {
     }
 
     /// Whether any thread waits for a monitor.
+    #[inline]
     fn any_blocked(&self) -> bool {
         self.threads
             .iter()
@@ -373,6 +375,7 @@ impl<'p> Machine<'p> {
     /// it: the cheap first test of a directed scheduler, which calls
     /// [`Machine::preview`] only when the span is one it targets.
     /// Returns `None` for a thread with no frame.
+    #[inline]
     pub fn next_span(&self, tid: ThreadId) -> Option<Span> {
         let frame = self.threads[tid.index()].frames.last()?;
         Some(self.mir.body(frame.body).instrs.get(frame.pc)?.span)
@@ -427,7 +430,7 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the test's thread aborts.
-    pub fn run_test(&mut self, test: TestId, sink: &mut dyn EventSink) -> Result<(), VmError> {
+    pub fn run_test<K: EventSink + ?Sized>(&mut self, test: TestId, sink: &mut K) -> Result<(), VmError> {
         self.start_test(test, sink);
         self.run_thread_to_completion(ThreadId::MAIN, sink)
     }
@@ -441,10 +444,10 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the test's thread aborts before a match.
-    pub fn run_test_until_call(
+    pub fn run_test_until_call<K: EventSink + ?Sized>(
         &mut self,
         test: TestId,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
         want: &mut dyn FnMut(&CallSite) -> bool,
     ) -> Result<Option<CallSite>, VmError> {
         self.start_test(test, sink);
@@ -465,9 +468,9 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the test's thread aborts before a match.
-    pub fn run_until_call(
+    pub fn run_until_call<K: EventSink + ?Sized>(
         &mut self,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
         want: &mut dyn FnMut(&CallSite) -> bool,
     ) -> Result<Option<CallSite>, VmError> {
         loop {
@@ -498,7 +501,7 @@ impl<'p> Machine<'p> {
     /// alive in the heap, but the frames (and any monitors they hold) are
     /// discarded so the main thread can be reused for further seed runs
     /// and setter invocations.
-    pub fn abandon_main(&mut self, sink: &mut dyn EventSink) {
+    pub fn abandon_main<K: EventSink + ?Sized>(&mut self, sink: &mut K) {
         self.abandon_thread(ThreadId::MAIN, sink);
     }
 
@@ -551,22 +554,22 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the invocation aborts.
-    pub fn invoke(
+    pub fn invoke<K: EventSink + ?Sized>(
         &mut self,
         method: MethodId,
         recv: Option<Value>,
         args: Vec<Value>,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
     ) -> Result<Option<Value>, VmError> {
         self.begin_invocation(ThreadId::MAIN, method, recv, args, sink)?;
         self.run_thread_to_completion(ThreadId::MAIN, sink)?;
         Ok(self.take_thread_result(ThreadId::MAIN))
     }
 
-    fn run_thread_to_completion(
+    fn run_thread_to_completion<K: EventSink + ?Sized>(
         &mut self,
         tid: ThreadId,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
     ) -> Result<(), VmError> {
         loop {
             match self.thread_status(tid) {
@@ -595,12 +598,12 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Fails if `recv` does not match the method's staticness.
-    pub fn spawn_invoke(
+    pub fn spawn_invoke<K: EventSink + ?Sized>(
         &mut self,
         method: MethodId,
         recv: Option<Value>,
         args: Vec<Value>,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
     ) -> Result<ThreadId, VmError> {
         let tid = ThreadId(self.threads.len() as u32);
         self.threads.push(ThreadState::new());
@@ -642,13 +645,13 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Fails on receiver mismatch or when the partial run aborts.
-    pub fn invoke_partial(
+    pub fn invoke_partial<K: EventSink + ?Sized>(
         &mut self,
         method: MethodId,
         recv: Option<Value>,
         args: Vec<Value>,
         stop_span: Span,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
     ) -> Result<ThreadId, VmError> {
         let tid = self.spawn_invoke(method, recv, args, sink)?;
         let mut hit = false;
@@ -686,10 +689,10 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Fails if the first invocation's receiver/staticness mismatch.
-    pub fn spawn_invoke_seq(
+    pub fn spawn_invoke_seq<K: EventSink + ?Sized>(
         &mut self,
         mut calls: Vec<PendingInvoke>,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
     ) -> Result<ThreadId, VmError> {
         if calls.is_empty() {
             return Err(VmError::new(
@@ -713,10 +716,10 @@ impl<'p> Machine<'p> {
     /// that holds: once [`SATURATION_WINDOW`] such decisions run in a
     /// row, `sink.saturated` is asked before each of them. Any decision
     /// with another live thread resets the count.
-    pub fn run_threads(
+    pub fn run_threads<S: crate::Scheduler + ?Sized, K: EventSink + ?Sized>(
         &mut self,
-        scheduler: &mut dyn crate::Scheduler,
-        sink: &mut dyn EventSink,
+        scheduler: &mut S,
+        sink: &mut K,
         budget: u64,
     ) -> RunOutcome {
         let mut steps = 0u64;
@@ -764,13 +767,14 @@ impl<'p> Machine<'p> {
     // Frame plumbing
     // ------------------------------------------------------------------
 
+    #[inline]
     fn fresh_inv(&mut self) -> InvId {
         let id = InvId(self.next_inv);
         self.next_inv += 1;
         id
     }
 
-    fn emit(&mut self, tid: ThreadId, span: Span, kind: EventKind, sink: &mut dyn EventSink) {
+    fn emit<K: EventSink + ?Sized>(&mut self, tid: ThreadId, span: Span, kind: EventKind, sink: &mut K) {
         let label = Label(self.next_label);
         self.next_label += 1;
         sink.event(&Event {
@@ -783,7 +787,7 @@ impl<'p> Machine<'p> {
 
     /// Begins a sequential test on the main thread, in place of the
     /// thread's old frames; [`Machine::run_until_call`] runs it.
-    pub fn start_test(&mut self, test: TestId, sink: &mut dyn EventSink) {
+    pub fn start_test<K: EventSink + ?Sized>(&mut self, test: TestId, sink: &mut K) {
         let body = self.mir.test(test);
         let inv = self.fresh_inv();
         let t = &mut self.threads[ThreadId::MAIN.index()];
@@ -817,13 +821,13 @@ impl<'p> Machine<'p> {
     }
 
     /// Pushes a client invocation frame onto `tid` (which must be idle).
-    fn begin_invocation(
+    fn begin_invocation<K: EventSink + ?Sized>(
         &mut self,
         tid: ThreadId,
         method: MethodId,
         recv: Option<Value>,
         args: Vec<Value>,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
     ) -> Result<(), VmError> {
         let m = self.program.method(method);
         // Dynamic dispatch from the harness mirrors a client call site.
@@ -920,7 +924,7 @@ impl<'p> Machine<'p> {
     /// Executes one instruction of `tid`. No-op unless the thread is
     /// runnable. Lock contention flips the thread to `Blocked` without
     /// consuming the instruction.
-    pub fn step(&mut self, tid: ThreadId, sink: &mut dyn EventSink) {
+    pub fn step<K: EventSink + ?Sized>(&mut self, tid: ThreadId, sink: &mut K) {
         let t = tid.index();
         if self.threads[t].status != ThreadStatus::Runnable {
             return;
@@ -1369,7 +1373,7 @@ impl<'p> Machine<'p> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn push_callee_frame(
+    fn push_callee_frame<K: EventSink + ?Sized>(
         &mut self,
         tid: ThreadId,
         body_id: BodyId,
@@ -1379,7 +1383,7 @@ impl<'p> Machine<'p> {
         recv_var: Option<VarId>,
         arg_vars: Vec<VarId>,
         span: Span,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
     ) {
         let t = tid.index();
         if self.threads[t].frames.len() >= self.opts.max_frames {
@@ -1430,13 +1434,13 @@ impl<'p> Machine<'p> {
         );
     }
 
-    fn do_return(
+    fn do_return<K: EventSink + ?Sized>(
         &mut self,
         tid: ThreadId,
         ret_var: Option<VarId>,
         value: Option<Value>,
         span: Span,
-        sink: &mut dyn EventSink,
+        sink: &mut K,
     ) {
         let t = tid.index();
         let frame = self.threads[t].frames.pop().expect("return without frame");
@@ -1508,7 +1512,7 @@ impl<'p> Machine<'p> {
 
     /// Decrements a monitor; on the 1→0 transition releases it, emits
     /// `Unlock`, and wakes blocked threads.
-    fn release_monitor(&mut self, tid: ThreadId, o: ObjId, span: Span, sink: &mut dyn EventSink) {
+    fn release_monitor<K: EventSink + ?Sized>(&mut self, tid: ThreadId, o: ObjId, span: Span, sink: &mut K) {
         let inv = self.threads[tid.index()]
             .frames
             .last()
@@ -1530,7 +1534,7 @@ impl<'p> Machine<'p> {
 
     /// Discards a thread's frames, releasing any monitors they hold. The
     /// heap is untouched.
-    fn abandon_thread(&mut self, tid: ThreadId, sink: &mut dyn EventSink) {
+    fn abandon_thread<K: EventSink + ?Sized>(&mut self, tid: ThreadId, sink: &mut K) {
         let t = tid.index();
         let frames = std::mem::take(&mut self.threads[t].frames);
         for frame in frames.iter().rev() {
@@ -1541,7 +1545,7 @@ impl<'p> Machine<'p> {
         self.threads[t].status = ThreadStatus::Finished;
     }
 
-    fn thread_fail(&mut self, tid: ThreadId, err: VmError, sink: &mut dyn EventSink) {
+    fn thread_fail<K: EventSink + ?Sized>(&mut self, tid: ThreadId, err: VmError, sink: &mut K) {
         let t = tid.index();
         // Unwind: release all monitors held anywhere on the stack.
         let frames = std::mem::take(&mut self.threads[t].frames);
