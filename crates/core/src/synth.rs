@@ -274,7 +274,7 @@ pub fn execute_plan_recorded(
     let machine_seed = machine.seed();
     let mut rec = RecordingScheduler::new(scheduler);
     let report = execute_plan(machine, seeds, plan, &mut rec, sink, budget)?;
-    Ok((report, rec.to_schedule(machine_seed)))
+    Ok((report, rec.into_schedule(machine_seed)))
 }
 
 /// Convenience: builds a fresh machine and executes the plan once.

@@ -89,7 +89,7 @@ fn probe(
         .any(|r| r.static_key() == *target);
     Some(Probe {
         manifested,
-        recorded: rec.into_schedule(),
+        recorded: rec.into_choices(),
     })
 }
 

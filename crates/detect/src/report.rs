@@ -39,7 +39,7 @@ use narada_obs::{span, Obs, TRIAL_BUCKETS};
 use narada_vm::rng::derive_seed;
 use narada_vm::{
     EventSink, Machine, MachineOptions, NullSink, ObservedScheduler, RecordingScheduler,
-    RunOutcome, ScheduleStrategy, Scheduler,
+    RunOutcome, Schedule, ScheduleStrategy, Scheduler,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -310,7 +310,7 @@ impl<'a, 'p> TestRun<'a, 'p> {
         run.map_err(|e| e.to_string())?;
         // Stamp every report with the manifesting run's identity so
         // rendered races name their replayable schedule.
-        let schedule = sched.to_schedule(machine_seed);
+        let schedule = sched.into_schedule(machine_seed);
         // Dropping the observer publishes the run's decision counters and
         // releases the inner scheduler; directed strategies report how
         // many priority-change points this run actually consumed.
@@ -322,7 +322,7 @@ impl<'a, 'p> TestRun<'a, 'p> {
             .add(inner.change_points_probed());
         let schedule_id = schedule.id();
         let provenance = SchedProvenance {
-            scheduler: schedule.scheduler.clone(),
+            scheduler: schedule.scheduler,
             machine_seed,
             sched_seed,
             schedule_id,
@@ -365,7 +365,9 @@ impl<'a, 'p> TestRun<'a, 'p> {
                 let mut fresh = None;
                 let (machine, _, prefix) = self.trial(start, &mut fresh, machine_seed);
                 let run = self.run(machine, prefix, &mut rec, &mut NullSink);
-                let schedule = rec.to_schedule(machine_seed);
+                // Moved out, not cloned: only a confirming attempt turns
+                // them into a schedule.
+                let choices = rec.into_choices();
                 // Confirmation's share of `sched.decisions`; dropping the
                 // observer publishes the totals and releases `sched`.
                 obs.metrics
@@ -380,29 +382,32 @@ impl<'a, 'p> TestRun<'a, 'p> {
                 if run.is_err() {
                     continue;
                 }
-                if let Some(mut c) = sched.confirmed.into_iter().find(|c| c.key == *fine) {
-                    obs.metrics
-                        .histogram("detect.trials_to_first_confirm", TRIAL_BUCKETS)
-                        .observe(attempts);
-                    // Attach the replayable interleaving; shrink it first
-                    // when fixtures are being committed.
-                    c.schedule = Some(match cfg.minimize {
-                        true => {
-                            match minimize_schedule(
-                                self.prog, self.mir, self.seeds, self.plan, cfg.budget, fine,
-                                &schedule,
-                            ) {
-                                Some(m) => {
-                                    obs.metrics.counter("minimize.probes").add(m.probes as u64);
-                                    m.schedule
-                                }
-                                None => schedule,
+                let Some(pos) = sched.confirmed.iter().position(|c| c.key == *fine) else {
+                    continue;
+                };
+                obs.metrics
+                    .histogram("detect.trials_to_first_confirm", TRIAL_BUCKETS)
+                    .observe(attempts);
+                let schedule = Schedule::new(sched.name(), machine_seed, choices);
+                let mut c = sched.confirmed.swap_remove(pos);
+                // Attach the replayable interleaving; shrink it first
+                // when fixtures are being committed.
+                c.schedule = Some(match cfg.minimize {
+                    true => {
+                        match minimize_schedule(
+                            self.prog, self.mir, self.seeds, self.plan, cfg.budget, fine,
+                            &schedule,
+                        ) {
+                            Some(m) => {
+                                obs.metrics.counter("minimize.probes").add(m.probes as u64);
+                                m.schedule
                             }
+                            None => schedule,
                         }
-                        false => schedule,
-                    });
-                    return Some(c);
-                }
+                    }
+                    false => schedule,
+                });
+                return Some(c);
             }
         }
         None

@@ -192,7 +192,7 @@ fn truncated_confirming_schedule_replays_cleanly() {
             m.run_threads(&mut rec, &mut NullSink, 10_000),
             RunOutcome::Decided
         );
-        let choices = rec.into_schedule();
+        let choices = rec.into_choices();
         let (mut m, _, _) = two_puts(&prog, &mir);
         let mut replay = ReplayScheduler::new(choices);
         let mut hb = FastTrackDetector::new();

@@ -181,7 +181,7 @@ impl<'a> Plan<'a> {
         let run = self.run(m, prefix, &mut rec, &mut sink);
         drop(sink);
         let races: Vec<RaceReport> = lockset.races().iter().chain(hb.races()).cloned().collect();
-        let shown = format!("{run:?}\n{:?}\n{races:?}", rec.to_schedule(ms));
+        let shown = format!("{run:?}\n{:?}\n{races:?}", rec.into_schedule(ms));
         (run.map(|_| races), shown)
     }
 
@@ -198,7 +198,7 @@ impl<'a> Plan<'a> {
         let mut fresh = None;
         let (m, _, prefix) = self.start(fork, &mut fresh, ms);
         let run = self.run(m, prefix, &mut rec, &mut NullSink);
-        let schedule = rec.to_schedule(ms);
+        let schedule = rec.into_schedule(ms);
         let shown = format!(
             "{run:?}\n{schedule:?}\n{:?} {}",
             sched.confirmed, sched.gave_up

@@ -289,16 +289,16 @@ impl<S: Scheduler> RecordingScheduler<S> {
         }
     }
 
-    /// The recorded schedule.
-    pub fn into_schedule(self) -> Vec<ThreadId> {
+    /// The recorded choices.
+    pub fn into_choices(self) -> Vec<ThreadId> {
         self.choices
     }
 
     /// Packages the recorded choices as a replayable [`Schedule`], named
     /// after the inner scheduler and stamped with the machine seed of the
-    /// recorded run.
-    pub fn to_schedule(&self, machine_seed: u64) -> Schedule {
-        Schedule::new(self.inner.name(), machine_seed, self.choices.clone())
+    /// recorded run. The choices move into it; nothing is cloned.
+    pub fn into_schedule(self, machine_seed: u64) -> Schedule {
+        Schedule::new(self.inner.name(), machine_seed, self.choices)
     }
 }
 
@@ -652,7 +652,7 @@ mod tests {
             .unwrap();
         let mut rec = RecordingScheduler::new(sched);
         let outcome = m.run_threads(&mut rec, &mut sink, 100_000);
-        (rec.into_schedule(), outcome)
+        (rec.into_choices(), outcome)
     }
 
     #[test]

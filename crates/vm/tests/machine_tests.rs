@@ -1077,7 +1077,7 @@ fn recorded_schedule_replays_the_same_outcome() {
     for seed in 0..10 {
         let mut rec = narada_vm::RecordingScheduler::new(RandomScheduler::new(seed));
         let original = run(&mut rec);
-        let schedule = rec.into_schedule();
+        let schedule = rec.into_choices();
         let mut replay = narada_vm::ReplayScheduler::new(schedule);
         let replayed = run(&mut replay);
         assert_eq!(original, replayed, "seed {seed}: replay must reproduce");
@@ -1201,7 +1201,7 @@ fn replay_stops_at_the_end_of_its_log() {
         let mut rec = narada_vm::RecordingScheduler::new(RandomScheduler::new(seed));
         let (out, full) = run(&mut rec);
         assert_eq!(out, RunOutcome::Completed);
-        let choices = rec.into_schedule();
+        let choices = rec.into_choices();
 
         let mut whole = narada_vm::ReplayScheduler::new(choices.clone());
         assert_eq!(run(&mut whole), (RunOutcome::Completed, full.clone()));

@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --release
 
+echo "==> benchmark package builds against this tree (locked)"
+# The repository benchmark is a package of its own with a committed
+# Cargo.lock; a public-API change it uses, or a new dependency edge that
+# would rewrite its lock file, fails here instead of in the benchmark.
+cargo build --release --offline --locked \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
