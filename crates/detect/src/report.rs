@@ -395,8 +395,7 @@ impl<'a, 'p> TestRun<'a, 'p> {
                 c.schedule = Some(match cfg.minimize {
                     true => {
                         match minimize_schedule(
-                            self.prog, self.mir, self.seeds, self.plan, cfg.budget, fine,
-                            &schedule,
+                            self.prog, self.mir, self.seeds, self.plan, cfg.budget, fine, &schedule,
                         ) {
                             Some(m) => {
                                 obs.metrics.counter("minimize.probes").add(m.probes as u64);

@@ -248,9 +248,7 @@ fn decision_loop_allocations(
     expect: RunOutcome,
 ) -> u64 {
     let mut m = Machine::new(prog, mir, MachineOptions::default());
-    let c = m
-        .heap
-        .alloc_instance(prog.class_by_name("C").unwrap());
+    let c = m.heap.alloc_instance(prog.class_by_name("C").unwrap());
     let spin = prog.methods.iter().find(|mm| mm.name == "spin").unwrap().id;
     for _ in 0..2 {
         m.spawn_invoke(spin, Some(Value::Ref(c)), vec![Value::Int(n)], sink)

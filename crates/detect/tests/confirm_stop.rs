@@ -104,7 +104,8 @@ impl Scheduler for Watch<'_> {
 fn field(m: &Machine<'_>, prog: &Program, obj: ObjId, name: &str) -> Value {
     let class = prog.class_by_name("C").unwrap();
     m.heap
-        .get_field(obj, prog.field_by_name(class, name).unwrap()).unwrap()
+        .get_field(obj, prog.field_by_name(class, name).unwrap())
+        .unwrap()
 }
 
 #[test]

@@ -59,9 +59,7 @@ fn method(prog: &Program, name: &str) -> narada_lang::hir::MethodId {
 /// only the front end knows).
 fn x_race_key(prog: &Program, mir: &MirProgram, a: &str, b: &str) -> StaticRaceKey {
     let mut m = Machine::new(prog, mir, MachineOptions::default());
-    let c = m
-        .heap
-        .alloc_instance(prog.class_by_name("C").unwrap());
+    let c = m.heap.alloc_instance(prog.class_by_name("C").unwrap());
     let mut lockset = LocksetDetector::new();
     for name in [a, b] {
         m.spawn_invoke(
@@ -90,9 +88,7 @@ fn x_race_key(prog: &Program, mir: &MirProgram, a: &str, b: &str) -> StaticRaceK
 fn run_partnerless(n: i64, mut fuzzer: RaceFuzzerScheduler) -> RaceFuzzerScheduler {
     let (prog, mir) = compile();
     let mut m = Machine::new(&prog, &mir, MachineOptions::default());
-    let c = m
-        .heap
-        .alloc_instance(prog.class_by_name("C").unwrap());
+    let c = m.heap.alloc_instance(prog.class_by_name("C").unwrap());
     let mut sink = NullSink;
     m.spawn_invoke(
         method(&prog, "poke"),
@@ -218,9 +214,7 @@ fn blocked_partner_keeps_the_run_going() {
     let (mut released, mut unpostponed) = (0, 0);
     for seed in 0..32 {
         let mut m = Machine::new(&prog, &mir, MachineOptions::default());
-        let c = m
-            .heap
-            .alloc_instance(prog.class_by_name("C").unwrap());
+        let c = m.heap.alloc_instance(prog.class_by_name("C").unwrap());
         let mut sink = NullSink;
         let mut spawn = |name| {
             m.spawn_invoke(method(&prog, name), Some(Value::Ref(c)), vec![], &mut sink)
@@ -247,7 +241,11 @@ fn blocked_partner_keeps_the_run_going() {
         assert!(watch.inner.confirmed.is_empty(), "seed {seed}");
         if watch.released + watch.unpostponed > 0 {
             // `guarded` ran its write and let `locker` go on.
-            assert_eq!(m.heap.get_field(c, x).unwrap(), Value::Int(3), "seed {seed}");
+            assert_eq!(
+                m.heap.get_field(c, x).unwrap(),
+                Value::Int(3),
+                "seed {seed}"
+            );
             assert!(
                 !matches!(m.thread_status(locker), ThreadStatus::Blocked(_)),
                 "seed {seed}"

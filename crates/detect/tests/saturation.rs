@@ -59,9 +59,7 @@ fn run(
     let prog = narada_lang::compile(SRC).expect("test program compiles");
     let mir = lower_program(&prog);
     let mut m = Machine::new(&prog, &mir, MachineOptions::default());
-    let c = m
-        .heap
-        .alloc_instance(prog.class_by_name("C").unwrap());
+    let c = m.heap.alloc_instance(prog.class_by_name("C").unwrap());
     for &(name, arg) in calls {
         let method = prog.methods.iter().find(|m| m.name == name).unwrap().id;
         let args = arg.map(Value::Int).into_iter().collect();

@@ -487,9 +487,11 @@ impl Program {
         }
         let mut targets = Vec::with_capacity(self.classes.len() * self.methods.len());
         for class in &self.classes {
-            targets.extend(self.methods.iter().map(|m| {
-                class.vtable.get(&m.name).map_or(NO_TARGET, |t| t.0)
-            }));
+            targets.extend(
+                self.methods
+                    .iter()
+                    .map(|m| class.vtable.get(&m.name).map_or(NO_TARGET, |t| t.0)),
+            );
         }
         self.field_slots = field_slots;
         self.targets = targets;

@@ -287,13 +287,8 @@ impl<'p> Heap<'p> {
     /// instance whose class lacks `field`.
     #[inline]
     pub fn get_field(&self, obj: ObjId, field: FieldId) -> Result<Value, VmErrorKind> {
-        let slot = self.prog.field_slot(field);
-        match &self.object(obj).data {
-            ObjectData::Instance { class, fields }
-                if self.prog.fields_of(*class).get(slot) == Some(&field) =>
-            {
-                Ok(fields[slot])
-            }
+        match (self.field_slot_of(obj, field), &self.object(obj).data) {
+            (Some(slot), ObjectData::Instance { fields, .. }) => Ok(fields[slot]),
             _ => Err(confusion("field read", obj)),
         }
     }
@@ -304,13 +299,18 @@ impl<'p> Heap<'p> {
     ///
     /// As [`Heap::get_field`]; the heap is left unchanged.
     #[inline]
-    pub fn set_field(&mut self, obj: ObjId, field: FieldId, value: Value) -> Result<(), VmErrorKind> {
+    pub fn set_field(
+        &mut self,
+        obj: ObjId,
+        field: FieldId,
+        value: Value,
+    ) -> Result<(), VmErrorKind> {
         let Some(slot) = self.field_slot_of(obj, field) else {
             return Err(confusion("field write", obj));
         };
         match &mut self.object_mut(obj).data {
             ObjectData::Instance { fields, .. } => fields[slot] = value,
-            ObjectData::Array { .. } => unreachable!("slot found on an instance"),
+            ObjectData::Array { .. } => unreachable!("field_slot_of found an instance"),
         }
         Ok(())
     }
@@ -364,7 +364,7 @@ impl<'p> Heap<'p> {
         };
         match &mut self.object_mut(obj).data {
             ObjectData::Array { data, .. } => data[i] = value,
-            ObjectData::Instance { .. } => unreachable!("length read from an array"),
+            ObjectData::Instance { .. } => unreachable!("checked to be an array above"),
         }
         Ok(())
     }
@@ -459,12 +459,21 @@ mod tests {
             Err(VmErrorKind::TypeConfusion { op, obj })
         }
         assert_eq!(heap.get_field(o, b), confused("field read", o));
-        assert_eq!(heap.set_field(o, b, Value::Int(1)), confused("field write", o));
+        assert_eq!(
+            heap.set_field(o, b, Value::Int(1)),
+            confused("field write", o)
+        );
         assert_eq!(heap.get_field(arr, b), confused("field read", arr));
-        assert_eq!(heap.set_field(arr, b, Value::Int(1)), confused("field write", arr));
+        assert_eq!(
+            heap.set_field(arr, b, Value::Int(1)),
+            confused("field write", arr)
+        );
         assert_eq!(heap.array_len(o), confused("array length", o));
         assert_eq!(heap.get_elem(o, 0), confused("index read", o));
-        assert_eq!(heap.set_elem(o, 0, Value::Int(1)), confused("index write", o));
+        assert_eq!(
+            heap.set_elem(o, 0, Value::Int(1)),
+            confused("index write", o)
+        );
         assert_eq!(heap.undo_len(), 0);
         let a = prog.field_by_name(derived, "a").unwrap();
         assert_eq!(heap.get_field(o, a), Ok(Value::Int(0)), "untouched");

@@ -430,7 +430,11 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the test's thread aborts.
-    pub fn run_test<K: EventSink + ?Sized>(&mut self, test: TestId, sink: &mut K) -> Result<(), VmError> {
+    pub fn run_test<K: EventSink + ?Sized>(
+        &mut self,
+        test: TestId,
+        sink: &mut K,
+    ) -> Result<(), VmError> {
         self.start_test(test, sink);
         self.run_thread_to_completion(ThreadId::MAIN, sink)
     }
@@ -774,7 +778,13 @@ impl<'p> Machine<'p> {
         id
     }
 
-    fn emit<K: EventSink + ?Sized>(&mut self, tid: ThreadId, span: Span, kind: EventKind, sink: &mut K) {
+    fn emit<K: EventSink + ?Sized>(
+        &mut self,
+        tid: ThreadId,
+        span: Span,
+        kind: EventKind,
+        sink: &mut K,
+    ) {
         let label = Label(self.next_label);
         self.next_label += 1;
         sink.event(&Event {
@@ -1512,7 +1522,13 @@ impl<'p> Machine<'p> {
 
     /// Decrements a monitor; on the 1→0 transition releases it, emits
     /// `Unlock`, and wakes blocked threads.
-    fn release_monitor<K: EventSink + ?Sized>(&mut self, tid: ThreadId, o: ObjId, span: Span, sink: &mut K) {
+    fn release_monitor<K: EventSink + ?Sized>(
+        &mut self,
+        tid: ThreadId,
+        o: ObjId,
+        span: Span,
+        sink: &mut K,
+    ) {
         let inv = self.threads[tid.index()]
             .frames
             .last()

@@ -642,9 +642,7 @@ mod tests {
             },
         );
         let mut sink = crate::NullSink;
-        let c = m
-            .heap
-            .alloc_instance(prog.class_by_name("C").unwrap());
+        let c = m.heap.alloc_instance(prog.class_by_name("C").unwrap());
         let bump = prog.methods.iter().find(|mm| mm.name == "bump").unwrap().id;
         m.spawn_invoke(bump, Some(crate::Value::Ref(c)), vec![], &mut sink)
             .unwrap();

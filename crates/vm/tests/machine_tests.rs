@@ -638,7 +638,11 @@ fn synchronized_increments_never_lose_updates() {
         let mut sched = RandomScheduler::new(seed);
         let out = m.run_threads(&mut sched, &mut NullSink, 1_000_000);
         assert_eq!(out, RunOutcome::Completed);
-        assert_eq!(m.heap.get_field(obj, count).unwrap(), Value::Int(2), "seed {seed}");
+        assert_eq!(
+            m.heap.get_field(obj, count).unwrap(),
+            Value::Int(2),
+            "seed {seed}"
+        );
     }
 }
 
@@ -922,7 +926,11 @@ fn queued_calls_do_not_run_after_a_crash() {
     let mut sched = RoundRobin::new();
     m.run_threads(&mut sched, &mut NullSink, 100_000);
     assert!(matches!(m.thread_status(tid), ThreadStatus::Failed(_)));
-    assert_eq!(m.heap.get_field(obj, n).unwrap(), Value::Int(0), "mark never ran");
+    assert_eq!(
+        m.heap.get_field(obj, n).unwrap(),
+        Value::Int(0),
+        "mark never ran"
+    );
 }
 
 #[test]
@@ -995,9 +1003,7 @@ fn invoke_partial_stops_after_target_write() {
 
     let mut m = Machine::with_defaults(&prog, &mir);
     let hobj = m.heap.alloc_instance(h);
-    let xobj = m
-        .heap
-        .alloc_instance(prog.class_by_name("X").unwrap());
+    let xobj = m.heap.alloc_instance(prog.class_by_name("X").unwrap());
     let tid = m
         .invoke_partial(
             set,

@@ -353,7 +353,13 @@ fn shapes_run_clean_when_well_typed() {
     let mut sink = VecSink::new();
     m.run_test(prog.tests[0].id, &mut sink).unwrap();
     let recv = Some(Value::Ref(narada_vm::ObjId(0)));
-    for (method, arg) in [("writev", 0), ("readv", 0), ("put", 2), ("at", 2), ("len", 2)] {
+    for (method, arg) in [
+        ("writev", 0),
+        ("readv", 0),
+        ("put", 2),
+        ("at", 2),
+        ("len", 2),
+    ] {
         let m_id = prog.dispatch(boxc, method).unwrap();
         let arg = vec![Value::Ref(narada_vm::ObjId(arg))];
         m.invoke(m_id, recv, arg, &mut sink)
