@@ -79,12 +79,12 @@ pub struct ExecReport {
 /// Returns [`ExecError`] when object collection or context setup fails; the
 /// concurrent phase itself never errors (thread crashes are reported in
 /// [`ExecReport::failures`]).
-pub fn execute_plan<S: Scheduler + ?Sized, K: EventSink + ?Sized>(
+pub fn execute_plan<S: Scheduler + ?Sized>(
     machine: &mut Machine<'_>,
     seeds: &[TestId],
     plan: &TestPlan,
     scheduler: &mut S,
-    sink: &mut K,
+    sink: &mut dyn EventSink,
     budget: u64,
 ) -> Result<ExecReport, ExecError> {
     let prefix = execute_plan_prefix(machine, seeds, plan, sink)?;
@@ -113,11 +113,11 @@ pub struct PlanPrefix {
 /// # Errors
 ///
 /// Same as [`execute_plan`] (all of whose error cases arise here).
-pub fn execute_plan_prefix<K: EventSink + ?Sized>(
+pub fn execute_plan_prefix(
     machine: &mut Machine<'_>,
     seeds: &[TestId],
     plan: &TestPlan,
-    sink: &mut K,
+    sink: &mut dyn EventSink,
 ) -> Result<PlanPrefix, ExecError> {
     let captures = plan
         .captures
@@ -137,11 +137,11 @@ pub fn execute_plan_prefix<K: EventSink + ?Sized>(
 ///
 /// [`ExecError::SeedFailed`] if a seed run aborts first, and
 /// [`ExecError::CaptureMissed`] if no seed reaches the call.
-pub fn run_capture<K: EventSink + ?Sized>(
+pub fn run_capture(
     machine: &mut Machine<'_>,
     seeds: &[TestId],
     cap: &CaptureSpec,
-    sink: &mut K,
+    sink: &mut dyn EventSink,
 ) -> Result<CallSite, ExecError> {
     for &seed in seeds {
         let got = machine
@@ -163,11 +163,11 @@ pub fn run_capture<K: EventSink + ?Sized>(
 /// # Errors
 ///
 /// [`ExecError::SetupFailed`] or [`ExecError::BuilderNoObject`].
-pub fn run_setup<K: EventSink + ?Sized>(
+pub fn run_setup(
     machine: &mut Machine<'_>,
     plan: &TestPlan,
     captures: &[CallSite],
-    sink: &mut K,
+    sink: &mut dyn EventSink,
 ) -> Result<Vec<Value>, ExecError> {
     let mut built: Vec<Value> = Vec::with_capacity(plan.builders.len());
     for call in &plan.builders {

@@ -270,7 +270,7 @@ impl<'a, 'p> TestRun<'a, 'p> {
     /// start reproduces exactly the state a fresh start reaches at the
     /// fork point (the prefix drew no RNG), and schedulers are consulted
     /// only in the suffix, so both record the same suffix-only schedules.
-    fn run<S: Scheduler + ?Sized, K: EventSink + ?Sized>(
+    fn run<S: Scheduler + ?Sized, K: EventSink>(
         &self,
         machine: &mut Machine<'p>,
         prefix: Option<&PlanPrefix>,

@@ -430,11 +430,7 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the test's thread aborts.
-    pub fn run_test<K: EventSink + ?Sized>(
-        &mut self,
-        test: TestId,
-        sink: &mut K,
-    ) -> Result<(), VmError> {
+    pub fn run_test(&mut self, test: TestId, sink: &mut dyn EventSink) -> Result<(), VmError> {
         self.start_test(test, sink);
         self.run_thread_to_completion(ThreadId::MAIN, sink)
     }
@@ -448,10 +444,10 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the test's thread aborts before a match.
-    pub fn run_test_until_call<K: EventSink + ?Sized>(
+    pub fn run_test_until_call(
         &mut self,
         test: TestId,
-        sink: &mut K,
+        sink: &mut dyn EventSink,
         want: &mut dyn FnMut(&CallSite) -> bool,
     ) -> Result<Option<CallSite>, VmError> {
         self.start_test(test, sink);
@@ -472,9 +468,9 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the test's thread aborts before a match.
-    pub fn run_until_call<K: EventSink + ?Sized>(
+    pub fn run_until_call(
         &mut self,
-        sink: &mut K,
+        sink: &mut dyn EventSink,
         want: &mut dyn FnMut(&CallSite) -> bool,
     ) -> Result<Option<CallSite>, VmError> {
         loop {
@@ -505,7 +501,7 @@ impl<'p> Machine<'p> {
     /// alive in the heap, but the frames (and any monitors they hold) are
     /// discarded so the main thread can be reused for further seed runs
     /// and setter invocations.
-    pub fn abandon_main<K: EventSink + ?Sized>(&mut self, sink: &mut K) {
+    pub fn abandon_main(&mut self, sink: &mut dyn EventSink) {
         self.abandon_thread(ThreadId::MAIN, sink);
     }
 
@@ -558,22 +554,22 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Returns the runtime error if the invocation aborts.
-    pub fn invoke<K: EventSink + ?Sized>(
+    pub fn invoke(
         &mut self,
         method: MethodId,
         recv: Option<Value>,
         args: Vec<Value>,
-        sink: &mut K,
+        sink: &mut dyn EventSink,
     ) -> Result<Option<Value>, VmError> {
         self.begin_invocation(ThreadId::MAIN, method, recv, args, sink)?;
         self.run_thread_to_completion(ThreadId::MAIN, sink)?;
         Ok(self.take_thread_result(ThreadId::MAIN))
     }
 
-    fn run_thread_to_completion<K: EventSink + ?Sized>(
+    fn run_thread_to_completion(
         &mut self,
         tid: ThreadId,
-        sink: &mut K,
+        sink: &mut dyn EventSink,
     ) -> Result<(), VmError> {
         loop {
             match self.thread_status(tid) {
@@ -649,13 +645,13 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Fails on receiver mismatch or when the partial run aborts.
-    pub fn invoke_partial<K: EventSink + ?Sized>(
+    pub fn invoke_partial(
         &mut self,
         method: MethodId,
         recv: Option<Value>,
         args: Vec<Value>,
         stop_span: Span,
-        sink: &mut K,
+        sink: &mut dyn EventSink,
     ) -> Result<ThreadId, VmError> {
         let tid = self.spawn_invoke(method, recv, args, sink)?;
         let mut hit = false;
@@ -693,10 +689,10 @@ impl<'p> Machine<'p> {
     /// # Errors
     ///
     /// Fails if the first invocation's receiver/staticness mismatch.
-    pub fn spawn_invoke_seq<K: EventSink + ?Sized>(
+    pub fn spawn_invoke_seq(
         &mut self,
         mut calls: Vec<PendingInvoke>,
-        sink: &mut K,
+        sink: &mut dyn EventSink,
     ) -> Result<ThreadId, VmError> {
         if calls.is_empty() {
             return Err(VmError::new(
@@ -797,7 +793,7 @@ impl<'p> Machine<'p> {
 
     /// Begins a sequential test on the main thread, in place of the
     /// thread's old frames; [`Machine::run_until_call`] runs it.
-    pub fn start_test<K: EventSink + ?Sized>(&mut self, test: TestId, sink: &mut K) {
+    pub fn start_test(&mut self, test: TestId, sink: &mut dyn EventSink) {
         let body = self.mir.test(test);
         let inv = self.fresh_inv();
         let t = &mut self.threads[ThreadId::MAIN.index()];
