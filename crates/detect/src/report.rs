@@ -367,7 +367,7 @@ impl<'a, 'p> TestRun<'a, 'p> {
                 let run = self.run(machine, prefix, &mut rec, &mut NullSink);
                 // Moved out, not cloned: only a confirming attempt turns
                 // them into a schedule.
-                let choices = rec.into_choices();
+                let mut choices = rec.into_choices();
                 // Confirmation's share of `sched.decisions`; dropping the
                 // observer publishes the totals and releases `sched`.
                 obs.metrics
@@ -388,6 +388,9 @@ impl<'a, 'p> TestRun<'a, 'p> {
                 obs.metrics
                     .histogram("detect.trials_to_first_confirm", TRIAL_BUCKETS)
                     .observe(attempts);
+                // The schedule outlives the attempt in the report: keep
+                // no spare capacity.
+                choices.shrink_to_fit();
                 let schedule = Schedule::new(sched.name(), machine_seed, choices);
                 let mut c = sched.confirmed.swap_remove(pos);
                 // Attach the replayable interleaving; shrink it first
