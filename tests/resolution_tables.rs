@@ -87,8 +87,14 @@ fn tables_follow_overrides_and_unrelated_names() {
     assert_eq!(check("overrides", &prog), 12);
     let class = |n| prog.class_by_name(n).unwrap();
     let get_of = |n| prog.dispatch(class(n), "get").unwrap();
-    assert_eq!(prog.dispatch_target(class("C"), get_of("A")), Some(get_of("C")));
-    assert_eq!(prog.dispatch_target(class("D"), get_of("A")), Some(get_of("D")));
+    assert_eq!(
+        prog.dispatch_target(class("C"), get_of("A")),
+        Some(get_of("C"))
+    );
+    assert_eq!(
+        prog.dispatch_target(class("D"), get_of("A")),
+        Some(get_of("D"))
+    );
     let only = prog.dispatch(class("A"), "only").unwrap();
     assert_eq!(prog.dispatch_target(class("D"), only), None);
     let c = prog.field_by_name(class("C"), "c").unwrap();
