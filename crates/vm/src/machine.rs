@@ -1546,7 +1546,7 @@ impl<'p> Machine<'p> {
 
     /// Discards a thread's frames, releasing any monitors they hold. The
     /// heap is untouched.
-    fn abandon_thread<K: EventSink + ?Sized>(&mut self, tid: ThreadId, sink: &mut K) {
+    fn abandon_thread(&mut self, tid: ThreadId, sink: &mut dyn EventSink) {
         let t = tid.index();
         let frames = std::mem::take(&mut self.threads[t].frames);
         for frame in frames.iter().rev() {
