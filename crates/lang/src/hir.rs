@@ -462,39 +462,78 @@ pub struct Program {
     /// Slot of each field in the instances that carry it, indexed by
     /// [`FieldId`] (see [`Program::field_slot`]).
     field_slots: Vec<u32>,
-    /// Dense dispatch table, `classes × methods` (see
-    /// [`Program::dispatch_target`]); [`NO_TARGET`] where the class has
-    /// no method of that name.
-    targets: Vec<u32>,
+    /// Dispatch slot of each method, indexed by [`MethodId`] (see
+    /// [`Program::dispatch_target`]).
+    method_slots: Vec<DispatchSlot>,
+    /// Where each class's row of `slot_targets` starts, and
+    /// how long it is, indexed by [`ClassId`].
+    slot_rows: Vec<(u32, u32)>,
+    /// Every class's implementation per dispatch slot, one row per class,
+    /// its parent's slots first: one entry per vtable entry.
+    slot_targets: Vec<MethodId>,
 }
 
-/// A [`Program`] dispatch-table entry for a class with no method of the
-/// name.
-const NO_TARGET: u32 = u32::MAX;
+/// Where a method sits in the dispatch rows: the slot of the method it
+/// overrides, or a new one after its parent class's last, and the method
+/// that opened that slot. Constructors have none ([`DispatchSlot::NONE`]).
+#[derive(Debug, Clone, Copy)]
+struct DispatchSlot {
+    slot: u32,
+    root: MethodId,
+}
+
+impl DispatchSlot {
+    const NONE: DispatchSlot = DispatchSlot {
+        slot: u32::MAX,
+        root: MethodId(u32::MAX),
+    };
+}
 
 impl Program {
     /// Builds the per-program resolution tables behind
     /// [`Program::field_slot`] and [`Program::dispatch_target`] from the
-    /// finished `all_fields` and `vtable`s. The type checker calls it
-    /// once per program; the VM then resolves fields and calls by
-    /// indexing, never by name or hash.
-    pub(crate) fn build_resolution_tables(&mut self) {
+    /// finished `all_fields` and `vtable`s, visiting classes in `order`
+    /// (parents first). The type checker calls it once per program; the
+    /// VM then resolves fields and calls by indexing. Both tables grow
+    /// with each class's own hierarchy, as its `all_fields` and `vtable`
+    /// do, never with classes × methods.
+    pub(crate) fn build_resolution_tables(&mut self, order: &[ClassId]) {
         let mut field_slots = vec![0; self.fields.len()];
-        for class in &self.classes {
+        let mut method_slots = vec![DispatchSlot::NONE; self.methods.len()];
+        let mut slot_rows = vec![(0, 0); self.classes.len()];
+        let mut slot_targets = Vec::new();
+        for &id in order {
+            let class = self.class(id);
             for (slot, f) in class.all_fields.iter().enumerate() {
                 field_slots[f.index()] = slot as u32;
             }
-        }
-        let mut targets = Vec::with_capacity(self.classes.len() * self.methods.len());
-        for class in &self.classes {
-            targets.extend(
-                self.methods
-                    .iter()
-                    .map(|m| class.vtable.get(&m.name).map_or(NO_TARGET, |t| t.0)),
-            );
+            let start = slot_targets.len();
+            let parent = class.parent.map(|p| {
+                let (from, len) = slot_rows[p.index()];
+                slot_targets.extend_from_within(from as usize..(from + len) as usize);
+                self.class(p)
+            });
+            for &m in &class.own_methods {
+                let overridden = parent.and_then(|p| p.vtable.get(&self.method(m).name));
+                let at = match overridden {
+                    Some(o) => method_slots[o.index()],
+                    None => {
+                        slot_targets.push(m);
+                        DispatchSlot {
+                            slot: (slot_targets.len() - 1 - start) as u32,
+                            root: m,
+                        }
+                    }
+                };
+                slot_targets[start + at.slot as usize] = m;
+                method_slots[m.index()] = at;
+            }
+            slot_rows[id.index()] = (start as u32, (slot_targets.len() - start) as u32);
         }
         self.field_slots = field_slots;
-        self.targets = targets;
+        self.method_slots = method_slots;
+        self.slot_rows = slot_rows;
+        self.slot_targets = slot_targets;
     }
 
     /// Slot of `field` in every instance that carries it. Layouts are
@@ -508,14 +547,22 @@ impl Program {
     }
 
     /// What a virtual call of `method` dispatches to on an instance of
-    /// `class`: [`Program::dispatch`] of `method`'s name, read from the
-    /// dense table instead of the name-keyed vtable.
+    /// `class`: [`Program::dispatch`] of `method`'s name. When `class`
+    /// descends from the class that opened `method`'s slot, which every
+    /// well-typed call's receiver does, that is the entry at the slot in
+    /// `class`'s row. Only a receiver outside that hierarchy (an ill-typed
+    /// harness invocation) falls back to the name-keyed vtable.
     #[inline]
     pub fn dispatch_target(&self, class: ClassId, method: MethodId) -> Option<MethodId> {
-        match self.targets[class.index() * self.methods.len() + method.index()] {
-            NO_TARGET => None,
-            t => Some(MethodId(t)),
+        let DispatchSlot { slot, root } = self.method_slots[method.index()];
+        let (start, len) = self.slot_rows[class.index()];
+        if slot < len {
+            let target = self.slot_targets[(start + slot) as usize];
+            if self.method_slots[target.index()].root == root {
+                return Some(target);
+            }
         }
+        self.dispatch(class, &self.method(method).name)
     }
 
     /// The class with the given id.
@@ -722,5 +769,56 @@ mod tests {
         assert_eq!(ClassId(3).to_string(), "c3");
         assert_eq!(MethodId(7).to_string(), "m7");
         assert_eq!(FieldId(1).to_string(), "f1");
+    }
+
+    /// Entries of the dispatch rows against the vtables they mirror.
+    fn table_sizes(p: &Program) -> (usize, usize) {
+        let vtables = p.classes.iter().map(|c| c.vtable.len()).sum();
+        (p.slot_targets.len(), vtables)
+    }
+
+    /// Thousands of unrelated classes sharing one method name: the tables
+    /// hold one entry per method and field, not one per class × method,
+    /// and a call on an unrelated class still finds that class's own
+    /// method of the name.
+    #[test]
+    fn resolution_tables_stay_linear_over_flat_classes() {
+        const N: usize = 4096;
+        let src: String = (0..N)
+            .map(|i| format!("class K{i} {{ int f; int get() {{ return this.f; }} }}\n"))
+            .collect();
+        let p = crate::compile(&src).unwrap();
+        assert_eq!(table_sizes(&p), (N, N));
+        assert_eq!(p.field_slots.len(), N);
+        assert_eq!(p.slot_rows.len(), N);
+        let class = |i: usize| p.class_by_name(&format!("K{i}")).unwrap();
+        let get = |i: usize| p.dispatch(class(i), "get").unwrap();
+        assert_eq!(p.dispatch_target(class(7), get(7)), Some(get(7)));
+        assert_eq!(p.dispatch_target(class(N - 1), get(0)), Some(get(N - 1)));
+    }
+
+    /// A chain of overrides: each class's row is its parent's plus its new
+    /// methods, so the rows are exactly as large as the vtables.
+    #[test]
+    fn resolution_rows_grow_with_the_hierarchy() {
+        let mut src = String::from("class L0 { int get() { return 0; } }\n");
+        for i in 1..64 {
+            src += &format!(
+                "class L{i} extends L{} {{ int get() {{ return {i}; }} int m{i}() {{ return 0; }} }}\n",
+                i - 1
+            );
+        }
+        let p = crate::compile(&src).unwrap();
+        let (rows, vtables) = table_sizes(&p);
+        assert_eq!(rows, vtables);
+        assert_eq!(rows, 64 + 63 * 64 / 2);
+        let class = |i: usize| p.class_by_name(&format!("L{i}")).unwrap();
+        let get0 = p.dispatch(class(0), "get").unwrap();
+        for i in 0..64 {
+            assert_eq!(
+                p.dispatch_target(class(i), get0),
+                p.dispatch(class(i), "get")
+            );
+        }
     }
 }

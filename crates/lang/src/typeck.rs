@@ -39,7 +39,8 @@ pub fn check(ast: &ast::Program) -> Result<Program, Diagnostics> {
         cx.check_bodies(ast);
     }
     if cx.errors.is_empty() {
-        cx.prog.build_resolution_tables();
+        let order = cx.topo_order();
+        cx.prog.build_resolution_tables(&order);
         Ok(cx.prog)
     } else {
         Err(Diagnostics::new(cx.errors))
