@@ -468,9 +468,10 @@ pub struct Program {
     /// Where each class's row of `slot_targets` starts, and
     /// how long it is, indexed by [`ClassId`].
     slot_rows: Vec<(u32, u32)>,
-    /// Every class's implementation per dispatch slot, one row per class,
-    /// its parent's slots first: one entry per vtable entry.
-    slot_targets: Vec<MethodId>,
+    /// Every class's implementation per dispatch slot, beside the method
+    /// that opened the slot: one row per class, its parent's slots first,
+    /// one entry per vtable entry.
+    slot_targets: Vec<(MethodId, MethodId)>,
 }
 
 /// Where a method sits in the dispatch rows: the slot of the method it
@@ -518,14 +519,14 @@ impl Program {
                 let at = match overridden {
                     Some(o) => method_slots[o.index()],
                     None => {
-                        slot_targets.push(m);
+                        slot_targets.push((m, m));
                         DispatchSlot {
                             slot: (slot_targets.len() - 1 - start) as u32,
                             root: m,
                         }
                     }
                 };
-                slot_targets[start + at.slot as usize] = m;
+                slot_targets[start + at.slot as usize] = (m, at.root);
                 method_slots[m.index()] = at;
             }
             slot_rows[id.index()] = (start as u32, (slot_targets.len() - start) as u32);
@@ -557,8 +558,8 @@ impl Program {
         let DispatchSlot { slot, root } = self.method_slots[method.index()];
         let (start, len) = self.slot_rows[class.index()];
         if slot < len {
-            let target = self.slot_targets[(start + slot) as usize];
-            if self.method_slots[target.index()].root == root {
+            let (target, opener) = self.slot_targets[(start + slot) as usize];
+            if opener == root {
                 return Some(target);
             }
         }
