@@ -5,9 +5,9 @@
 //!
 //! The share comes from isolation: every detection trial of a class at
 //! the `narada detect` defaults (6 random schedules per test, seed 42,
-//! 2M-step budget, tree-walk engine) runs on one thread under a
-//! `NullSink`, under each detector alone and under both, with the same
-//! seeds, so the differences are the detectors' cost. C1 carries the
+//! 2M-step budget) runs on one thread under a `NullSink`, under each
+//! detector alone and under both, with the same seeds, so the
+//! differences are the detectors' cost. C1 carries the
 //! runaway-trial tail; C4 spreads its accesses over many array elements.
 
 use narada_bench::harness::{bench_function, bench_throughput};

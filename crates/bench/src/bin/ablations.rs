@@ -11,13 +11,11 @@
 //! Printed per configuration: racing pairs, synthesized tests, and how
 //! many plans expect to manifest a race.
 
-use narada_bench::{env_threads, render_table, synthesize_corpus_observed, write_manifest};
+use narada_bench::{env_threads, render_table, synthesize_corpus};
 use narada_core::SynthesisOptions;
 
 fn main() {
     let threads = env_threads();
-    let obs = narada_obs::Obs::new();
-    let wall = std::time::Instant::now();
     let base = SynthesisOptions {
         threads,
         ..SynthesisOptions::default()
@@ -48,7 +46,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (name, opts) in &configs {
-        let runs = synthesize_corpus_observed(opts, threads, &obs);
+        let runs = synthesize_corpus(opts, threads);
         let pairs: usize = runs.iter().map(|r| r.out.pair_count()).sum();
         let tests: usize = runs.iter().map(|r| r.out.test_count()).sum();
         let expecting: usize = runs
@@ -76,9 +74,4 @@ fn main() {
             &rows
         )
     );
-    obs.metrics
-        .gauge("bench.ablations.wall_ns")
-        .set_duration(wall.elapsed());
-    let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
-    write_manifest("ablations", threads, &obs, &[("configs", names.join("; "))]);
 }

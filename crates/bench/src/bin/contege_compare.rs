@@ -11,7 +11,7 @@
 //!
 //! `NARADA_CONTEGE_BUDGET` caps generated tests per class (default 1500).
 
-use narada_bench::{render_table, synthesize_corpus_observed, write_manifest};
+use narada_bench::{render_table, synthesize_corpus};
 use narada_contege::{run_contege, ContegeOptions};
 use narada_core::SynthesisOptions;
 
@@ -20,9 +20,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1500);
-    let obs = narada_obs::Obs::new();
-    let wall = std::time::Instant::now();
-    let runs = synthesize_corpus_observed(&SynthesisOptions::default(), 1, &obs);
+    let runs = synthesize_corpus(&SynthesisOptions::default(), 1);
     let mut rows = Vec::new();
     for r in &runs {
         let opts = ContegeOptions {
@@ -32,12 +30,6 @@ fn main() {
             ..Default::default()
         };
         let result = run_contege(&r.prog, &r.mir, &opts);
-        obs.metrics
-            .counter("contege.tests_generated")
-            .add(result.tests_generated as u64);
-        obs.metrics
-            .counter("contege.violations")
-            .add(result.violations.len() as u64);
         rows.push(vec![
             r.entry.id.to_string(),
             r.out.test_count().to_string(),
@@ -71,8 +63,4 @@ fn main() {
             &rows
         )
     );
-    obs.metrics
-        .gauge("bench.contege.wall_ns")
-        .set_duration(wall.elapsed());
-    write_manifest("contege", 1, &obs, &[("budget", budget.to_string())]);
 }

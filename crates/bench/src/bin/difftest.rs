@@ -19,7 +19,6 @@ use std::time::Instant;
 
 fn main() {
     let out_path = std::env::args().nth(1);
-    let obs = narada_obs::Obs::new();
     let threads = env_threads();
     let count: usize = std::env::var("NARADA_DIFFTEST_COUNT")
         .ok()
@@ -32,7 +31,7 @@ fn main() {
     };
 
     let start = Instant::now();
-    let sweep = run_sweep(&cfg, &obs);
+    let sweep = run_sweep(&cfg, &narada_obs::Obs::new());
     let wall = start.elapsed();
 
     // Per-discipline tally: the interesting split, since the discipline
@@ -108,21 +107,6 @@ fn main() {
         std::fs::write(&path, &report).expect("write results file");
         eprintln!("wrote {path}");
     }
-
-    obs.metrics
-        .gauge("bench.difftest.wall_ns")
-        .set_duration(wall);
-    narada_bench::write_manifest(
-        "difftest",
-        threads,
-        &obs,
-        &[
-            ("seed", format!("{:#x}", cfg.seed)),
-            ("count", cfg.count.to_string()),
-            ("generator_version", GENERATOR_VERSION.to_string()),
-            ("digest", format!("{:016x}", sweep.digest)),
-        ],
-    );
 
     let sound = sweep.soundness();
     if !sound.is_empty() {

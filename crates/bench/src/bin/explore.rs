@@ -162,8 +162,6 @@ fn main() {
     let max_trials = env_usize("NARADA_MAX_TRIALS", 60);
     let max_plans = env_usize("NARADA_MAX_PLANS", 12);
     let out_path = std::env::args().nth(1);
-    let obs = narada_obs::Obs::new();
-    let bench_start = std::time::Instant::now();
 
     let strategies: Vec<ScheduleStrategy> = vec![
         ScheduleStrategy::Random,
@@ -228,10 +226,6 @@ fn main() {
     // repetition that never manifests within the cap is *censored*: it
     // contributes `max_trials` to the mean (an underestimate of the true
     // cost, penalizing strategies that miss).
-    let trials_hist = obs.metrics.histogram(
-        "explore.trials_to_first_manifest",
-        narada_obs::TRIAL_BUCKETS,
-    );
     let mut per_plan: Vec<Vec<f64>> = vec![Vec::new(); strategies.len()];
     let mut rows = Vec::new();
     for (si, strat) in strategies.iter().enumerate() {
@@ -255,25 +249,13 @@ fn main() {
                         .map(|(o, _)| !oracle.allowed.contains(&o))
                         .unwrap_or(false)
                 });
-                let cost = match found {
-                    Some(t) => {
-                        hits += 1;
-                        trials_hist.observe(t);
-                        t
-                    }
-                    None => {
-                        obs.metrics.counter("explore.censored").inc();
-                        max_trials as u64
-                    }
-                };
-                obs.metrics.counter("explore.trials").add(cost);
+                hits += found.is_some() as usize;
+                let cost = found.unwrap_or(max_trials as u64);
                 trials_sum += cost;
                 plan_sum += cost;
             }
             per_plan[si].push(plan_sum as f64 / plan_total.max(1) as f64);
         }
-        obs.metrics.counter("explore.repetitions").add(total as u64);
-        obs.metrics.counter("explore.manifested").add(hits as u64);
         let mean = trials_sum as f64 / total.max(1) as f64;
         let rate = 100.0 * hits as f64 / total.max(1) as f64;
         rows.push(vec![
@@ -282,9 +264,6 @@ fn main() {
             format!("{rate:.0}%"),
         ]);
     }
-    obs.metrics
-        .counter("explore.plans")
-        .add(screened.len() as u64);
 
     // Per-plan breakdown (plan index × strategy mean).
     let mut plan_rows = Vec::new();
@@ -348,19 +327,4 @@ fn main() {
         std::fs::write(&path, &report).expect("write results file");
         eprintln!("wrote {path}");
     }
-
-    obs.metrics
-        .gauge("bench.explore.wall_ns")
-        .set_duration(bench_start.elapsed());
-    narada_bench::write_manifest(
-        "explore",
-        1,
-        &obs,
-        &[
-            ("reps", reps.to_string()),
-            ("max_trials", max_trials.to_string()),
-            ("max_plans", max_plans.to_string()),
-            ("base_seed", format!("{BASE_SEED:#x}")),
-        ],
-    );
 }

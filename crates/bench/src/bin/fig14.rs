@@ -7,11 +7,11 @@
 //! `NARADA_CONFIRMS`, `NARADA_MAX_TESTS`).
 
 use narada_bench::{
-    env_threads, fig14_distribution, render_table, synthesize_corpus_observed, write_manifest,
-    FIG14_BUCKETS,
+    env_threads, fig14_distribution, render_table, synthesize_corpus, FIG14_BUCKETS,
 };
 use narada_core::SynthesisOptions;
 use narada_detect::{evaluate_suite_full, DetectConfig};
+use narada_obs::Obs;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -31,15 +31,12 @@ fn main() {
         ..DetectConfig::default()
     };
     let max_tests = env_usize("NARADA_MAX_TESTS", usize::MAX);
-    let obs = narada_obs::Obs::new();
-    let wall = std::time::Instant::now();
-    let runs = synthesize_corpus_observed(
+    let runs = synthesize_corpus(
         &SynthesisOptions {
             threads,
             ..SynthesisOptions::default()
         },
         threads,
-        &obs,
     );
     let mut rows = Vec::new();
     let mut all_dists = Vec::new();
@@ -52,7 +49,7 @@ fn main() {
             .take(max_tests)
             .map(|t| &t.plan)
             .collect();
-        let agg = evaluate_suite_full(&r.prog, &r.mir, &seeds, &plans, &cfg, &obs).1;
+        let agg = evaluate_suite_full(&r.prog, &r.mir, &seeds, &plans, &cfg, &Obs::new()).1;
         let dist = fig14_distribution(&agg.per_test_races);
         let mut row = vec![r.entry.id.to_string()];
         for pct in dist {
@@ -78,17 +75,4 @@ fn main() {
         }
         println!("{id:>3} |{bar}");
     }
-    obs.metrics
-        .gauge("bench.fig14.wall_ns")
-        .set_duration(wall.elapsed());
-    write_manifest(
-        "fig14",
-        threads,
-        &obs,
-        &[
-            ("schedules", cfg.schedule_trials.to_string()),
-            ("confirms", cfg.confirm_trials.to_string()),
-            ("seed", format!("{:#x}", cfg.seed)),
-        ],
-    );
 }

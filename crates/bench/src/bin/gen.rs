@@ -5,8 +5,7 @@
 //! to the manual suite's fact basis, fixed seed), runs the full synthesis
 //! pipeline over both suites, and tabulates the potential racy pair sets
 //! side by side: parity holds when the generated suite reaches exactly
-//! the manual pair set. Engine counters (`gen.*`) and a wall-time gauge
-//! land in `BENCH_gen.json` via the shared manifest writer.
+//! the manual pair set.
 //!
 //! An output path argument (e.g. `results/seed_generation.md`)
 //! additionally writes the report there. `NARADA_GEN_BUDGET` caps every
@@ -82,8 +81,6 @@ fn pair_fingerprints(prog: &Program, out: &SynthesisOutput) -> BTreeSet<(String,
 
 fn main() {
     let out_path = std::env::args().nth(1);
-    let obs = Obs::new();
-    let bench_start = Instant::now();
     let threads = narada_bench::env_threads();
 
     let mut rows = Vec::new();
@@ -107,7 +104,7 @@ fn main() {
             ..GenOptions::default()
         };
         let start = Instant::now();
-        let out = generate(&prog, &mir, &api, Some(&basis), &opts, &obs);
+        let out = generate(&prog, &mir, &api, Some(&basis), &opts, &Obs::new());
         let gen_time = start.elapsed();
 
         let mut gen_prog = prog.clone();
@@ -121,15 +118,6 @@ fn main() {
         let shared = manual.intersection(&generated).count();
         let parity = generated == manual;
         parity_classes += parity as usize;
-        obs.metrics
-            .counter("gen.bench.pairs_manual")
-            .add(manual.len() as u64);
-        obs.metrics
-            .counter("gen.bench.pairs_generated")
-            .add(generated.len() as u64);
-        obs.metrics
-            .counter("gen.bench.pairs_shared")
-            .add(shared as u64);
 
         rows.push(vec![
             id.to_string(),
@@ -176,17 +164,4 @@ fn main() {
         std::fs::write(&path, &report).expect("write results file");
         eprintln!("wrote {path}");
     }
-
-    obs.metrics
-        .counter("gen.bench.parity_classes")
-        .add(parity_classes as u64);
-    obs.metrics
-        .gauge("bench.gen.wall_ns")
-        .set_duration(bench_start.elapsed());
-    narada_bench::write_manifest(
-        "gen",
-        threads,
-        &obs,
-        &[("classes", CLASSES.join(",")), ("seed", SEED.to_string())],
-    );
 }

@@ -180,8 +180,6 @@ fn walk_suite(
 
 fn main() {
     let out_path = std::env::args().nth(1);
-    let obs = narada_obs::Obs::new();
-    let bench_start = Instant::now();
 
     let mut gen_rows = Vec::new();
     let mut conf_rows = Vec::new();
@@ -206,20 +204,6 @@ fn main() {
         // 2. Raw conflict space.
         let space = conflict_space(&out.analysis);
         let conf = Tally::of(&screen_pairs(&mir, &space));
-
-        let m = &obs.metrics;
-        m.counter("screen.generated.pairs").add(gen.total() as u64);
-        m.counter("screen.generated.pruned")
-            .add(gen.pruned() as u64);
-        m.counter("screen.conflict.pairs").add(conf.total() as u64);
-        m.counter("screen.conflict.pruned")
-            .add(conf.pruned() as u64);
-        m.counter("screen.discharged.owner_monitor")
-            .add(conf.monitor as u64);
-        m.counter("screen.discharged.thread_local")
-            .add(conf.thread_local as u64);
-        m.counter("screen.discharged.no_racy_context")
-            .add(conf.no_context as u64);
 
         if ci < EVAL_PREFIX {
             for (acc, t) in [(&mut gen_eval, gen), (&mut conf_eval, conf)] {
@@ -393,23 +377,4 @@ fn main() {
         std::fs::write(&path, &report).expect("write results file");
         eprintln!("wrote {path}");
     }
-
-    obs.metrics
-        .counter("screen.rank.walk_generation_order")
-        .add(rank_totals.0 as u64);
-    obs.metrics
-        .counter("screen.rank.walk_ranked")
-        .add(rank_totals.1 as u64);
-    obs.metrics
-        .gauge("bench.screen.wall_ns")
-        .set_duration(bench_start.elapsed());
-    narada_bench::write_manifest(
-        "screen",
-        1,
-        &obs,
-        &[
-            ("classes", CLASSES.join(",")),
-            ("eval_prefix", EVAL_PREFIX.to_string()),
-        ],
-    );
 }

@@ -1,20 +1,13 @@
 //! Regenerates **Table 3 — Benchmark Information**: benchmark, version,
 //! analyzed class, plus the MJ port's size for reference.
 
-use narada_bench::{render_table, write_manifest};
+use narada_bench::render_table;
 
 fn main() {
-    let obs = narada_obs::Obs::new();
-    let wall = std::time::Instant::now();
     let rows: Vec<Vec<String>> = narada_corpus::all()
         .iter()
         .map(|e| {
             let prog = e.compile().expect("corpus compiles");
-            obs.metrics.counter("corpus.classes").add(1);
-            obs.metrics
-                .counter("corpus.methods")
-                .add(e.method_count(&prog) as u64);
-            obs.metrics.counter("corpus.loc").add(e.loc() as u64);
             vec![
                 e.id.to_string(),
                 e.benchmark.to_string(),
@@ -42,8 +35,4 @@ fn main() {
             &rows
         )
     );
-    obs.metrics
-        .gauge("bench.table3.wall_ns")
-        .set_duration(wall.elapsed());
-    write_manifest("table3", 1, &obs, &[("classes", "C1-C9".to_string())]);
 }

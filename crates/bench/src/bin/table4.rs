@@ -6,20 +6,18 @@
 //! to check: pairs ≫ tests, C2/C5/C6 dominating the pair counts, and total
 //! synthesis time far under the paper's four minutes.
 
-use narada_bench::{env_threads, render_table, secs, synthesize_corpus_observed, write_manifest};
+use narada_bench::{env_threads, render_table, secs, synthesize_corpus};
 use narada_core::SynthesisOptions;
 
 fn main() {
     let threads = env_threads();
-    let obs = narada_obs::Obs::new();
     let wall = std::time::Instant::now();
-    let runs = synthesize_corpus_observed(
+    let runs = synthesize_corpus(
         &SynthesisOptions {
             threads,
             ..SynthesisOptions::default()
         },
         threads,
-        &obs,
     );
     let wall = wall.elapsed();
     let mut rows = Vec::new();
@@ -61,6 +59,4 @@ fn main() {
             &rows
         )
     );
-    obs.metrics.gauge("bench.table4.wall_ns").set_duration(wall);
-    write_manifest("table4", threads, &obs, &[("classes", "C1-C9".into())]);
 }

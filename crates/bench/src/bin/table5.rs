@@ -8,9 +8,10 @@
 //! `NARADA_MAX_TESTS` (cap on tests evaluated per class, default
 //! unlimited).
 
-use narada_bench::{env_threads, render_table, synthesize_corpus_observed, write_manifest};
+use narada_bench::{env_threads, render_table, synthesize_corpus};
 use narada_core::SynthesisOptions;
 use narada_detect::{evaluate_suite_full, DetectConfig};
+use narada_obs::Obs;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -31,14 +32,12 @@ fn main() {
         ..DetectConfig::default()
     };
     let max_tests = env_usize("NARADA_MAX_TESTS", usize::MAX);
-    let obs = narada_obs::Obs::new();
-    let runs = synthesize_corpus_observed(
+    let runs = synthesize_corpus(
         &SynthesisOptions {
             threads,
             ..SynthesisOptions::default()
         },
         threads,
-        &obs,
     );
     let mut rows = Vec::new();
     let mut totals = (0usize, 0usize, 0usize, 0usize);
@@ -51,7 +50,7 @@ fn main() {
             .take(max_tests)
             .map(|t| &t.plan)
             .collect();
-        let agg = evaluate_suite_full(&r.prog, &r.mir, &seeds, &plans, &cfg, &obs).1;
+        let agg = evaluate_suite_full(&r.prog, &r.mir, &seeds, &plans, &cfg, &Obs::new()).1;
         totals.0 += agg.races_detected;
         totals.1 += agg.harmful;
         totals.2 += agg.benign;
@@ -91,18 +90,5 @@ fn main() {
             ],
             &rows
         )
-    );
-    obs.metrics
-        .gauge("bench.table5.wall_ns")
-        .set_duration(wall.elapsed());
-    write_manifest(
-        "table5",
-        threads,
-        &obs,
-        &[
-            ("schedules", cfg.schedule_trials.to_string()),
-            ("confirms", cfg.confirm_trials.to_string()),
-            ("seed", format!("{:#x}", cfg.seed)),
-        ],
     );
 }

@@ -18,12 +18,10 @@ pub mod harness;
 
 use narada_core::{synthesize_observed, SynthesisOptions, SynthesisOutput};
 use narada_corpus::CorpusEntry;
-use narada_detect::{evaluate_suite_full, ClassDetection, DetectConfig};
 use narada_lang::hir::Program;
 use narada_lang::lower::lower_program;
 use narada_lang::mir::MirProgram;
-use narada_obs::{Obs, RunManifest};
-use std::path::PathBuf;
+use narada_obs::Obs;
 use std::time::Duration;
 
 /// A compiled corpus entry plus its synthesis output.
@@ -41,35 +39,23 @@ pub struct ClassRun {
 impl ClassRun {
     /// Runs synthesis for one corpus entry.
     pub fn synthesize(entry: CorpusEntry, opts: &SynthesisOptions) -> ClassRun {
-        ClassRun::synthesize_observed(entry, opts, &Obs::new())
-    }
-
-    /// [`ClassRun::synthesize`] recording through `obs` (shared across
-    /// classes; every recorded count is a commutative sum).
-    pub fn synthesize_observed(entry: CorpusEntry, opts: &SynthesisOptions, obs: &Obs) -> ClassRun {
         let prog = entry
             .compile()
             .unwrap_or_else(|e| panic!("{} failed to compile:\n{e}", entry.id));
         let mir = lower_program(&prog);
-        let out = synthesize_observed(&prog, &mir, opts, Some(&narada_screen::screen_pairs), obs);
+        let out = synthesize_observed(
+            &prog,
+            &mir,
+            opts,
+            Some(&narada_screen::screen_pairs),
+            &Obs::new(),
+        );
         ClassRun {
             entry,
             prog,
             mir,
             out,
         }
-    }
-
-    /// Runs the detection protocol over this class's synthesized suite.
-    pub fn detect(&self, cfg: &DetectConfig) -> ClassDetection {
-        self.detect_observed(cfg, &Obs::new())
-    }
-
-    /// [`ClassRun::detect`] recording through `obs`.
-    pub fn detect_observed(&self, cfg: &DetectConfig, obs: &Obs) -> ClassDetection {
-        let seeds: Vec<_> = self.prog.tests.iter().map(|t| t.id).collect();
-        let plans: Vec<_> = self.out.tests.iter().map(|t| &t.plan).collect();
-        evaluate_suite_full(&self.prog, &self.mir, &seeds, &plans, cfg, obs).1
     }
 }
 
@@ -83,17 +69,6 @@ impl ClassRun {
 /// function of `(entry, opts)` and the result vector preserves corpus
 /// order.
 pub fn synthesize_corpus(opts: &SynthesisOptions, threads: usize) -> Vec<ClassRun> {
-    synthesize_corpus_observed(opts, threads, &Obs::new())
-}
-
-/// [`synthesize_corpus`] recording every class's pipeline through a
-/// shared `obs` — counters merge commutatively, so the registry snapshot
-/// is identical at any `threads` value.
-pub fn synthesize_corpus_observed(
-    opts: &SynthesisOptions,
-    threads: usize,
-    obs: &Obs,
-) -> Vec<ClassRun> {
     let outer = narada_core::effective_threads(threads);
     let inner_opts = SynthesisOptions {
         threads: if outer > 1 { 1 } else { opts.threads },
@@ -101,31 +76,8 @@ pub fn synthesize_corpus_observed(
     };
     let entries = narada_corpus::all();
     narada_core::parallel_map(threads, &entries, |_, entry| {
-        ClassRun::synthesize_observed(*entry, &inner_opts, obs)
+        ClassRun::synthesize(*entry, &inner_opts)
     })
-}
-
-/// Synthesizes all nine corpus classes. Thread count comes from
-/// `opts.threads` (the bench bins plumb `NARADA_THREADS` through here).
-pub fn run_all(opts: &SynthesisOptions) -> Vec<ClassRun> {
-    synthesize_corpus(opts, opts.threads)
-}
-
-/// Writes one bench bin's run manifest as `BENCH_<name>.json` under
-/// `$NARADA_MANIFEST_DIR` (default: the current directory), stamping the
-/// effective thread count, git revision, host core count, and the given
-/// config entries. Returns the written path.
-pub fn write_manifest(name: &str, threads: usize, obs: &Obs, config: &[(&str, String)]) -> PathBuf {
-    let mut m = RunManifest::from_obs(name, narada_core::effective_threads(threads) as u64, obs);
-    for (k, v) in config {
-        m.set_config(k, v);
-    }
-    let dir = std::env::var("NARADA_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, m.to_pretty())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
-    path
 }
 
 /// Reads the shared `NARADA_THREADS` knob for the bench bins (`0` /

@@ -28,12 +28,11 @@ pub fn lower_program(prog: &Program) -> MirProgram {
     for t in &prog.tests {
         mir.tests.push(lower_test(prog, t));
     }
-    for f in &prog.fields {
-        if let Some(init) = &f.init {
-            mir.field_inits
-                .insert(f.id, lower_field_init(prog, f, init));
-        }
-    }
+    mir.field_inits = prog
+        .fields
+        .iter()
+        .map(|f| f.init.as_ref().map(|init| lower_field_init(prog, f, init)))
+        .collect();
     mir
 }
 
@@ -686,9 +685,9 @@ mod tests {
         let a = prog.class_by_name("A").unwrap();
         let x = prog.field_by_name(a, "x").unwrap();
         let y = prog.field_by_name(a, "y").unwrap();
-        assert!(mir.field_inits.contains_key(&x));
-        assert!(!mir.field_inits.contains_key(&y));
-        let body = &mir.field_inits[&x];
+        assert_eq!(mir.field_inits.len(), prog.fields.len());
+        assert!(mir.field_inits[y.index()].is_none());
+        let body = mir.field_inits[x.index()].as_ref().unwrap();
         assert!(body
             .instrs
             .iter()

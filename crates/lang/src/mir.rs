@@ -18,7 +18,6 @@
 use crate::ast::{BinOp, UnOp};
 use crate::hir::{ClassId, FieldId, LocalId, MethodId, TestId, Ty};
 use crate::span::Span;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A virtual register within one [`Body`]. Indices `0..num_locals` are the
@@ -464,8 +463,9 @@ pub struct MirProgram {
     pub methods: Vec<Body>,
     /// Test bodies, indexed by [`TestId`].
     pub tests: Vec<Body>,
-    /// Field-initializer bodies for fields with initializers.
-    pub field_inits: HashMap<FieldId, Body>,
+    /// Field-initializer bodies, indexed by [`FieldId`];
+    /// `None` for a field without an initializer.
+    pub field_inits: Vec<Option<Body>>,
 }
 
 impl MirProgram {
@@ -475,7 +475,9 @@ impl MirProgram {
         match id {
             BodyId::Method(m) => &self.methods[m.index()],
             BodyId::Test(t) => &self.tests[t.index()],
-            BodyId::FieldInit(f) => &self.field_inits[&f],
+            BodyId::FieldInit(f) => self.field_inits[f.index()]
+                .as_ref()
+                .expect("a field-initializer body for a field with an initializer"),
         }
     }
 

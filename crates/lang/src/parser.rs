@@ -34,6 +34,8 @@ pub fn parse(src: &str) -> Result<Program, Diagnostics> {
         tokens,
         pos: 0,
         errors: Vec::new(),
+        depth: 0,
+        height: 0,
     };
     let program = p.program();
     if p.errors.is_empty() {
@@ -43,10 +45,22 @@ pub fn parse(src: &str) -> Result<Program, Diagnostics> {
     }
 }
 
+/// The deepest syntax tree the parser builds, counted in levels along
+/// one path from a method, test or field initializer down to a leaf:
+/// each block, statement, operator, call, access and pair of parentheses
+/// is one level. The parser and every later pass recurse once per level,
+/// so a deeper source (say, 10,000 nested parentheses or a 10,000-term
+/// sum) is refused with a diagnostic instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     errors: Vec<Diagnostic>,
+    /// Levels above the node being parsed.
+    depth: usize,
+    /// Height in levels of the expression parsed last.
+    height: usize,
 }
 
 /// Signals that the current declaration could not be parsed; the caller
@@ -119,6 +133,47 @@ impl Parser {
     fn error_here(&mut self, msg: String) {
         let span = self.span();
         self.errors.push(Diagnostic::new(Phase::Parse, msg, span));
+    }
+
+    fn too_deep(&mut self) -> Bail {
+        self.error_here(format!("source nests deeper than {MAX_DEPTH} levels"));
+        Bail
+    }
+
+    /// Parses a child node one level below the current one.
+    fn nest<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth + 1 >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let node = parse(self);
+        self.depth -= 1;
+        node
+    }
+
+    /// Returns `e`, an expression `height` levels high, after checking
+    /// that it fits under [`MAX_DEPTH`] where it sits. Left-associative
+    /// chains are built in a loop, so only a height check sees how deep
+    /// their first operand ends up.
+    fn built(&mut self, e: Expr, height: usize) -> PResult<Expr> {
+        if self.depth + height > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.height = height;
+        Ok(e)
+    }
+
+    /// Builds `lhs op rhs` from two operands and their heights.
+    fn binary(&mut self, op: BinOp, lhs: Expr, lhs_height: usize, rhs: Expr) -> PResult<Expr> {
+        let height = lhs_height.max(self.height) + 1;
+        let span = lhs.span().merge(rhs.span());
+        let e = Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+            span,
+        };
+        self.built(e, height)
     }
 
     /// Skips tokens until the next likely declaration start.
@@ -351,7 +406,7 @@ impl Parser {
                 self.error_here("unclosed block".into());
                 return Err(Bail);
             }
-            stmts.push(self.stmt()?);
+            stmts.push(self.nest(Self::stmt)?);
         }
         Ok(Block {
             stmts,
@@ -366,7 +421,7 @@ impl Parser {
                 self.bump();
                 let name = self.expect_ident()?;
                 self.expect(TokenKind::Eq)?;
-                let init = self.expr()?;
+                let init = self.nest(Self::expr)?;
                 self.expect(TokenKind::Semi)?;
                 Ok(Stmt::Let {
                     name,
@@ -377,20 +432,21 @@ impl Parser {
             TokenKind::If => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let cond = self.expr()?;
+                let cond = self.nest(Self::expr)?;
                 self.expect(TokenKind::RParen)?;
-                let then_blk = self.block()?;
+                let then_blk = self.nest(Self::block)?;
                 let else_blk = if self.eat(&TokenKind::Else) {
                     if self.peek() == &TokenKind::If {
-                        // `else if` sugar: wrap the nested if in a block.
-                        let nested = self.stmt()?;
+                        // `else if` sugar: wrap the nested if in a block
+                        // (two levels: the block and the nested if).
+                        let nested = self.nest(|p| p.nest(Self::stmt))?;
                         let span = nested.span();
                         Some(Block {
                             stmts: vec![nested],
                             span,
                         })
                     } else {
-                        Some(self.block()?)
+                        Some(self.nest(Self::block)?)
                     }
                 } else {
                     None
@@ -405,9 +461,9 @@ impl Parser {
             TokenKind::While => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let cond = self.expr()?;
+                let cond = self.nest(Self::expr)?;
                 self.expect(TokenKind::RParen)?;
-                let body = self.block()?;
+                let body = self.nest(Self::block)?;
                 Ok(Stmt::While {
                     cond,
                     body,
@@ -417,9 +473,9 @@ impl Parser {
             TokenKind::Sync => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let lock = self.expr()?;
+                let lock = self.nest(Self::expr)?;
                 self.expect(TokenKind::RParen)?;
-                let body = self.block()?;
+                let body = self.nest(Self::block)?;
                 Ok(Stmt::Sync {
                     lock,
                     body,
@@ -431,7 +487,7 @@ impl Parser {
                 let value = if self.peek() == &TokenKind::Semi {
                     None
                 } else {
-                    Some(self.expr()?)
+                    Some(self.nest(Self::expr)?)
                 };
                 self.expect(TokenKind::Semi)?;
                 Ok(Stmt::Return {
@@ -441,7 +497,7 @@ impl Parser {
             }
             TokenKind::Assert => {
                 self.bump();
-                let cond = self.expr()?;
+                let cond = self.nest(Self::expr)?;
                 self.expect(TokenKind::Semi)?;
                 Ok(Stmt::Assert {
                     cond,
@@ -449,9 +505,9 @@ impl Parser {
                 })
             }
             _ => {
-                let e = self.expr()?;
+                let e = self.nest(Self::expr)?;
                 if self.eat(&TokenKind::Eq) {
-                    let value = self.expr()?;
+                    let value = self.nest(Self::expr)?;
                     self.expect(TokenKind::Semi)?;
                     Ok(Stmt::Assign {
                         target: e,
@@ -473,14 +529,9 @@ impl Parser {
     fn or_expr(&mut self) -> PResult<Expr> {
         let mut lhs = self.and_expr()?;
         while self.eat(&TokenKind::OrOr) {
+            let lhs_height = self.height;
             let rhs = self.and_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = self.binary(BinOp::Or, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -488,14 +539,9 @@ impl Parser {
     fn and_expr(&mut self) -> PResult<Expr> {
         let mut lhs = self.cmp_expr()?;
         while self.eat(&TokenKind::AndAnd) {
+            let lhs_height = self.height;
             let rhs = self.cmp_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = self.binary(BinOp::And, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -512,14 +558,9 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
+        let lhs_height = self.height;
         let rhs = self.add_expr()?;
-        let span = lhs.span().merge(rhs.span());
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            span,
-        })
+        self.binary(op, lhs, lhs_height, rhs)
     }
 
     fn add_expr(&mut self) -> PResult<Expr> {
@@ -531,14 +572,9 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            let lhs_height = self.height;
             let rhs = self.mul_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = self.binary(op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -553,14 +589,9 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            let lhs_height = self.height;
             let rhs = self.unary_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = self.binary(op, lhs, lhs_height, rhs)?;
         }
         Ok(lhs)
     }
@@ -568,22 +599,26 @@ impl Parser {
     fn unary_expr(&mut self) -> PResult<Expr> {
         let start = self.span();
         if self.eat(&TokenKind::Bang) {
-            let operand = self.unary_expr()?;
+            let operand = self.nest(Self::unary_expr)?;
             let span = start.merge(operand.span());
-            return Ok(Expr::Unary {
+            let height = self.height + 1;
+            let e = Expr::Unary {
                 op: UnOp::Not,
                 operand: Box::new(operand),
                 span,
-            });
+            };
+            return self.built(e, height);
         }
         if self.eat(&TokenKind::Minus) {
-            let operand = self.unary_expr()?;
+            let operand = self.nest(Self::unary_expr)?;
             let span = start.merge(operand.span());
-            return Ok(Expr::Unary {
+            let height = self.height + 1;
+            let e = Expr::Unary {
                 op: UnOp::Neg,
                 operand: Box::new(operand),
                 span,
-            });
+            };
+            return self.built(e, height);
         }
         self.postfix_expr()
     }
@@ -591,35 +626,41 @@ impl Parser {
     fn postfix_expr(&mut self) -> PResult<Expr> {
         let mut e = self.primary_expr()?;
         loop {
+            let e_height = self.height;
             if self.eat(&TokenKind::Dot) {
                 let name = self.expect_ident()?;
                 if self.peek() == &TokenKind::LParen {
                     let args = self.args()?;
                     let span = e.span().merge(self.prev_span());
-                    e = Expr::Call {
+                    let height = e_height.max(self.height) + 1;
+                    let call = Expr::Call {
                         recv: Box::new(e),
                         method: name,
                         args,
                         span,
                     };
+                    e = self.built(call, height)?;
                 } else {
                     let span = e.span().merge(name.span);
-                    e = Expr::Field {
+                    let field = Expr::Field {
                         obj: Box::new(e),
                         field: name,
                         span,
                     };
+                    e = self.built(field, e_height + 1)?;
                 }
             } else if self.peek() == &TokenKind::LBracket {
                 self.bump();
-                let idx = self.expr()?;
+                let idx = self.nest(Self::expr)?;
                 self.expect(TokenKind::RBracket)?;
                 let span = e.span().merge(self.prev_span());
-                e = Expr::Index {
+                let height = e_height.max(self.height) + 1;
+                let index = Expr::Index {
                     arr: Box::new(e),
                     idx: Box::new(idx),
                     span,
                 };
+                e = self.built(index, height)?;
             } else {
                 break;
             }
@@ -627,18 +668,23 @@ impl Parser {
         Ok(e)
     }
 
+    /// A parenthesized argument list; leaves the tallest argument's
+    /// height (0 for none) in `self.height`.
     fn args(&mut self) -> PResult<Vec<Expr>> {
         self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
+        let mut height = 0;
         if !self.eat(&TokenKind::RParen) {
             loop {
-                args.push(self.expr()?);
+                args.push(self.nest(Self::expr)?);
+                height = height.max(self.height);
                 if self.eat(&TokenKind::RParen) {
                     break;
                 }
                 self.expect(TokenKind::Comma)?;
             }
         }
+        self.height = height;
         Ok(args)
     }
 
@@ -647,29 +693,30 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Int(n) => {
                 self.bump();
-                Ok(Expr::Int(n, start))
+                self.built(Expr::Int(n, start), 1)
             }
             TokenKind::True => {
                 self.bump();
-                Ok(Expr::Bool(true, start))
+                self.built(Expr::Bool(true, start), 1)
             }
             TokenKind::False => {
                 self.bump();
-                Ok(Expr::Bool(false, start))
+                self.built(Expr::Bool(false, start), 1)
             }
             TokenKind::Null => {
                 self.bump();
-                Ok(Expr::Null(start))
+                self.built(Expr::Null(start), 1)
             }
             TokenKind::This => {
                 self.bump();
-                Ok(Expr::This(start))
+                self.built(Expr::This(start), 1)
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nest(Self::expr)?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                let height = self.height + 1;
+                self.built(e, height)
             }
             TokenKind::New => {
                 self.bump();
@@ -678,33 +725,37 @@ impl Parser {
                     TokenKind::IntTy | TokenKind::BoolTy => {
                         let elem = self.type_expr_no_array()?;
                         self.expect(TokenKind::LBracket)?;
-                        let len = self.expr()?;
+                        let len = self.nest(Self::expr)?;
                         self.expect(TokenKind::RBracket)?;
-                        Ok(Expr::NewArray {
+                        let height = self.height + 1;
+                        let e = Expr::NewArray {
                             elem,
                             len: Box::new(len),
                             span: start.merge(self.prev_span()),
-                        })
+                        };
+                        self.built(e, height)
                     }
                     TokenKind::Ident(_) => {
                         let class = self.expect_ident()?;
-                        if self.peek() == &TokenKind::LBracket {
+                        let e = if self.peek() == &TokenKind::LBracket {
                             self.bump();
-                            let len = self.expr()?;
+                            let len = self.nest(Self::expr)?;
                             self.expect(TokenKind::RBracket)?;
-                            Ok(Expr::NewArray {
+                            Expr::NewArray {
                                 elem: TypeExpr::Named(class),
                                 len: Box::new(len),
                                 span: start.merge(self.prev_span()),
-                            })
+                            }
                         } else {
                             let args = self.args()?;
-                            Ok(Expr::New {
+                            Expr::New {
                                 class,
                                 args,
                                 span: start.merge(self.prev_span()),
-                            })
-                        }
+                            }
+                        };
+                        let height = self.height + 1;
+                        self.built(e, height)
                     }
                     other => {
                         self.error_here(format!(
@@ -720,13 +771,15 @@ impl Parser {
                 let id = Ident::new(name, t.span);
                 if self.peek() == &TokenKind::LParen {
                     let args = self.args()?;
-                    Ok(Expr::BuiltinCall {
+                    let height = self.height + 1;
+                    let e = Expr::BuiltinCall {
                         name: id,
                         args,
                         span: start.merge(self.prev_span()),
-                    })
+                    };
+                    self.built(e, height)
                 } else {
-                    Ok(Expr::Name(id))
+                    self.built(Expr::Name(id), 1)
                 }
             }
             other => {
@@ -962,5 +1015,35 @@ mod tests {
             p.classes[0].methods[0].body.stmts[0],
             Stmt::Return { value: None, .. }
         ));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_a_diagnostic() {
+        // The body block, each `if` and its block, the `var` and its
+        // literal: 3 + 2n levels.
+        let ifs = |n: usize| {
+            format!(
+                "test t {{ {}var x = 1; {}}}",
+                "if (true) { ".repeat(n),
+                "} ".repeat(n)
+            )
+        };
+        let fits = (MAX_DEPTH - 3) / 2;
+        assert!(parse(&ifs(fits)).is_ok());
+        let deep = [
+            ifs(fits + 1),
+            ifs(10_000),
+            format!(
+                "class C {{ int f = {}1{}; }}",
+                "(".repeat(10_000),
+                ")".repeat(10_000)
+            ),
+            format!("test t {{ var a = b{}; }}", "[0]".repeat(10_000)),
+            format!("test t {{ var a = 1{}; }}", " * 1".repeat(10_000)),
+        ];
+        for src in deep {
+            let err = parse(&src).unwrap_err().to_string();
+            assert!(err.contains("nests deeper"), "{err}");
+        }
     }
 }

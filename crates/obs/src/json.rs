@@ -196,6 +196,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -240,9 +241,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a short document
+/// of `[`s overflow the stack; every document narada writes nests a few
+/// levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -287,8 +296,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -529,6 +549,27 @@ mod tests {
         for bad in ["", "{", "[1,", r#"{"a" 1}"#, "tru", "1 2", "\"\\q\""] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| {
+            format!(
+                "{}{{}}{}",
+                r#"{"a":"#.repeat(depth - 1),
+                "}".repeat(depth - 1)
+            )
+        };
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        for deep in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // A million unclosed brackets end in an error, not a stack overflow.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!   (byte-identical at any `--threads` value);
 //! * [`RunManifest`] — one machine-readable JSON document per invocation
 //!   capturing seeds, strategy, environment, stage timings, and all final
-//!   metric values, written by the CLI (`--manifest`) and by every bench
-//!   bin (`BENCH_<name>.json`) so the perf trajectory is recorded and
-//!   diffable PR-over-PR (`narada report --diff`).
+//!   metric values, written by the CLI (`--manifest`) and diffable run
+//!   against run (`narada report --diff`).
 //!
 //! The pieces travel together as an [`Obs`] bundle:
 //!
@@ -36,7 +35,6 @@ pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod span;
-pub mod trend;
 
 pub use eventlog::EventLog;
 pub use json::{Json, JsonError};
@@ -45,7 +43,6 @@ pub use metrics::{
     Counter, Gauge, Histogram, MetricValue, Metrics, LATENCY_BUCKETS_NS, TRIAL_BUCKETS,
 };
 pub use span::{thread_ordinal, SpanGuard, SpanRecord, Tracer};
-pub use trend::{is_wall_metric, TrendReport, TrendRow, TrendStatus};
 
 /// The telemetry bundle one run threads through the pipeline: a metrics
 /// registry plus a tracer. `Sync`, so sharded workers can record through

@@ -41,8 +41,7 @@ pub const REQUIRED_FIELDS: &[&str] = &[
 /// serialize → parse → equal round-trip test leans on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
-    /// Workload name (`synth`, `explore`, `screen`, …); bench bins write
-    /// the file as `BENCH_<name>.json`.
+    /// Workload name (`synth`, `detect`, `serve.job`, …).
     pub name: String,
     /// Tool identity, e.g. `narada 0.1.0`.
     pub tool: String,

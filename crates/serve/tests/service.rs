@@ -77,6 +77,10 @@ struct TestServer {
 
 impl TestServer {
     fn start(workers: usize, state_dir: bool) -> TestServer {
+        TestServer::start_with_capacity(workers, state_dir, 64)
+    }
+
+    fn start_with_capacity(workers: usize, state_dir: bool, cache_capacity: usize) -> TestServer {
         let dir = scratch_dir("srv");
         let port_file = dir.join("port");
         let config = ServeConfig {
@@ -84,7 +88,7 @@ impl TestServer {
             workers,
             state_dir: state_dir.then(|| dir.join("state")),
             port_file: Some(port_file.clone()),
-            cache_capacity: 64,
+            cache_capacity,
             ..ServeConfig::default()
         };
         let handle = std::thread::spawn(move || serve(config));
@@ -137,25 +141,39 @@ impl TestServer {
 #[test]
 fn served_reports_are_byte_identical_to_batch_cold_and_warm() {
     let opts = test_opts();
-    let server = TestServer::start(2, false);
-    for id in ["C1", "C2", "C3", "C4", "C5"] {
-        let source = narada_corpus::by_id(id).expect("corpus id").source;
-        let reference = reference_report(source, &opts);
-        let cold = server.run(source, &opts);
-        assert_eq!(cold, reference, "{id}: cold served != batch");
-        let warm = server.run(source, &opts);
-        assert_eq!(warm, reference, "{id}: warm served != batch");
+    let sources: Vec<_> = ["C1", "C2", "C3", "C4", "C5"]
+        .iter()
+        .map(|id| (*id, narada_corpus::by_id(id).expect("corpus id").source))
+        .collect();
+    let references: Vec<_> = sources
+        .iter()
+        .map(|(_, source)| reference_report(source, &opts))
+        .collect();
+    // Cold then warm over C1-C5: each cold submission misses the program
+    // cache and each warm one hits it (parse, lower and screen skipped).
+    // A cache of two programs also evicts the least recently used one on
+    // every miss past the second.
+    for (capacity, evictions) in [(64, 0), (2, 3)] {
+        let server = TestServer::start_with_capacity(2, false, capacity);
+        for ((id, source), reference) in sources.iter().zip(&references) {
+            let cold = server.run(source, &opts);
+            assert_eq!(&cold, reference, "{id}: cold served != batch");
+            let warm = server.run(source, &opts);
+            assert_eq!(&warm, reference, "{id}: warm served != batch");
+        }
+        let stats = server.client().stats().expect("stats");
+        let count = |key: &str| stats.get("cache").and_then(|c| c.get(key)?.as_i64());
+        assert_eq!(
+            (
+                count("program_hits"),
+                count("program_misses"),
+                count("evictions")
+            ),
+            (Some(5), Some(5), Some(evictions)),
+            "cache counters at cache_capacity {capacity}"
+        );
+        assert_eq!(server.stop(), 10);
     }
-    // Warm resubmissions hit the program cache: parse, lower, and
-    // screen were all skipped.
-    let stats = server.client().stats().expect("stats");
-    let hits = stats
-        .get("cache")
-        .and_then(|c| c.get("program_hits"))
-        .and_then(|h| h.as_i64())
-        .unwrap_or(0);
-    assert!(hits >= 5, "expected >=5 warm program hits, got {hits}");
-    assert_eq!(server.stop(), 10);
 }
 
 #[test]
@@ -494,6 +512,22 @@ fn over_long_frame_is_refused_and_the_server_keeps_serving() {
     let pong = server.client().ping().expect("ping on a fresh connection");
     assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong:?}");
     let c1 = narada_corpus::by_id("C1").expect("C1").source;
+    server.run(c1, &test_opts());
+
+    // A frame well under the cap that nests arrays far past the JSON
+    // parser's depth bound is refused like any malformed frame: the
+    // server closes that connection instead of overflowing its stack.
+    let mut raw = std::net::TcpStream::connect(&server.addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    raw.write_all(format!("{}\n", "[".repeat(20 * 1024)).as_bytes())
+        .expect("write the deep frame");
+    let mut reader = std::io::BufReader::new(raw);
+    assert!(
+        matches!(read_frame(&mut reader), Ok(None) | Err(_)),
+        "the server must close the connection that sent the deep frame"
+    );
+    let pong = server.client().ping().expect("ping after the deep frame");
+    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong:?}");
     server.run(c1, &test_opts());
     server.stop();
 }

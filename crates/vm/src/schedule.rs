@@ -38,6 +38,13 @@ pub const VM_VERSION: &str = env!("CARGO_PKG_VERSION");
 /// Magic first line of the `.sched` format.
 const HEADER: &str = "narada-sched v1";
 
+/// The most decisions a `schedule` line may expand to: twice the
+/// 2,000,000-step budget a detection trial runs under, and far above any
+/// recorded fixture (tens of decisions once minimized). Run-length counts
+/// are summed before anything is expanded, so a short file claiming
+/// `u64::MAX` decisions is refused instead of exhausting memory.
+pub const MAX_DECISIONS: u64 = 1 << 22;
+
 /// A recorded thread interleaving plus everything needed to replay it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
@@ -172,7 +179,8 @@ impl Schedule {
     /// # Errors
     ///
     /// Returns [`ScheduleError`] on a missing header, missing mandatory
-    /// keys, or a malformed run-length token.
+    /// keys, a malformed run-length token, or a `schedule` line longer
+    /// than [`MAX_DECISIONS`].
     pub fn parse(text: &str) -> Result<Schedule, ScheduleError> {
         let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
         match lines.next() {
@@ -202,7 +210,8 @@ impl Schedule {
                 "scheduler" => scheduler = Some(value.to_string()),
                 "seed" => seed = Some(parse_u64(value)?),
                 "schedule" => {
-                    let mut out = Vec::new();
+                    let mut runs = Vec::new();
+                    let mut total = 0u64;
                     for tok in value.split_whitespace() {
                         let (tid, count) = tok.split_once('x').ok_or_else(|| {
                             ScheduleError(format!("bad run token `{tok}` (want TIDxCOUNT)"))
@@ -213,11 +222,21 @@ impl Schedule {
                         let count: u64 = count
                             .parse()
                             .map_err(|_| ScheduleError(format!("bad count in `{tok}`")))?;
-                        for _ in 0..count {
-                            out.push(ThreadId(tid));
-                        }
+                        total = total
+                            .checked_add(count)
+                            .filter(|&t| t <= MAX_DECISIONS)
+                            .ok_or_else(|| {
+                                ScheduleError(format!(
+                                    "schedule expands past {MAX_DECISIONS} decisions"
+                                ))
+                            })?;
+                        runs.push((ThreadId(tid), count as usize));
                     }
-                    choices = Some(out);
+                    choices = Some(
+                        runs.into_iter()
+                            .flat_map(|(tid, count)| std::iter::repeat_n(tid, count))
+                            .collect(),
+                    );
                 }
                 _ => meta.push((key.to_string(), value.to_string())),
             }
@@ -305,6 +324,23 @@ mod tests {
             Schedule::parse("narada-sched v1\nscheduler r\nseed 1\nschedule zz").is_err(),
             "bad run token must be rejected"
         );
+    }
+
+    #[test]
+    fn parse_refuses_schedules_past_the_decision_bound() {
+        let line = |runs: &str| format!("narada-sched v1\nscheduler r\nseed 1\nschedule {runs}");
+        let at = Schedule::parse(&line(&format!("0x{} 1x{}", MAX_DECISIONS - 1, 1))).unwrap();
+        assert_eq!(at.choices.len() as u64, MAX_DECISIONS);
+        // Counts that overflow u64 or add up past the bound are refused
+        // before a single decision is expanded.
+        for runs in [
+            format!("0x{}", u64::MAX),
+            format!("0x{} 1x{}", u64::MAX, u64::MAX),
+            format!("0x{MAX_DECISIONS} 1x1"),
+        ] {
+            let err = Schedule::parse(&line(&runs)).unwrap_err();
+            assert!(err.to_string().contains("decisions"), "{err}");
+        }
     }
 
     #[test]

@@ -143,49 +143,15 @@ cmp "$SERVE_DIR/batch.report" "$SERVE_DIR/state/job-0.report" \
     || { echo "state-dir flushed report differs from batch" >&2; exit 1; }
 rm -rf "$SERVE_DIR"
 
-echo "==> bench manifests (BENCH_synth / BENCH_explore / BENCH_screen / BENCH_gen / BENCH_difftest / BENCH_serve)"
-# Each bench bin must emit a run manifest; `narada report` re-parses it
-# and fails on any missing required field (schema, git_rev, metrics, ...).
-MANIFEST_DIR="$(mktemp -d)"
-trap 'rm -rf "$MANIFEST_DIR"' EXIT
-NARADA_MANIFEST_DIR="$MANIFEST_DIR" \
-    cargo run -q --release -p narada-bench --bin synth > /dev/null
-NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_REPS=2 NARADA_MAX_TRIALS=8 NARADA_MAX_PLANS=3 \
+echo "==> bench bin smoke (explore / screen / gen / difftest, small knobs)"
+# The result-regenerating bins run on small knobs so none of them rots;
+# performance itself is gated by the repository benchmark and by the
+# work-counter fixture, not here.
+NARADA_REPS=2 NARADA_MAX_TRIALS=8 NARADA_MAX_PLANS=3 \
     cargo run -q --release -p narada-bench --bin explore > /dev/null
-NARADA_MANIFEST_DIR="$MANIFEST_DIR" \
-    cargo run -q --release -p narada-bench --bin screen > /dev/null
-NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_GEN_BUDGET=256 \
-    cargo run -q --release -p narada-bench --bin gen > /dev/null
-NARADA_MANIFEST_DIR="$MANIFEST_DIR" \
-    cargo run -q --release -p narada-bench --bin difftest > /dev/null
-NARADA_MANIFEST_DIR="$MANIFEST_DIR" NARADA_SERVE_REPS=1 NARADA_SERVE_CLIENTS=2 \
-    NARADA_SERVE_JOBS=1 NARADA_SERVE_SCHEDULES=3 NARADA_SERVE_CONFIRMS=2 \
-    cargo run -q --release -p narada-bench --bin serve > /dev/null
-for name in synth explore screen gen difftest serve; do
-    manifest="$MANIFEST_DIR/BENCH_$name.json"
-    [ -f "$manifest" ] || { echo "missing $manifest" >&2; exit 1; }
-    cargo run -q --release --bin narada -- report "$manifest" > /dev/null
-done
-
-echo "==> perf-regression trend gate (fresh runs vs committed baselines)"
-# Deterministic counters gate at zero tolerance; wall-clock metrics stay
-# informational (host-dependent timings must not fail CI). The committed
-# baselines under results/ were generated with exactly the env knobs the
-# bench invocations above use — any config drift is itself a breach.
-cargo run -q --release --bin narada -- report --trend \
-    results/BENCH_serve.json "$MANIFEST_DIR/BENCH_serve.json" --tolerance 0 \
-    || { echo "trend gate breached for BENCH_serve" >&2; exit 1; }
-
-# Fault injection: an inflated deterministic counter must trip the gate
-# with its dedicated exit code — proof the gate actually gates.
-sed 's/"serve.cache.program_hits": [0-9]*/"serve.cache.program_hits": 999999/' \
-    "$MANIFEST_DIR/BENCH_serve.json" > "$MANIFEST_DIR/BENCH_serve.injected.json"
-if cargo run -q --release --bin narada -- report --trend \
-    results/BENCH_serve.json "$MANIFEST_DIR/BENCH_serve.injected.json" \
-    --tolerance 0 > /dev/null; then
-    echo "trend gate failed to trip on injected regression" >&2; exit 1
-fi
-rm -f "$MANIFEST_DIR/BENCH_serve.injected.json"
+cargo run -q --release -p narada-bench --bin screen > /dev/null
+NARADA_GEN_BUDGET=256 cargo run -q --release -p narada-bench --bin gen > /dev/null
+cargo run -q --release -p narada-bench --bin difftest > /dev/null
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

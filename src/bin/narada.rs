@@ -12,7 +12,6 @@
 //! narada corpus [C1..C9]                             run the pipeline on a corpus class
 //! narada difftest [--seed N] [--count N] [--shrink]  differential generator sweep
 //! narada report <m.json..> [--diff a.json b.json]    render or diff run manifests
-//! narada report <m.json..> --trend [--tolerance P]   perf-regression gate (exit 4)
 //! narada top [--addr A] [--once]                     live daemon dashboard
 //! ```
 
@@ -80,10 +79,9 @@ fn main() -> ExitCode {
         "pairs" => cmd_pairs(rest),
         "corpus" => cmd_corpus(rest),
         // difftest owns its exit code (3 = disagreement found), so it
-        // bypasses the Ok/Err mapping below; report likewise owns exit 4
-        // (trend tolerance breach — the CI regression gate).
+        // bypasses the Ok/Err mapping below.
         "difftest" => return cmd_difftest(rest),
-        "report" => return cmd_report(rest),
+        "report" => run_report(rest),
         "serve" => cmd_serve(rest),
         "top" => cmd_top(rest),
         "submit" => cmd_submit(rest),
@@ -150,7 +148,6 @@ USAGE:
                     [--inject-unsound] [--verbose]
                     [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada report <manifest.json>... [--diff OLD.json NEW.json]
-                  [--trend [--tolerance PCT] [--wall-tolerance PCT]]
     narada serve [--addr HOST:PORT] [--threads N] [--state-dir DIR]
                  [--port-file FILE] [--cache-capacity N]
                  [--slow-job-ms N] [--event-log-max-bytes N]
@@ -210,12 +207,7 @@ pipeline stage as JSON Lines; `--manifest FILE` writes a run manifest
 (environment, config, stage timings, and every metric — the metric
 section is byte-identical at any --threads value). `narada report`
 renders manifests; with `--diff` it compares two stage by stage and
-metric by metric. `--trend` is the CI regression gate: manifests are
-grouped by name (first = baseline, last = current), deterministic
-counters gate at `--tolerance` percent (default 0), wall-derived
-metrics (`*_ns`, `*_ms`, `*_per_sec`, `*_pct`, timings) stay
-informational unless `--wall-tolerance` is given; any breach exits
-with code 4.
+metric by metric.
 `narada serve` keeps a detection daemon resident: clients `submit`
 jobs (library source + the usual detect knobs), a worker pool runs the
 full pipeline, and a program-keyed artifact cache lets resubmission of
@@ -1095,73 +1087,14 @@ fn run_difftest(rest: &[String]) -> Result<usize, String> {
     Ok(disagreeing.len())
 }
 
-/// Renders, diffs, or trend-gates run manifests. Owns its exit codes:
-/// 0 = rendered / within tolerance, 1 = usage or IO error, 4 = a gated
-/// metric breached its trend tolerance band (the CI regression signal).
-fn cmd_report(rest: &[String]) -> ExitCode {
-    match run_report(rest) {
-        Ok(true) => ExitCode::from(4),
-        Ok(false) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Optional float flag (percent tolerances).
-fn opt_f64(rest: &[String], name: &str) -> Result<Option<f64>, String> {
-    match opt(rest, name) {
-        None if flag(rest, name) => Err(format!("{name} expects a number")),
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{name} expects a number, got `{v}`")),
-    }
-}
-
-/// The fallible body of `cmd_report`; returns whether a trend gate
-/// breached — validating every file against the schema's required fields
-/// along the way.
-fn run_report(rest: &[String]) -> Result<bool, String> {
+/// Renders or diffs run manifests, validating every file against the
+/// schema's required fields along the way.
+fn run_report(rest: &[String]) -> Result<(), String> {
     let load_manifest = |path: &str| -> Result<RunManifest, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         RunManifest::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
-    // Positional manifest paths: everything that is neither a flag nor
-    // the value of a value-taking flag.
-    let mut files: Vec<&String> = Vec::new();
-    let mut skip_value = false;
-    for a in rest {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if a == "--tolerance" || a == "--wall-tolerance" {
-            skip_value = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            files.push(a);
-        }
-    }
-    if flag(rest, "--trend") {
-        if files.len() < 2 {
-            return Err("report --trend expects at least two manifest files \
-                        (a baseline and a current run per group)"
-                .into());
-        }
-        let manifests = files
-            .iter()
-            .map(|f| load_manifest(f))
-            .collect::<Result<Vec<_>, _>>()?;
-        let tolerance = opt_f64(rest, "--tolerance")?.unwrap_or(0.0);
-        let wall_tolerance = opt_f64(rest, "--wall-tolerance")?;
-        let trend = narada::obs::trend::compare(&manifests, tolerance, wall_tolerance)?;
-        print!("{}", trend.render());
-        return Ok(!trend.ok());
-    }
+    let files: Vec<&String> = rest.iter().filter(|a| !a.starts_with("--")).collect();
     if flag(rest, "--diff") {
         let [a, b] = files[..] else {
             return Err("report --diff expects exactly two manifest files".into());
@@ -1170,7 +1103,7 @@ fn run_report(rest: &[String]) -> Result<bool, String> {
             "{}",
             RunManifest::render_diff(&load_manifest(a)?, &load_manifest(b)?)
         );
-        return Ok(false);
+        return Ok(());
     }
     if files.is_empty() {
         return Err(format!(
@@ -1180,7 +1113,7 @@ fn run_report(rest: &[String]) -> Result<bool, String> {
     for f in files {
         print!("{}", load_manifest(f)?.render());
     }
-    Ok(false)
+    Ok(())
 }
 
 /// Default service address (`--addr` overrides; `narada serve` can bind

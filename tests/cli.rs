@@ -214,10 +214,7 @@ fn documented_flags_are_accepted() {
              --inject-unsound --verbose --trace-out x --manifest x"
                 .into(),
         ),
-        (
-            "report",
-            "--diff x --trend --tolerance x --wall-tolerance x".into(),
-        ),
+        ("report", "--diff x".into()),
         (
             "serve",
             format!(
@@ -323,85 +320,6 @@ fn report_renders_and_diffs_manifests() {
 fn report_rejects_invalid_manifest() {
     let path = write_fixture("not-a-manifest.json", "{\"schema\": \"nope\"}");
     let out = narada(&["report", path.to_str().unwrap()]);
-    assert!(!out.status.success());
-}
-
-/// Inflates the first integer value following `key` in a manifest's JSON
-/// text — the fault-injection half of the trend-gate tests.
-fn inflate_metric(text: &str, key: &str) -> String {
-    let at = text
-        .find(&format!("\"{key}\""))
-        .unwrap_or_else(|| panic!("`{key}` not in manifest"));
-    let digits_start = at
-        + text[at..]
-            .find(|c: char| c.is_ascii_digit())
-            .expect("metric has a numeric value");
-    let digits_end = digits_start
-        + text[digits_start..]
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(text.len() - digits_start);
-    format!("{}999999{}", &text[..digits_start], &text[digits_end..])
-}
-
-#[test]
-fn report_trend_passes_identical_runs_and_exits_4_on_regression() {
-    let path = write_fixture("trend.mj", FIXTURE);
-    let dir = std::env::temp_dir().join("narada-cli-tests");
-    let a = dir.join("trend-a.json");
-    let b = dir.join("trend-b.json");
-    for m in [&a, &b] {
-        let out = narada(&[
-            "synth",
-            path.to_str().unwrap(),
-            "--manifest",
-            m.to_str().unwrap(),
-        ]);
-        assert!(out.status.success());
-    }
-
-    // Identical pipelines: every deterministic metric matches, wall-clock
-    // rows are informational — the gate passes at zero tolerance.
-    let out = narada(&[
-        "report",
-        "--trend",
-        a.to_str().unwrap(),
-        b.to_str().unwrap(),
-        "--tolerance",
-        "0",
-    ]);
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("0 breach(es)"), "{stdout}");
-
-    // Inject a count regression into the current run: the gate must trip
-    // through the dedicated exit code.
-    let text = std::fs::read_to_string(&b).unwrap();
-    let bad = write_fixture("trend-bad.json", &inflate_metric(&text, "pairs.generated"));
-    let out = narada(&[
-        "report",
-        "--trend",
-        a.to_str().unwrap(),
-        bad.to_str().unwrap(),
-        "--tolerance",
-        "0",
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "stdout: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("!!"), "breach flagged: {stdout}");
-    assert!(stdout.contains("pairs.generated"), "{stdout}");
-
-    // A singleton group cannot be trended.
-    let out = narada(&["report", "--trend", a.to_str().unwrap(), "--tolerance", "0"]);
     assert!(!out.status.success());
 }
 

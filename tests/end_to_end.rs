@@ -166,3 +166,68 @@ fn facade_reexports_cover_the_pipeline() {
     let agg = narada::evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg(), &Obs::new()).1;
     assert!(agg.races_detected > 0, "unsynchronized Cell must race");
 }
+
+/// A racy cell whose `put` stores `expr`. The method's block and its
+/// assignment take two of the parser's `MAX_DEPTH` levels, so `expr` may
+/// be `MAX_DEPTH - 2` levels high.
+fn deep_cell(expr: &str) -> String {
+    format!(
+        "class Cell {{ int v; void put(int x) {{ this.v = {expr}; }} \
+         int get() {{ return this.v; }} }}\n\
+         test seed {{ var c = new Cell(); c.put(1); var g = c.get(); }}"
+    )
+}
+
+/// Compiles, lowers, synthesizes and detects `src` on a thread with the
+/// default stack, the size a `narada serve` worker runs on; a source
+/// the parser lets through must not overflow it in any later pass.
+fn pipeline_on_default_stack(src: String) -> Result<usize, narada::lang::Diagnostics> {
+    std::thread::spawn(move || {
+        let (prog, mir, out) = narada::synthesize_source(&src, &SynthesisOptions::default())?;
+        let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
+        let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
+        let agg = narada::evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg(), &Obs::new()).1;
+        Ok(agg.races_detected)
+    })
+    .join()
+    .expect("pipeline thread")
+}
+
+#[test]
+fn sources_at_the_depth_bound_run_and_one_level_past_it_are_refused() {
+    use narada::lang::parser::MAX_DEPTH;
+    let height = MAX_DEPTH - 2;
+    // Each shape builds an expression exactly `h` levels high.
+    fn parens(h: usize) -> String {
+        format!("{}x{}", "(".repeat(h - 1), ")".repeat(h - 1))
+    }
+    fn sum(h: usize) -> String {
+        vec!["x"; h].join("+")
+    }
+    fn negations(h: usize) -> String {
+        format!("{}x", "-".repeat(h - 1))
+    }
+    /// A parenthesized first operand sinks one level per `+` after it.
+    fn sunk_sum(h: usize) -> String {
+        format!("{}+{}", parens(h / 2), sum(h - h / 2))
+    }
+    type Shape = fn(usize) -> String;
+    let shapes: [(&str, Shape); 4] = [
+        ("parens", parens),
+        ("sum", sum),
+        ("negations", negations),
+        ("sunk sum", sunk_sum),
+    ];
+    for (shape, expr) in shapes {
+        let races = pipeline_on_default_stack(deep_cell(&expr(height)))
+            .unwrap_or_else(|e| panic!("{shape} at the bound: {e}"));
+        assert!(races > 0, "{shape} at the bound: the cell must race");
+        let err = pipeline_on_default_stack(deep_cell(&expr(height + 1)))
+            .expect_err(&format!("{shape} one level past the bound"));
+        assert!(err.to_string().contains("nests deeper"), "{shape}: {err}");
+    }
+    // Far past the bound, the parser refuses without recursing that deep.
+    for expr in [parens(10_000), sum(10_000), negations(10_000)] {
+        assert!(pipeline_on_default_stack(deep_cell(&expr)).is_err());
+    }
+}
