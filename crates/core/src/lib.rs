@@ -72,7 +72,7 @@ pub use context::{derive_plan, lock_collision, CaptureSpec, ObjRef, PlanCall, Sl
 pub use digest::Fnv1a;
 pub use options::{ExploreOptions, SynthesisOptions};
 pub use pairs::{generate_pairs, PairSet, RacePair};
-pub use parallel::{available_threads, effective_threads, parallel_map, StageTimings};
+pub use parallel::{available_threads, effective_threads, parallel_map};
 pub use path::{IPath, PathField, PathRoot};
 pub use pipeline::{
     demonstrate_observed, synthesize_generated, synthesize_observed, synthesize_source,

@@ -29,7 +29,6 @@
 //! joins, preserving the usual test-failure behavior.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// Number of workers the host can usefully run (`available_parallelism`,
 /// 1 when the query fails).
@@ -148,137 +147,6 @@ where
         .collect()
 }
 
-/// Wall-clock breakdown of one pipeline run, per stage, plus the job
-/// throughput of the sharded stages — the measurement the `--threads`
-/// speedup claims are checked against (`results/`).
-///
-/// Since the telemetry layer landed this is a **derived view**: the
-/// pipeline records stage wall-clocks and job counts into the
-/// [`narada_obs::Metrics`] registry as it runs, and
-/// [`StageTimings::from_metrics`] projects the registry into this struct
-/// for rendering and for callers that predate the registry. The struct no
-/// longer carries any bookkeeping of its own.
-#[derive(Debug, Clone, Default)]
-pub struct StageTimings {
-    /// Effective worker count the sharded stages ran with.
-    pub threads: usize,
-    /// Stage 1 — sequential seed-suite execution and tracing.
-    pub trace: Duration,
-    /// Stage 1b — the Access Analyzer over the recorded trace.
-    pub analyze: Duration,
-    /// Stage 2a — the Pair Generator.
-    pub pairs: Duration,
-    /// Static pre-screening of generated pairs (zero when the screener
-    /// did not run).
-    pub screen: Duration,
-    /// Pairs the screener discharged before derivation (zero unless
-    /// `--static-filter` pruned something).
-    pub pairs_pruned: usize,
-    /// Stage 2b/3 — context derivation + dedup (sharded over pairs).
-    pub derive: Duration,
-    /// Number of derivation jobs (racing pairs processed).
-    pub derive_jobs: usize,
-    /// Filled in by detection drivers: wall-clock and job count of the
-    /// sharded detector trials, when a detect pass ran.
-    pub detect: Option<(Duration, usize)>,
-}
-
-impl StageTimings {
-    /// Projects the metrics registry into the legacy per-stage view.
-    /// `threads` is passed separately because the effective worker count
-    /// is run *environment*, not a metric (the registry must snapshot
-    /// identically at any `--threads` value).
-    pub fn from_metrics(metrics: &narada_obs::Metrics, threads: usize) -> StageTimings {
-        let wall = |stage: &str| Duration::from_nanos(metrics.scalar(&format!("{stage}.wall_ns")));
-        let mut t = StageTimings {
-            threads,
-            trace: wall("stage.trace"),
-            analyze: wall("stage.analyze"),
-            pairs: wall("stage.pairs"),
-            screen: wall("stage.screen"),
-            pairs_pruned: metrics.scalar("pairs.pruned") as usize,
-            derive: wall("stage.derive"),
-            derive_jobs: metrics.scalar("derive.jobs") as usize,
-            detect: None,
-        };
-        let detect_wall = wall("stage.detect");
-        let detect_jobs = metrics.scalar("detect.jobs") as usize;
-        if detect_wall != Duration::ZERO || detect_jobs > 0 {
-            t.detect = Some((detect_wall, detect_jobs));
-        }
-        t
-    }
-
-    /// Sum of the recorded stage wall-clocks.
-    pub fn total(&self) -> Duration {
-        self.trace
-            + self.analyze
-            + self.pairs
-            + self.screen
-            + self.derive
-            + self.detect.map(|(d, _)| d).unwrap_or_default()
-    }
-
-    /// Derivation throughput in jobs/second.
-    pub fn derive_jobs_per_sec(&self) -> f64 {
-        jobs_per_sec(self.derive_jobs, self.derive)
-    }
-
-    /// Records the detect stage (called by detection drivers after the
-    /// fact — synthesis itself never runs detectors).
-    pub fn record_detect(&mut self, wall: Duration, jobs: usize) {
-        self.detect = Some((wall, jobs));
-    }
-
-    /// Multi-line human-readable breakdown, as printed by the CLI.
-    pub fn render(&self) -> String {
-        let mut out = format!("stage timings (threads = {}):\n", self.threads);
-        let line = |name: &str, d: Duration| format!("  {name:<8} {:>9.3}s\n", d.as_secs_f64());
-        out.push_str(&line("trace", self.trace));
-        out.push_str(&line("analyze", self.analyze));
-        out.push_str(&line("pairs", self.pairs));
-        if self.screen != Duration::ZERO || self.pairs_pruned > 0 {
-            out.push_str(&format!(
-                "  {:<8} {:>9.3}s  ({} pairs pruned)\n",
-                "screen",
-                self.screen.as_secs_f64(),
-                self.pairs_pruned,
-            ));
-        }
-        out.push_str(&format!(
-            "  {:<8} {:>9.3}s  ({} jobs, {:.0} jobs/s)\n",
-            "derive",
-            self.derive.as_secs_f64(),
-            self.derive_jobs,
-            self.derive_jobs_per_sec(),
-        ));
-        if let Some((wall, jobs)) = self.detect {
-            out.push_str(&format!(
-                "  {:<8} {:>9.3}s  ({} jobs, {:.0} jobs/s)\n",
-                "detect",
-                wall.as_secs_f64(),
-                jobs,
-                jobs_per_sec(jobs, wall),
-            ));
-        }
-        out.push_str(&format!(
-            "  {:<8} {:>9.3}s\n",
-            "total",
-            self.total().as_secs_f64()
-        ));
-        out
-    }
-}
-
-fn jobs_per_sec(jobs: usize, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs > 0.0 {
-        jobs as f64 / secs
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,54 +261,5 @@ mod tests {
             )
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn timings_render_mentions_all_stages() {
-        let mut t = StageTimings {
-            threads: 4,
-            derive_jobs: 10,
-            screen: Duration::from_millis(2),
-            pairs_pruned: 4,
-            ..Default::default()
-        };
-        t.record_detect(Duration::from_millis(5), 3);
-        let s = t.render();
-        for stage in [
-            "trace", "analyze", "pairs", "screen", "derive", "detect", "total",
-        ] {
-            assert!(s.contains(stage), "missing {stage} in:\n{s}");
-        }
-        assert!(s.contains("4 pairs pruned"), "prune counter in:\n{s}");
-    }
-
-    #[test]
-    fn stage_timings_project_from_registry() {
-        let m = narada_obs::Metrics::new();
-        m.gauge("stage.trace.wall_ns").set(1_000_000);
-        m.counter("pairs.pruned").add(4);
-        m.counter("derive.jobs").add(10);
-        let t = StageTimings::from_metrics(&m, 4);
-        assert_eq!(t.threads, 4);
-        assert_eq!(t.trace, Duration::from_millis(1));
-        assert_eq!(t.pairs_pruned, 4);
-        assert_eq!(t.derive_jobs, 10);
-        assert!(t.detect.is_none(), "no detect stage recorded");
-        m.gauge("stage.detect.wall_ns").set(5_000_000);
-        m.counter("detect.jobs").add(3);
-        let t = StageTimings::from_metrics(&m, 4);
-        assert_eq!(t.detect, Some((Duration::from_millis(5), 3)));
-    }
-
-    #[test]
-    fn timings_render_hides_screen_stage_when_it_never_ran() {
-        let t = StageTimings {
-            threads: 1,
-            ..Default::default()
-        };
-        assert!(
-            !t.render().contains("screen"),
-            "default pipeline output must be unchanged when screening is off"
-        );
     }
 }

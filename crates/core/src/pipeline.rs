@@ -10,7 +10,7 @@ use crate::analyze::analyze;
 use crate::context::derive_plan;
 use crate::options::{ExploreOptions, SynthesisOptions};
 use crate::pairs::{generate_pairs, PairSet};
-use crate::parallel::{effective_threads, parallel_map, StageTimings};
+use crate::parallel::parallel_map;
 use crate::screen::{ScreenerFn, StaticVerdict};
 use crate::synth::SynthesizedTest;
 use narada_lang::hir::Program;
@@ -38,8 +38,6 @@ pub struct SynthesisOutput {
     /// Wall-clock time of the whole synthesis (trace + analysis + pairing
     /// + derivation), the paper's Table 4 "Time" column.
     pub elapsed: Duration,
-    /// Per-stage wall-clock breakdown and sharded-stage throughput.
-    pub timings: StageTimings,
     /// Seed tests that failed during tracing (reported, not fatal).
     pub seed_failures: Vec<(String, VmError)>,
     /// Static screener verdicts, indexed like `pairs.pairs` (including
@@ -109,8 +107,6 @@ fn record_verdict_metrics(obs: &Obs, verdicts: &[StaticVerdict]) {
 /// `obs` (pass `&Obs::new()` to record nothing): wall-clock gauges
 /// (`stage.*.wall_ns`), work counters (`pairs.*`, `derive.jobs`,
 /// `tests.*`, `screen.*`), and hierarchical spans when tracing is on.
-/// [`SynthesisOutput::timings`] is derived from the registry afterwards —
-/// the registry is the single bookkeeping path.
 ///
 /// `screener` is an optional static pre-screener. It runs only when
 /// `opts.static_filter` or `opts.static_rank` asks for it — with both
@@ -243,7 +239,6 @@ pub fn synthesize_observed(
         pairs,
         tests,
         elapsed,
-        timings: StageTimings::from_metrics(m, effective_threads(opts.threads)),
         seed_failures,
         verdicts,
     }

@@ -2,10 +2,10 @@
 //!
 //! The screener itself lives in the `narada-screen` crate (it analyzes
 //! MIR, which the synthesis pipeline otherwise never inspects); only the
-//! *interface* lives here so that `SynthesisOutput`, `StageTimings`, and
-//! the detect crate's provenance records can carry verdicts without a
-//! dependency cycle. The pipeline accepts any [`ScreenerFn`] — the CLI
-//! passes `narada_screen::screen_pairs`.
+//! *interface* lives here so that `SynthesisOutput` and the detect
+//! crate's provenance records can carry verdicts without a
+//! dependency cycle. The pipeline accepts any [`ScreenerFn`];
+//! `narada_serve::synthesize` passes the `narada-screen` one.
 //!
 //! Soundness contract (argued in DESIGN.md §5): a screener may only
 //! *discharge* pairs — `MustNotRace` promises that no synthesized context

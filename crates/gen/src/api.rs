@@ -72,6 +72,18 @@ impl ApiSurface {
         self.ctors.iter().find(|c| c.class == class)
     }
 
+    /// The surface seed generation draws from: observed from the
+    /// program's own tests ([`ApiSurface::from_tests`]) when it has any,
+    /// derived from its declarations ([`ApiSurface::for_program`])
+    /// otherwise.
+    pub fn for_suite(prog: &Program, mir: &MirProgram) -> ApiSurface {
+        if prog.tests.is_empty() {
+            ApiSurface::for_program(prog)
+        } else {
+            ApiSurface::from_tests(prog, mir)
+        }
+    }
+
     /// Extracts the surface *observed* while running the program's own
     /// sequential tests: client-call roots with their concrete receiver and
     /// argument classes, and constructor invocations at any depth (so a

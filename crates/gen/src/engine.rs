@@ -233,23 +233,18 @@ fn facts(analysis: &Analysis) -> BTreeSet<Fact> {
     set
 }
 
-/// Generates a sequential seed suite for `prog`, choosing the API surface
-/// automatically: observed bindings when the program ships tests,
-/// otherwise the liberal HIR-derived surface.
+/// Generates a sequential seed suite for `prog` over `api` (normally
+/// [`ApiSurface::for_suite`]). When the program ships tests, their
+/// [`FactBasis`] bounds what generation may cover.
 pub fn generate_suite(
     prog: &Program,
     mir: &MirProgram,
+    api: &ApiSurface,
     opts: &GenOptions,
     obs: &Obs,
 ) -> GenOutcome {
-    if prog.tests.is_empty() {
-        let api = ApiSurface::for_program(prog);
-        generate(prog, mir, &api, None, opts, obs)
-    } else {
-        let api = ApiSurface::from_tests(prog, mir);
-        let basis = FactBasis::from_tests(prog, mir);
-        generate(prog, mir, &api, Some(&basis), opts, obs)
-    }
+    let basis = (!prog.tests.is_empty()).then(|| FactBasis::from_tests(prog, mir));
+    generate(prog, mir, api, basis.as_ref(), opts, obs)
 }
 
 /// Runs the feedback-directed loop over an explicit [`ApiSurface`],

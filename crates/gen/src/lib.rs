@@ -26,7 +26,7 @@
 //! ## Example
 //!
 //! ```
-//! use narada_gen::{generate_suite, GenOptions};
+//! use narada_gen::{generate_suite, ApiSurface, GenOptions};
 //! use narada_obs::Obs;
 //!
 //! let prog = narada_lang::compile(r#"
@@ -39,7 +39,8 @@
 //! "#)?;
 //! let mir = narada_lang::lower::lower_program(&prog);
 //! let opts = GenOptions { budget: 64, ..GenOptions::default() };
-//! let out = generate_suite(&prog, &mir, &opts, &Obs::new());
+//! let api = ApiSurface::for_suite(&prog, &mir);
+//! let out = generate_suite(&prog, &mir, &api, &opts, &Obs::new());
 //! assert!(!out.tests.is_empty(), "both methods are reachable");
 //! # Ok::<(), narada_lang::Diagnostics>(())
 //! ```

@@ -27,7 +27,8 @@ use crate::token::{Token, TokenKind};
 /// # Errors
 ///
 /// Returns accumulated lexical and syntax errors. The parser recovers at
-/// declaration boundaries so multiple errors can be reported at once.
+/// member and declaration boundaries so multiple errors can be reported
+/// at once.
 pub fn parse(src: &str) -> Result<Program, Diagnostics> {
     let tokens = lex(src)?;
     let mut p = Parser {
@@ -204,6 +205,42 @@ impl Parser {
         }
     }
 
+    /// Skips the rest of a member that failed to parse, through its `;`
+    /// or the `}` that closes its body, and stops before the class's own
+    /// `}`, so the class's later members still parse. `Err(Bail)` at a
+    /// `class` or `test` outside any brace: the class body never closed.
+    fn recover_to_member(&mut self, member_start: usize) -> PResult<()> {
+        // Braces the member opened before it failed.
+        let mut depth = self.tokens[member_start..self.pos]
+            .iter()
+            .fold(0usize, |d, t| match t.kind {
+                TokenKind::LBrace => d + 1,
+                TokenKind::RBrace => d.saturating_sub(1),
+                _ => d,
+            });
+        loop {
+            match self.peek() {
+                TokenKind::Eof => return Ok(()),
+                TokenKind::RBrace if depth == 0 => return Ok(()),
+                TokenKind::Class | TokenKind::Test if depth == 0 => return Err(Bail),
+                TokenKind::Semi if depth == 0 => {
+                    self.bump();
+                    return Ok(());
+                }
+                TokenKind::LBrace => depth += 1,
+                TokenKind::RBrace => {
+                    depth -= 1;
+                    if depth == 0 {
+                        self.bump();
+                        return Ok(());
+                    }
+                }
+                _ => {}
+            }
+            self.bump();
+        }
+    }
+
     fn program(&mut self) -> Program {
         let mut program = Program::default();
         loop {
@@ -247,7 +284,10 @@ impl Parser {
                 self.error_here("unclosed class body".into());
                 return Err(Bail);
             }
-            self.member(&mut fields, &mut methods)?;
+            let member_start = self.pos;
+            if self.member(&mut fields, &mut methods).is_err() {
+                self.recover_to_member(member_start)?;
+            }
         }
         Ok(ClassDecl {
             name,
@@ -816,6 +856,31 @@ mod tests {
 
     fn ok(src: &str) -> Program {
         parse(src).unwrap_or_else(|e| panic!("parse failed:\n{e}"))
+    }
+
+    /// An error inside a method body costs that method only: the class's
+    /// later members, its closing brace and the next declaration parse
+    /// without a diagnostic of their own.
+    #[test]
+    fn a_bad_member_is_skipped_inside_its_class() {
+        let src = "class C { int x; int m() { return (1 + ; } \
+                   int n() { return this.x; } int y; }
+                   test t { var c = new C(); }";
+        let mut p = Parser {
+            tokens: lex(src).unwrap(),
+            pos: 0,
+            errors: Vec::new(),
+            depth: 0,
+            height: 0,
+        };
+        let program = p.program();
+        assert_eq!(p.errors.len(), 1, "{:?}", p.errors);
+        let class = &program.classes[0];
+        let methods: Vec<_> = class.methods.iter().map(|m| m.name.name.as_str()).collect();
+        let fields: Vec<_> = class.fields.iter().map(|f| f.name.name.as_str()).collect();
+        assert_eq!(methods, ["n"]);
+        assert_eq!(fields, ["x", "y"]);
+        assert_eq!(program.tests.len(), 1);
     }
 
     #[test]

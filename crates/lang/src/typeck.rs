@@ -4,7 +4,8 @@
 //! Checking proceeds in three passes:
 //!
 //! 1. **collect** — assign [`ClassId`]s, resolve `extends` edges, reject
-//!    duplicate and cyclic class hierarchies;
+//!    duplicate and cyclic class hierarchies and chains deeper than
+//!    [`MAX_HIERARCHY_DEPTH`];
 //! 2. **declare** — build field/method arenas, inherited field lists and
 //!    vtables, checking duplicate members and override signatures;
 //! 3. **check** — type-check every field initializer, method body, and test
@@ -46,6 +47,12 @@ pub fn check(ast: &ast::Program) -> Result<Program, Diagnostics> {
         Err(Diagnostics::new(cx.errors))
     }
 }
+
+/// The most classes one `extends` chain may hold, the class itself
+/// included. Each class copies its parent's field list and vtable, so
+/// compile time and memory grow with the square of a chain's depth; the
+/// corpus's deepest chain holds 2.
+pub const MAX_HIERARCHY_DEPTH: usize = 64;
 
 struct Checker {
     prog: Program,
@@ -104,30 +111,52 @@ impl Checker {
                 }
             }
         }
-        // Reject cycles.
-        for c in 0..self.prog.classes.len() {
-            let start = ClassId(c as u32);
-            let mut slow = start;
-            let mut steps = 0usize;
-            let mut cur = self.prog.class(start).parent;
-            while let Some(p) = cur {
-                if p == slow {
+        // Reject cycles and over-deep chains. A class's walk up its chain
+        // stops at the first class an earlier walk settled, so each class
+        // is walked once.
+        let n = self.prog.classes.len();
+        let mut depth = vec![0usize; n]; // 0 = not settled yet
+        let mut on_path = vec![false; n];
+        for c in 0..n {
+            let mut path: Vec<ClassId> = Vec::new();
+            let mut cur = Some(ClassId(c as u32));
+            while let Some(id) = cur {
+                if depth[id.index()] != 0 {
+                    break;
+                }
+                if on_path[id.index()] {
+                    let last = *path.last().expect("a class on the path was pushed");
                     self.error(
                         format!(
                             "inheritance cycle involving `{}`",
-                            self.prog.class(start).name
+                            self.prog.class(last).name
                         ),
-                        self.prog.class(start).span,
+                        self.prog.class(last).span,
                     );
                     // Break the cycle so later passes terminate.
-                    self.prog.classes[c].parent = None;
+                    self.prog.classes[last.index()].parent = None;
+                    cur = None;
                     break;
                 }
-                steps += 1;
-                if steps.is_multiple_of(2) {
-                    slow = self.prog.class(slow).parent.unwrap_or(slow);
+                on_path[id.index()] = true;
+                path.push(id);
+                cur = self.prog.class(id).parent;
+            }
+            let mut d = cur.map_or(0, |id| depth[id.index()]);
+            for id in path.into_iter().rev() {
+                on_path[id.index()] = false;
+                d += 1;
+                depth[id.index()] = d;
+                if d == MAX_HIERARCHY_DEPTH + 1 {
+                    self.error(
+                        format!(
+                            "class `{}` is {d} classes deep in its `extends` chain; \
+                             at most {MAX_HIERARCHY_DEPTH} are allowed",
+                            self.prog.class(id).name
+                        ),
+                        self.prog.class(id).span,
+                    );
                 }
-                cur = self.prog.class(p).parent;
             }
         }
     }
@@ -1257,6 +1286,27 @@ mod tests {
     fn err_inheritance_cycle() {
         let msg = compile_err("class A extends B { } class B extends A { }");
         assert!(msg.contains("cycle"), "{msg}");
+    }
+
+    /// `L{depth-1}` sits `depth` classes deep, each with one method.
+    fn chain(depth: usize) -> String {
+        let mut src = String::from("class L0 { int m0() { return 0; } }\n");
+        for i in 1..depth {
+            src += &format!(
+                "class L{i} extends L{} {{ int m{i}() {{ return {i}; }} }}\n",
+                i - 1
+            );
+        }
+        src
+    }
+
+    #[test]
+    fn extends_chains_are_bounded() {
+        compile(&chain(MAX_HIERARCHY_DEPTH));
+        let msg = compile_err(&chain(MAX_HIERARCHY_DEPTH + 1));
+        assert!(msg.contains("class `L64` is 65 classes deep"), "{msg}");
+        let msg = compile_err(&chain(4_000));
+        assert_eq!(msg.matches("classes deep").count(), 1, "{msg}");
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub const TRIAL_BUCKETS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
 /// 100µs to 60s, roughly geometric. Used by the service's per-stage and
 /// per-job latency histograms (`serve.job.wall_ns.*`,
 /// `serve.stage.*.latency`), which live in the server-level registry and
-/// are exposed through `watch`/`health` frames — never in per-job
+/// are exposed through `health` frames — never in per-job
 /// manifests, whose metric section must stay run-invariant.
 pub const LATENCY_BUCKETS_NS: &[u64] = &[
     100_000,
@@ -281,32 +281,6 @@ impl MetricValue {
             _ => None,
         }
     }
-
-    /// The change from `base` to `self`: counters subtract (saturating, so
-    /// a restarted registry reads as its own value), gauges keep their
-    /// current reading, histograms subtract bucket-wise when the bounds
-    /// match and fall back to the current snapshot when they don't.
-    pub fn delta(&self, base: &MetricValue) -> MetricValue {
-        match (self, base) {
-            (MetricValue::Counter(cur), MetricValue::Counter(old)) => {
-                MetricValue::Counter(cur.saturating_sub(*old))
-            }
-            (
-                MetricValue::Histogram(bounds, counts, total, sum),
-                MetricValue::Histogram(b0, c0, t0, s0),
-            ) if bounds == b0 && counts.len() == c0.len() => MetricValue::Histogram(
-                bounds.clone(),
-                counts
-                    .iter()
-                    .zip(c0)
-                    .map(|(c, o)| c.saturating_sub(*o))
-                    .collect(),
-                total.saturating_sub(*t0),
-                sum.saturating_sub(*s0),
-            ),
-            _ => self.clone(),
-        }
-    }
 }
 
 /// The registry. Shared by reference across a run; handles are registered
@@ -385,25 +359,6 @@ impl Metrics {
         let map = self.inner.lock().unwrap();
         map.iter()
             .map(|(name, m)| (name.clone(), read(m)))
-            .collect()
-    }
-
-    /// Snapshots every metric as its change since `base` (an earlier
-    /// [`Metrics::snapshot`] of the same registry). Metrics absent from
-    /// `base` report their full current value. Cheap: one lock, one walk —
-    /// this is what the service's `watch` verb calls once per frame.
-    pub fn snapshot_delta(&self, base: &[(String, MetricValue)]) -> Vec<(String, MetricValue)> {
-        let prior: BTreeMap<&str, &MetricValue> =
-            base.iter().map(|(n, v)| (n.as_str(), v)).collect();
-        self.snapshot()
-            .into_iter()
-            .map(|(name, v)| {
-                let d = match prior.get(name.as_str()) {
-                    Some(old) => v.delta(old),
-                    None => v,
-                };
-                (name, d)
-            })
             .collect()
     }
 }
@@ -504,36 +459,5 @@ mod tests {
         h.observe(1000);
         assert_eq!(h.quantile(0.5), Some(20));
         assert_eq!(h.quantile(0.99), Some(20));
-    }
-
-    #[test]
-    fn delta_subtracts_counters_and_histograms_keeps_gauges() {
-        let m = Metrics::new();
-        let c = m.counter("c");
-        let g = m.gauge("g");
-        let h = m.histogram("h", &[1, 2]);
-        c.add(3);
-        g.set(10);
-        h.observe(1);
-        let base = m.snapshot();
-        c.add(4);
-        g.set(99);
-        h.observe(2);
-        h.observe(50);
-        let delta = m.snapshot_delta(&base);
-        let get = |name: &str| delta.iter().find(|(n, _)| n == name).unwrap().1.clone();
-        assert_eq!(get("c"), MetricValue::Counter(4));
-        assert_eq!(get("g"), MetricValue::Gauge(99));
-        assert_eq!(
-            get("h"),
-            MetricValue::Histogram(vec![1, 2], vec![0, 1, 1], 2, 52)
-        );
-        // Metrics registered after the base snapshot report full values.
-        m.counter("new").add(7);
-        let d2 = m.snapshot_delta(&base);
-        assert_eq!(
-            d2.iter().find(|(n, _)| n == "new").unwrap().1,
-            MetricValue::Counter(7)
-        );
     }
 }

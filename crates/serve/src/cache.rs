@@ -43,14 +43,18 @@ pub struct CompiledLib {
 }
 
 impl CompiledLib {
-    fn new(digest: u64, prog: Program, mir: MirProgram) -> CompiledLib {
-        CompiledLib {
-            digest,
+    /// Compiles and lowers `src` outside any cache: the batch path, and
+    /// what a cache miss runs.
+    pub fn compile(src: &str) -> Result<CompiledLib, Diagnostics> {
+        let prog = narada_lang::compile(src)?;
+        let mir = lower_program(&prog);
+        Ok(CompiledLib {
+            digest: ArtifactCache::program_key(src),
             prog: Arc::new(prog),
             mir: Arc::new(mir),
             statics: OnceLock::new(),
             surface: OnceLock::new(),
-        }
+        })
     }
 
     /// The screener's interprocedural fixpoint (analyzed on first use).
@@ -58,17 +62,13 @@ impl CompiledLib {
         Arc::clone(self.statics.get_or_init(|| Arc::new(analyze(&self.mir))))
     }
 
-    /// The seed-generation API model (distilled on first use). Mirrors
-    /// [`narada_gen::generate_suite`]'s choice: seeded from the program's
-    /// own tests when it has any, from declarations otherwise.
+    /// The seed-generation API model, [`ApiSurface::for_suite`]
+    /// (distilled on first use).
     pub fn surface(&self) -> Arc<ApiSurface> {
-        Arc::clone(self.surface.get_or_init(|| {
-            Arc::new(if self.prog.tests.is_empty() {
-                ApiSurface::for_program(&self.prog)
-            } else {
-                ApiSurface::from_tests(&self.prog, &self.mir)
-            })
-        }))
+        Arc::clone(
+            self.surface
+                .get_or_init(|| Arc::new(ApiSurface::for_suite(&self.prog, &self.mir))),
+        )
     }
 }
 
@@ -190,9 +190,7 @@ impl ArtifactCache {
         self.stats.program_misses += 1;
         self.event("miss", key);
 
-        let prog = narada_lang::compile(src)?;
-        let mir = lower_program(&prog);
-        let lib = Arc::new(CompiledLib::new(key, prog, mir));
+        let lib = Arc::new(CompiledLib::compile(src)?);
         self.programs.insert(
             key,
             Slot {

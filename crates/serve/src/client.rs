@@ -88,34 +88,6 @@ impl Client {
         Self::checked(resp)
     }
 
-    /// `watch` — streams status frames every `interval_ms` until `count`
-    /// frames arrived (0 = unbounded) or `on_frame` returns `false`.
-    /// Returns the last frame seen.
-    pub fn watch(
-        &mut self,
-        interval_ms: u64,
-        count: u64,
-        on_frame: &mut dyn FnMut(&Json) -> bool,
-    ) -> Result<Json, String> {
-        let req = Json::obj()
-            .with("cmd", Json::Str("watch".into()))
-            .with("interval_ms", Json::Int(interval_ms as i64))
-            .with("count", Json::Int(count as i64));
-        write_frame(&mut self.writer, &req).map_err(|e| format!("send: {e}"))?;
-        let mut seen = 0u64;
-        loop {
-            let frame = read_frame(&mut self.reader)
-                .map_err(|e| format!("recv: {e}"))?
-                .ok_or("server closed the connection")?;
-            let frame = Self::checked(frame)?;
-            seen += 1;
-            let more = on_frame(&frame);
-            if !more || (count != 0 && seen >= count) {
-                return Ok(frame);
-            }
-        }
-    }
-
     /// `fetch` — a job's current state (`wait: false`) or its streamed
     /// completion (`wait: true`); `on_event` sees each progress frame.
     pub fn fetch(

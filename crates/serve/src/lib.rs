@@ -33,6 +33,8 @@ pub mod telemetry;
 pub use cache::{ArtifactCache, CacheEvent, CacheStats, CompiledLib};
 pub use client::{wait_ready, Client};
 pub use proto::JobOptions;
-pub use run::{batch_report, render_report, run_job, summary_line, JobResult};
+pub use run::{
+    batch_report, render_report, run_job, summary_line, synthesize, JobResult, Synthesized,
+};
 pub use server::{serve, ServeConfig};
 pub use telemetry::ServerTelemetry;

@@ -15,23 +15,27 @@
 //! | `fetch`    | `job`, `wait`                  | event lines, then `{ok, job, status, report, ...}` |
 //! | `stats`    | —                              | `{ok, cache: {...}, sizes: {...}, capacity: {...}, uptime_ns}` |
 //! | `health`   | —                              | `{ok, status, jobs, latency, cache, workers, slow_jobs, ...}` |
-//! | `watch`    | `interval_ms`, `count`         | one `health`-shaped frame (plus `seq`, `delta`) per interval |
 //! | `shutdown` | —                              | `{ok, drained, completed}` (after the queue drains) |
 //!
 //! `fetch` with `wait: true` is the streaming endpoint: the server
 //! writes each `{"event": ...}` progress frame (carrying
 //! `narada-manifest/1` snapshots) as its own line while the job runs,
 //! then the final `{"ok": ...}` object. Responses always carry `ok`;
-//! errors are `{ok: false, error: "..."}`.
+//! errors are `{ok: false, error: "..."}`. A line that is not JSON gets
+//! such an error and the connection keeps serving; a line longer than
+//! `server::MAX_FRAME_BYTES` gets one and the connection closes.
 
+use narada_core::SynthesisOptions;
+use narada_detect::DetectConfig;
+use narada_gen::GenOptions;
 use narada_obs::Json;
 use narada_vm::ScheduleStrategy;
 use std::io::{BufRead, Write};
 
-/// Everything a job needs besides the library source: the knobs of
-/// `narada detect`, wire-serializable. Defaults mirror the CLI's
-/// (schedules 6, confirms 4, seed 42 — see `cmd_detect`), so an
-/// option-less submission reproduces a flag-less batch run.
+/// Everything a job needs besides the library source, wire-serializable:
+/// the one detection configuration, read from the same flags by `narada
+/// detect`, `corpus` and `submit`. An option-less submission reproduces a
+/// flag-less `narada detect` run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOptions {
     /// Random schedules per synthesized test (detection pass).
@@ -94,6 +98,41 @@ impl Default for JobOptions {
 }
 
 impl JobOptions {
+    /// The synthesis options these job options select.
+    pub fn synthesis_options(&self) -> SynthesisOptions {
+        SynthesisOptions {
+            threads: self.threads,
+            static_filter: self.static_filter,
+            static_rank: self.static_rank,
+            generate_seeds: self.generate_seeds,
+            ..SynthesisOptions::default()
+        }
+    }
+
+    /// The detection and confirmation configuration.
+    pub fn detect_config(&self) -> DetectConfig {
+        DetectConfig {
+            schedule_trials: self.schedules,
+            confirm_trials: self.confirms,
+            seed: self.seed,
+            budget: self.budget,
+            threads: self.threads,
+            strategy: self.strategy.clone(),
+            pct_horizon: self.pct_horizon,
+            ..DetectConfig::default()
+        }
+    }
+
+    /// The seed generator's options, read under `generate_seeds`.
+    pub fn gen_options(&self) -> GenOptions {
+        GenOptions {
+            budget: self.gen_budget,
+            seed: self.gen_seed,
+            threads: self.threads,
+            ..GenOptions::default()
+        }
+    }
+
     /// Wire form (field names match the CLI flags they mirror).
     pub fn to_json(&self) -> Json {
         Json::obj()

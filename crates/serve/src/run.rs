@@ -1,37 +1,42 @@
-//! Executing one job: the batch pipeline (synthesis → exploration →
-//! confirmation) fed from the artifact cache, plus the canonical report
-//! renderer both the service and `narada detect --report-out` share.
+//! Executing one job: the synthesis and detection pipeline (synthesis →
+//! exploration → confirmation) fed from the artifact cache, plus the
+//! canonical report renderer. `narada synth`, `detect` and `corpus` run
+//! the same [`synthesize`], and `detect --report-out` renders through
+//! the same [`render_report`].
 //!
 //! Byte-identity between the served and batch paths is a test-enforced
 //! invariant, and it falls out of three facts:
 //!
 //! 1. a cache miss compiles through exactly the batch path
-//!    (`narada_lang::compile`, then `lower_program`), so cached MIR is
-//!    the batch MIR by construction,
+//!    ([`CompiledLib::compile`]), so cached MIR is the batch MIR by
+//!    construction,
 //! 2. the pipeline itself is deterministic at any thread count (see
 //!    `narada_core::parallel`),
 //! 3. both paths render through [`render_report`], which includes no
 //!    wall-clock, host, or worker-count facts.
 
-use crate::cache::{ArtifactCache, CacheEvent, CacheStats};
+use crate::cache::{ArtifactCache, CacheEvent, CacheStats, CompiledLib};
 use crate::proto::JobOptions;
 use crate::telemetry::ServerTelemetry;
 use narada_core::digest::Fnv1a;
-use narada_core::pipeline::SynthesisOutput;
+use narada_core::pairs::PairSet;
+use narada_core::pipeline::{synthesize_generated, synthesize_observed, SynthesisOutput};
 use narada_core::SynthesisOptions;
 use narada_detect::race::CoarseRaceKey;
 use narada_detect::{evaluate_suite_full, ClassDetection, DetectConfig, TestReport};
+use narada_gen::{GenOptions, GenStats};
 use narada_lang::hir::Program;
+use narada_lang::mir::MirProgram;
 use narada_obs::{Json, Obs, RunManifest};
 use narada_screen::screen_pairs_with;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Everything a finished job leaves behind.
 #[derive(Debug)]
 pub struct JobResult {
     /// The canonical `narada-report/1` document.
     pub report: String,
-    /// The one-line summary (`cmd_detect`'s console line).
+    /// The one-line summary (`narada detect`'s console line).
     pub summary: String,
     /// Cache activity attributable to this job.
     pub cache: CacheStats,
@@ -41,6 +46,82 @@ pub struct JobResult {
     /// Per-artifact cache traffic attributed to this job — the service
     /// writes these into its event log.
     pub cache_events: Vec<CacheEvent>,
+}
+
+/// A synthesized suite and the program it was synthesized from.
+#[derive(Debug)]
+pub struct Synthesized {
+    /// The program synthesis ran on: the library with its generated seed
+    /// suite under `generate_seeds`, else a copy of the library.
+    pub prog: Program,
+    /// `prog`'s MIR.
+    pub mir: MirProgram,
+    /// The synthesized suite.
+    pub out: SynthesisOutput,
+    /// The generator's counters, when the seed suite was generated.
+    pub generated: Option<GenStats>,
+}
+
+impl Synthesized {
+    /// Detects every synthesized test's races under random schedules and
+    /// confirms them under directed ones ([`evaluate_suite_full`]).
+    pub fn detect(&self, cfg: &DetectConfig, obs: &Obs) -> (Vec<TestReport>, ClassDetection) {
+        let seeds: Vec<_> = self.prog.tests.iter().map(|t| t.id).collect();
+        let plans: Vec<_> = self.out.tests.iter().map(|t| &t.plan).collect();
+        evaluate_suite_full(&self.prog, &self.mir, &seeds, &plans, cfg, obs)
+    }
+}
+
+/// Synthesizes racy tests for `lib`: the one synthesis path of
+/// [`run_job`] and of `narada synth`, `detect` and `corpus`. Under
+/// `opts.generate_seeds` the library's seed suite is first replaced by
+/// one generated under `gen`. The static screener runs only when `opts`
+/// asks for it.
+pub fn synthesize(
+    lib: &CompiledLib,
+    opts: &SynthesisOptions,
+    gen: &GenOptions,
+    obs: &Obs,
+) -> Synthesized {
+    if opts.generate_seeds {
+        let surface = lib.surface();
+        let stats = OnceLock::new();
+        let generator = |p: &Program, m: &MirProgram| {
+            let out = narada_gen::generate_suite(p, m, &surface, gen, obs);
+            stats.get_or_init(|| out.stats);
+            out.tests
+        };
+        // The generated suite changes the MIR, so screening derives its
+        // own fixpoint instead of the library's cached one.
+        let (prog, mir, out) = synthesize_generated(
+            &lib.prog,
+            &lib.mir,
+            opts,
+            &generator,
+            Some(&narada_screen::screen_pairs),
+            obs,
+        );
+        return Synthesized {
+            prog,
+            mir,
+            out,
+            generated: stats.into_inner(),
+        };
+    }
+    let screener = |m: &MirProgram, p: &PairSet| screen_pairs_with(&lib.statics(), m, p);
+    let out = synthesize_observed(&lib.prog, &lib.mir, opts, Some(&screener), obs);
+    // Detection runs over a per-job copy, not the cached program. On
+    // the serve benchmarks (two workers) detection over the shared
+    // cached copy ran about 20% slower at the median; the gap closes
+    // under MALLOC_ARENA_MAX=1, so it comes from how the allocator's
+    // per-thread arenas place the two workers' memory, and the copy
+    // costs far less than it saves.
+    Synthesized {
+        prog: (*lib.prog).clone(),
+        mir: (*lib.mir).clone(),
+        out,
+        generated: None,
+    }
 }
 
 /// Runs one job through the cache-fed pipeline. `progress` receives one
@@ -83,84 +164,20 @@ pub fn run_job(
         (lib, cache.stats.delta(&base), cache.drain_events())
     };
     compile_delta.record(&obs);
-    let statics =
-        ((opts.static_filter || opts.static_rank) && !opts.generate_seeds).then(|| lib.statics());
-    let surface = opts.generate_seeds.then(|| lib.surface());
     stage_done("compile", std::time::Instant::now());
     progress(stage_frame("compile", opts, &obs).with("cache", cache_json(&compile_delta)));
 
-    // Stage 1: synthesis, exactly `run_synthesis`'s shape. The generated
-    // path re-derives program and MIR, so it screens without the cached
-    // fixpoint (derived from the original program).
-    let synth_opts = SynthesisOptions {
-        threads: opts.threads,
-        static_filter: opts.static_filter,
-        static_rank: opts.static_rank,
-        generate_seeds: opts.generate_seeds,
-        ..SynthesisOptions::default()
-    };
-    let (prog, mir, out) = if opts.generate_seeds {
-        let gopts = narada_gen::GenOptions {
-            budget: opts.gen_budget,
-            seed: opts.gen_seed,
-            threads: opts.threads,
-            ..narada_gen::GenOptions::default()
-        };
-        let surface = surface.expect("generated path derives a surface");
-        let generator = |p: &Program, m: &narada_lang::mir::MirProgram| {
-            let basis = (!p.tests.is_empty()).then(|| narada_gen::FactBasis::from_tests(p, m));
-            narada_gen::generate(p, m, &surface, basis.as_ref(), &gopts, &obs).tests
-        };
-        narada_core::pipeline::synthesize_generated(
-            &lib.prog,
-            &lib.mir,
-            &synth_opts,
-            &generator,
-            Some(&narada_screen::screen_pairs),
-            &obs,
-        )
-    } else {
-        let screener =
-            |m: &narada_lang::mir::MirProgram, p: &narada_core::pairs::PairSet| match &statics {
-                Some(statics) => screen_pairs_with(statics, m, p),
-                None => narada_screen::screen_pairs(m, p),
-            };
-        let out = narada_core::pipeline::synthesize_observed(
-            &lib.prog,
-            &lib.mir,
-            &synth_opts,
-            Some(&screener),
-            &obs,
-        );
-        // Detection runs over a per-job copy, not the cached program. On
-        // the serve benchmarks (two workers) detection over the shared
-        // cached copy ran about 20% slower at the median; the gap closes
-        // under MALLOC_ARENA_MAX=1, so it comes from how the allocator's
-        // per-thread arenas place the two workers' memory, and the copy
-        // costs far less than it saves.
-        ((*lib.prog).clone(), (*lib.mir).clone(), out)
-    };
+    // Stage 1: synthesis.
+    let job = synthesize(&lib, &opts.synthesis_options(), &opts.gen_options(), &obs);
     stage_done("synth", std::time::Instant::now());
     progress(
         stage_frame("synth", opts, &obs)
-            .with("pairs", Json::Int(out.pair_count() as i64))
-            .with("tests", Json::Int(out.test_count() as i64)),
+            .with("pairs", Json::Int(job.out.pair_count() as i64))
+            .with("tests", Json::Int(job.out.test_count() as i64)),
     );
 
-    // Stage 2: exploration + confirmation, exactly `cmd_detect`'s shape.
-    let cfg = DetectConfig {
-        schedule_trials: opts.schedules,
-        confirm_trials: opts.confirms,
-        seed: opts.seed,
-        budget: opts.budget,
-        threads: opts.threads,
-        strategy: opts.strategy.clone(),
-        pct_horizon: opts.pct_horizon,
-        ..DetectConfig::default()
-    };
-    let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
-    let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-    let (reports, agg) = evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &obs);
+    // Stage 2: exploration + confirmation.
+    let (reports, agg) = job.detect(&opts.detect_config(), &obs);
     let now = std::time::Instant::now();
     stage_done("detect", now);
     if let Some(t) = telemetry {
@@ -175,8 +192,8 @@ pub fn run_job(
             .with("reproduced", Json::Int((agg.harmful + agg.benign) as i64)),
     );
 
-    let report = render_report(&prog, source, opts, &out, &reports, &agg);
-    let summary = summary_line(plans.len(), &agg);
+    let report = render_report(&job.prog, source, opts, &job.out, &reports, &agg);
+    let summary = summary_line(job.out.test_count(), &agg);
     let mut manifest = RunManifest::from_obs("serve.job", effective_threads(opts.threads), &obs);
     manifest.set_config("strategy", opts.strategy.label());
     manifest.set_config("seed", opts.seed);
@@ -209,8 +226,8 @@ pub fn cache_json(s: &CacheStats) -> Json {
         .with("evictions", Json::Int(s.evictions as i64))
 }
 
-/// `cmd_detect`'s console summary line, shared so the served and batch
-/// paths print the same sentence.
+/// `narada detect`'s console summary line, shared so the served and
+/// batch paths print the same sentence.
 pub fn summary_line(tests: usize, agg: &ClassDetection) -> String {
     format!(
         "{} tests: {} races detected, {} reproduced ({} harmful, {} benign), {} unreproduced",
@@ -313,8 +330,7 @@ pub fn render_report(
 }
 
 /// The batch twin of [`run_job`]: same pipeline, same renderer, but a
-/// fresh single-use cache — what `narada detect --report-out` runs.
-/// Exists so the byte-identity tests (and CI's `cmp`) have a
+/// fresh single-use cache. Exists so the byte-identity tests have a
 /// cache-independent reference to compare the service against.
 pub fn batch_report(source: &str, opts: &JobOptions) -> Result<JobResult, String> {
     let cache = Mutex::new(ArtifactCache::with_capacity(1));

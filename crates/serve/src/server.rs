@@ -29,7 +29,7 @@ use crate::cache::ArtifactCache;
 use crate::proto::{error_frame, ok_frame, write_frame, JobOptions};
 use crate::run::{cache_json, run_job, JobResult};
 use crate::telemetry::ServerTelemetry;
-use narada_obs::{EventLog, Json, MetricValue};
+use narada_obs::{EventLog, Json};
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -54,7 +54,7 @@ pub struct ServeConfig {
     /// Artifact-cache capacity, in programs.
     pub cache_capacity: usize,
     /// Wall budget (milliseconds) past which a running job is flagged by
-    /// the slow-job watchdog in `watch`/`health` frames.
+    /// the slow-job watchdog in `health` frames.
     pub slow_job_ms: u64,
     /// Size threshold for event-log rotation, in bytes.
     pub event_log_max_bytes: u64,
@@ -475,6 +475,9 @@ pub const MAX_FRAME_BYTES: usize = 8 << 20;
 /// One read off a client connection.
 enum Incoming {
     Request(Json),
+    /// A complete line that is not a JSON document; carries the parse
+    /// error.
+    Malformed(String),
     /// The client hung up, or the server is stopping.
     Closed,
     /// The line ran past [`MAX_FRAME_BYTES`].
@@ -503,8 +506,9 @@ fn next_request(reader: &mut BufReader<TcpStream>, shared: &Shared) -> std::io::
                     bytes.clear();
                     continue;
                 }
-                return Json::parse(&line).map(Incoming::Request).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+                return Ok(match Json::parse(&line) {
+                    Ok(req) => Incoming::Request(req),
+                    Err(e) => Incoming::Malformed(e.to_string()),
                 });
             }
             Err(e)
@@ -533,6 +537,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
     loop {
         let req = match next_request(&mut reader, shared)? {
             Incoming::Request(req) => req,
+            Incoming::Malformed(e) => {
+                write_frame(
+                    &mut writer,
+                    &error_frame(&format!("malformed request: {e}")),
+                )?;
+                continue;
+            }
             Incoming::Closed => return Ok(()),
             Incoming::Oversized => {
                 let msg = format!(
@@ -568,9 +579,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
             "health" => {
                 let resp = build_status(shared).with("type", Json::Str("health".into()));
                 write_frame(&mut writer, &resp)?;
-            }
-            "watch" => {
-                handle_watch(&req, shared, &mut writer)?;
             }
             "fetch" => {
                 handle_fetch(&req, shared, &mut writer)?;
@@ -700,9 +708,9 @@ fn handle_stats(shared: &Shared) -> Json {
         .with("uptime_ns", Json::Int(shared.telemetry.uptime_ns() as i64))
 }
 
-/// The shared body of `watch` and `health` frames: readiness, queue and
-/// job-table summary, latency quantiles, cache occupancy vs capacity,
-/// worker heartbeats, and the slow-job watchdog's flags.
+/// The body of a `health` frame: readiness, queue and job-table
+/// summary, latency quantiles, cache occupancy vs capacity, worker
+/// heartbeats, and the slow-job watchdog's flags.
 fn build_status(shared: &Shared) -> Json {
     let t = &shared.telemetry;
     let now = t.uptime_ns();
@@ -772,47 +780,6 @@ fn build_status(shared: &Shared) -> Json {
         )
         .with("slow_jobs", Json::Arr(slow))
         .with("slow_job_budget_ns", Json::Int(t.slow_job_ns() as i64))
-}
-
-/// `watch`: periodic status frames until `count` frames were sent (0 =
-/// until the client disconnects or the server stops). Each frame adds a
-/// `delta` of the server-level scalar metrics since the previous frame.
-fn handle_watch(req: &Json, shared: &Shared, writer: &mut TcpStream) -> std::io::Result<()> {
-    let interval = req
-        .get("interval_ms")
-        .and_then(Json::as_i64)
-        .unwrap_or(1000)
-        .clamp(10, 60_000) as u64;
-    let count = req.get("count").and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
-    let mut base = shared.telemetry.metrics.snapshot();
-    let mut seq = 0u64;
-    loop {
-        seq += 1;
-        let mut delta = Json::obj();
-        for (name, value) in shared.telemetry.metrics.snapshot_delta(&base) {
-            if let MetricValue::Counter(v) | MetricValue::Gauge(v) = value {
-                delta.set(&name, Json::Int(v as i64));
-            }
-        }
-        base = shared.telemetry.metrics.snapshot();
-        let frame = build_status(shared)
-            .with("type", Json::Str("watch".into()))
-            .with("seq", Json::Int(seq as i64))
-            .with("delta", delta);
-        write_frame(writer, &frame)?;
-        if count != 0 && seq >= count {
-            return Ok(());
-        }
-        // Sleep in short steps so shutdown isn't held hostage by a
-        // long-interval watcher.
-        let deadline = std::time::Instant::now() + Duration::from_millis(interval);
-        while std::time::Instant::now() < deadline {
-            if shared.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
 }
 
 /// Streams a job's progress frames (when `wait`) and its final state.

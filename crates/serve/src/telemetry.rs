@@ -4,8 +4,8 @@
 //! driver-set timings — that contract is what the byte-identity tests
 //! gate. Everything inherently run-varying about the *daemon* (latency
 //! distributions, worker liveness, event history) therefore lives here,
-//! in a separate [`Metrics`] registry that is exposed through the `watch`
-//! / `health` / `stats` verbs and the JSONL event log, and is never
+//! in a separate [`Metrics`] registry that is exposed through the
+//! `health` and `stats` verbs and the JSONL event log, and is never
 //! rendered into a manifest.
 
 use narada_obs::{EventLog, Histogram, Json, Metrics, LATENCY_BUCKETS_NS};
@@ -113,7 +113,7 @@ impl ServerTelemetry {
         }
     }
 
-    /// The `latency` section of `watch`/`health`/`top` frames: job wall
+    /// The `latency` section of `health` frames (and so of `top`): job wall
     /// quantiles split cold vs warm, plus per-stage quantiles. Every key
     /// is always present (zeros when empty) so scripted consumers never
     /// branch on shape.

@@ -293,7 +293,7 @@ fn mid_queue_shutdown_loses_no_completed_results() {
 }
 
 #[test]
-fn health_and_watch_frames_are_well_shaped_under_concurrent_submits() {
+fn health_frames_are_well_shaped_under_concurrent_submits() {
     let opts = test_opts();
     for workers in [1usize, 2, 8] {
         let server = TestServer::start(workers, false);
@@ -374,21 +374,6 @@ fn health_and_watch_frames_are_well_shaped_under_concurrent_submits() {
         );
         assert!(health.get("slow_jobs").and_then(|s| s.as_arr()).is_some());
 
-        // The watch stream: monotone seq, health-shaped body, and a
-        // scalar-only delta section (empty between idle frames).
-        let mut seqs = Vec::new();
-        let last = server
-            .client()
-            .watch(10, 3, &mut |frame| {
-                seqs.push(frame.get("seq").and_then(Json::as_i64).unwrap_or(-1));
-                assert_eq!(frame.get("type").and_then(|t| t.as_str()), Some("watch"));
-                assert!(frame.get("delta").is_some(), "{frame:?}");
-                assert!(frame.get("latency").is_some(), "{frame:?}");
-                true
-            })
-            .expect("watch");
-        assert_eq!(seqs, [1, 2, 3]);
-        assert_eq!(last.get("seq").and_then(Json::as_i64), Some(3));
         server.stop();
     }
 }
@@ -515,18 +500,24 @@ fn over_long_frame_is_refused_and_the_server_keeps_serving() {
     server.run(c1, &test_opts());
 
     // A frame well under the cap that nests arrays far past the JSON
-    // parser's depth bound is refused like any malformed frame: the
-    // server closes that connection instead of overflowing its stack.
+    // parser's depth bound is refused like any malformed frame, without
+    // overflowing the server's stack: an error frame, and the same
+    // connection keeps serving.
     let mut raw = std::net::TcpStream::connect(&server.addr).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(30))).ok();
     raw.write_all(format!("{}\n", "[".repeat(20 * 1024)).as_bytes())
         .expect("write the deep frame");
-    let mut reader = std::io::BufReader::new(raw);
-    assert!(
-        matches!(read_frame(&mut reader), Ok(None) | Err(_)),
-        "the server must close the connection that sent the deep frame"
-    );
-    let pong = server.client().ping().expect("ping after the deep frame");
+    let mut reader = std::io::BufReader::new(raw.try_clone().expect("clone"));
+    let resp = read_frame(&mut reader)
+        .expect("read the answer")
+        .expect("an error frame for the deep frame");
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+    let error = resp.get("error").and_then(|e| e.as_str()).unwrap_or("");
+    assert!(error.contains("malformed request"), "{error}");
+    raw.write_all(b"{\"cmd\":\"ping\"}\n").expect("ping");
+    let pong = read_frame(&mut reader)
+        .expect("read the pong")
+        .expect("a ping on the same connection");
     assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong:?}");
     server.run(c1, &test_opts());
     server.stop();

@@ -115,8 +115,8 @@ NARADA_FORK_FULL=1 cargo test -q --release -p narada-detect --test fork_differen
 
 echo "==> serve smoke (byte-identity with batch, warm cache, clean shutdown)"
 # A resident server must return the same bytes as `narada detect
-# --report-out`, hit the artifact cache on resubmission, and drain
-# cleanly on `narada shutdown`.
+# --report-out`, at the default and at non-default job options, hit the
+# artifact cache on resubmission, and drain cleanly on `narada shutdown`.
 SERVE_DIR="$(mktemp -d)"
 cargo run -q --release --bin narada -- serve --addr 127.0.0.1:0 --threads 2 \
     --port-file "$SERVE_DIR/port" --state-dir "$SERVE_DIR/state" &
@@ -134,6 +134,17 @@ for pass in cold warm; do
     cmp "$SERVE_DIR/batch.report" "$SERVE_DIR/$pass.report" \
         || { echo "$pass served report differs from batch" >&2; exit 1; }
 done
+# `detect` and `submit` read one set of job options and run one
+# pipeline, so a non-default set must give the same report both ways.
+JOB_OPTS=(--schedules 3 --confirms 2 --static-rank --generate-seeds --budget 64)
+cargo run -q --release --bin narada -- detect C3 "${JOB_OPTS[@]}" \
+    --report-out "$SERVE_DIR/batch-opts.report" > /dev/null
+JOB="$(cargo run -q --release --bin narada -- submit C3 --addr "$ADDR" "${JOB_OPTS[@]}" \
+    | awk '{print $2}')"
+cargo run -q --release --bin narada -- fetch "$JOB" --addr "$ADDR" \
+    --wait --quiet --out "$SERVE_DIR/served-opts.report" > /dev/null
+cmp "$SERVE_DIR/batch-opts.report" "$SERVE_DIR/served-opts.report" \
+    || { echo "served report with job options differs from detect's" >&2; exit 1; }
 cargo run -q --release --bin narada -- jobs --addr "$ADDR" --stats \
     | grep -q '"program_hits":[1-9]' \
     || { echo "warm resubmission produced no program-cache hit" >&2; exit 1; }

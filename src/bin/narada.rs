@@ -15,15 +15,14 @@
 //! narada top [--addr A] [--once]                     live daemon dashboard
 //! ```
 
-use narada::core::{demonstrate_observed, ExploreOptions, SynthesisOutput};
-use narada::detect::{
-    evaluate_suite_full, evaluate_test_observed, replay_schedule, DetectConfig, StaticRaceKey,
-};
+use narada::core::{demonstrate_observed, effective_threads, ExploreOptions, SynthesisOutput};
+use narada::detect::{evaluate_test_observed, replay_schedule, DetectConfig, StaticRaceKey};
+use narada::gen::GenOptions;
 use narada::lang::hir::Program;
-use narada::lang::lower::lower_program;
 use narada::lang::mir::MirProgram;
 use narada::lang::SourceMap;
 use narada::obs::Json;
+use narada::serve::{CompiledLib, JobOptions, Synthesized};
 use narada::vm::{
     render_schedule_summary, Machine, Schedule, ScheduleStrategy, TraceRenderer, VecSink,
 };
@@ -112,19 +111,16 @@ USAGE:
     narada synth <file.mj|C1..C9> [--render] [--strict-unprotected]
                            [--no-prefix-fallback] [--no-lockset-aware]
                            [--static-filter] [--static-rank]
-                           [--threads N] [--timings] [--seed N]
+                           [--threads N] [--seed N]
                            [--generate-seeds] [--budget N] [--max-len N]
                            [--gen-seed N] [--strategy S] [--depth N]
                            [--record DIR] [--replay FILE.sched]
                            [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada detect <file.mj|C1..C9> [--schedules N] [--confirms N] [--seed N]
-                            [--strict-unprotected] [--no-prefix-fallback]
-                            [--no-lockset-aware]
+                            [--threads N] [--strategy S] [--depth N]
                             [--static-filter] [--static-rank]
-                            [--generate-seeds] [--budget N] [--max-len N]
-                            [--gen-seed N] [--report-out FILE]
-                            [--threads N] [--timings]
-                            [--strategy S] [--depth N]
+                            [--generate-seeds] [--budget N] [--gen-seed N]
+                            [--report-out FILE]
                             [--record DIR] [--replay FILE.sched]
                             [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada gen <file.mj|C1..C9> [--budget N] [--seed N] [--threads N]
@@ -133,14 +129,11 @@ USAGE:
     narada pairs <file.mj|C1..C9> [--may-race-only] [--threads N] [--json]
                                   [--strict-unprotected] [--no-prefix-fallback]
                                   [--no-lockset-aware]
-    narada corpus [C1..C9] [--threads N] [--timings] [--detect]
+    narada corpus [C1..C9] [--detect]
                            [--schedules N] [--confirms N] [--seed N]
-                           [--strict-unprotected] [--no-prefix-fallback]
-                           [--no-lockset-aware]
+                           [--threads N] [--strategy S] [--depth N]
                            [--static-filter] [--static-rank]
-                           [--generate-seeds] [--budget N] [--max-len N]
-                           [--gen-seed N]
-                           [--strategy S] [--depth N]
+                           [--generate-seeds] [--budget N] [--gen-seed N]
                            [--record DIR]
                            [--trace-out FILE.jsonl] [--manifest FILE.json]
     narada difftest [--seed N] [--count N] [--threads N] [--shrink]
@@ -152,14 +145,22 @@ USAGE:
                  [--port-file FILE] [--cache-capacity N]
                  [--slow-job-ms N] [--event-log-max-bytes N]
     narada top [--addr HOST:PORT] [--once] [--interval MS] [--count N]
-    narada submit <file.mj|C1..C9> [--addr HOST:PORT] [detect flags]
+    narada submit <file.mj|C1..C9> [--addr HOST:PORT]
+                           [--schedules N] [--confirms N] [--seed N]
+                           [--threads N] [--strategy S] [--depth N]
+                           [--static-filter] [--static-rank]
+                           [--generate-seeds] [--budget N] [--gen-seed N]
     narada jobs [--addr HOST:PORT] [--stats]
     narada fetch <JOB> [--addr HOST:PORT] [--wait] [--out FILE] [--quiet]
     narada shutdown [--addr HOST:PORT]
 
-Every command checks its flags against its usage entry above
-(`submit`'s `[detect flags]` are `detect`'s): an unknown flag exits
-with code 2 and names the flag.
+Every command checks its flags against its usage entry above: an
+unknown flag exits with code 2 and names the flag.
+`detect`, `corpus` and `submit` take one set of job options, from
+`--schedules` to `--gen-seed`, and run one pipeline: a job `submit`s
+gets the report `detect --report-out` writes with the same options.
+`synth` also takes the ablation flags `--strict-unprotected`,
+`--no-prefix-fallback` and `--no-lockset-aware`, and `--max-len`.
 `--strategy S` picks the exploration scheduler: pct[:DEPTH], random,
 sticky[:PERCENT], or rr; `--depth N` overrides the PCT depth.
 Detection walks a class's tests over the tree of their capture
@@ -179,7 +180,6 @@ ddmin-minimized schedule of every confirmed race as a fixture.
 re-synthesized suite and verifies it (target race, trace digest).
 `--threads N` shards the pipeline and detector trials over N workers
 (0 or omitted = one per core); results are identical at any value.
-`--timings` prints the per-stage wall-clock breakdown.
 `--static-filter` drops pairs the static pre-screener proves cannot
 race; `--static-rank` orders the survivors most-suspicious-first.
 `narada pairs` prints every candidate pair with both access sites,
@@ -190,9 +190,8 @@ data machine-readably.
 any `--threads` value. `--full-api` generates over the liberal
 HIR-derived surface instead of the bindings observed from the
 program's own tests. `synth`/`detect`/`corpus` accept
-`--generate-seeds` (plus the same `--budget`/`--max-len`/`--gen-seed`
-knobs) to replace the hand-written seed suite with a generated one
-before synthesis.
+`--generate-seeds` (with `--budget` and `--gen-seed`) to replace the
+hand-written seed suite with a generated one before synthesis.
 `narada difftest` sweeps `--count` generated library classes through
 both the static screener and the dynamic pipeline, treating them as
 each other's oracle. A `MustNotRace` verdict on a dynamically
@@ -218,10 +217,11 @@ narada-report/1 document — byte-identical to what
 `shutdown` drains the queue before stopping; every finished job's
 report was already flushed to `--state-dir` at completion time.
 `detect --report-out FILE` writes the batch twin of the served report.
-`narada top` is the live daemon view: a refreshing dashboard fed by
-the server's `watch` stream (queue depth, cold/warm and per-stage
-latency quantiles, cache occupancy, worker heartbeats, slow-job
-flags); `--once` prints a single `health` frame as JSON instead. The
+`narada top` is the live daemon view: a dashboard redrawn from the
+server's `health` frame every `--interval` ms, `--count` times or until
+interrupted (queue depth, cold/warm and per-stage latency quantiles,
+cache occupancy, worker heartbeats, slow-job flags); `--once` prints a
+single `health` frame as JSON instead. The
 serve-side knobs: `--slow-job-ms` sets the watchdog's wall budget
 before a running job is flagged slow, `--event-log-max-bytes` bounds
 each structured JSONL event-log segment under `--state-dir` (the log
@@ -238,22 +238,19 @@ fn opt<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// The flags `narada <cmd>`'s usage entry lists; `[detect flags]`
-/// stands for every flag of `detect`. `None` for a command USAGE does
-/// not list.
+/// The flags `narada <cmd>`'s usage entry lists. `None` for a command
+/// USAGE does not list.
 fn usage_flags(cmd: &str) -> Option<Vec<&'static str>> {
     let block = USAGE.split("\n\n").nth(1)?;
     let entry = block
         .split("narada ")
         .find(|e| e.split_whitespace().next() == Some(cmd))?;
-    let mut flags: Vec<&str> = entry
-        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
-        .filter(|w| w.starts_with("--"))
-        .collect();
-    if entry.contains("[detect flags]") {
-        flags.extend(usage_flags("detect")?);
-    }
-    Some(flags)
+    Some(
+        entry
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter(|w| w.starts_with("--"))
+            .collect(),
+    )
 }
 
 /// Rejects any `--flag` that `cmd`'s usage entry does not list, so a
@@ -284,7 +281,9 @@ fn opt_usize(rest: &[String], name: &str, default: usize) -> Result<usize, Strin
     }
 }
 
-fn load(rest: &[String]) -> Result<(String, narada::lang::hir::Program), String> {
+/// Reads and compiles the `.mj` file or corpus class `rest` names;
+/// returns its source and the compiled library.
+fn load(rest: &[String]) -> Result<(String, CompiledLib), String> {
     let path = rest
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -293,16 +292,16 @@ fn load(rest: &[String]) -> Result<(String, narada::lang::hir::Program), String>
         Some(entry) => entry.source.to_string(),
         None => std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?,
     };
-    let prog = narada::compile(&src).map_err(|d| {
+    let lib = CompiledLib::compile(&src).map_err(|d| {
         let map = SourceMap::new(&src);
         format!("{path}: compilation failed\n{}", d.render(&map))
     })?;
-    Ok((src, prog))
+    Ok((src, lib))
 }
 
 fn cmd_run(rest: &[String]) -> Result<(), String> {
-    let (_src, prog) = load(rest)?;
-    let mir = lower_program(&prog);
+    let (_src, lib) = load(rest)?;
+    let (prog, mir) = (&*lib.prog, &*lib.mir);
     let trace = flag(rest, "--trace");
     let tests: Vec<_> = match opt(rest, "--test") {
         Some(name) => vec![prog
@@ -313,7 +312,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
     if tests.is_empty() {
         return Err("the program declares no tests".into());
     }
-    let mut machine = Machine::with_defaults(&prog, &mir);
+    let mut machine = Machine::with_defaults(prog, mir);
     for t in tests {
         let mut sink = VecSink::new();
         let name = prog.test(t).name.clone();
@@ -322,7 +321,7 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
             Err(e) => println!("test {name}: FAILED — {e}"),
         }
         if trace {
-            let mut renderer = TraceRenderer::new(&prog, &mir);
+            let mut renderer = TraceRenderer::new(prog, mir);
             println!("{}", renderer.render_all(&sink.events));
         }
     }
@@ -330,8 +329,8 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_mir(rest: &[String]) -> Result<(), String> {
-    let (_src, prog) = load(rest)?;
-    let mir = lower_program(&prog);
+    let (_src, lib) = load(rest)?;
+    let (prog, mir) = (&*lib.prog, &*lib.mir);
     match opt(rest, "--method") {
         Some(qname) => {
             let m = prog
@@ -357,16 +356,15 @@ fn cmd_mir(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn synth_opts(rest: &[String]) -> Result<SynthesisOptions, String> {
-    Ok(SynthesisOptions {
+/// `jopts`' synthesis options with the ablation flags `synth` and
+/// `pairs` take on top.
+fn ablation_opts(rest: &[String], jopts: &JobOptions) -> SynthesisOptions {
+    SynthesisOptions {
         strict_unprotected: flag(rest, "--strict-unprotected"),
         prefix_fallback: !flag(rest, "--no-prefix-fallback"),
         lockset_aware: !flag(rest, "--no-lockset-aware"),
-        static_filter: flag(rest, "--static-filter"),
-        static_rank: flag(rest, "--static-rank"),
-        threads: opt_usize(rest, "--threads", 0)?,
-        ..Default::default()
-    })
+        ..jopts.synthesis_options()
+    }
 }
 
 /// Builds the run's telemetry bundle; spans are recorded only when
@@ -403,62 +401,42 @@ fn write_telemetry(
     Ok(())
 }
 
-/// Parses the generation knobs shared by `narada gen` and
-/// `--generate-seeds`. The generation seed flag differs per command:
-/// `gen` owns `--seed`, but `detect`/`corpus` already use `--seed` for
-/// the detector, so there the generator reads `--gen-seed`.
-fn gen_opts(rest: &[String], seed_flag: &str) -> Result<narada::gen::GenOptions, String> {
-    Ok(narada::gen::GenOptions {
-        budget: opt_usize(rest, "--budget", 512)?,
-        seed: opt_usize(rest, seed_flag, 0x67656e)? as u64,
-        threads: opt_usize(rest, "--threads", 0)?,
-        max_len: opt_usize(rest, "--max-len", 10)?,
-        ..narada::gen::GenOptions::default()
+/// `jopts`' generator options with `--max-len`, which `synth` and `gen`
+/// take on top.
+fn gen_opts(rest: &[String], jopts: &JobOptions) -> Result<GenOptions, String> {
+    let opts = jopts.gen_options();
+    Ok(GenOptions {
+        max_len: opt_usize(rest, "--max-len", opts.max_len)?,
+        ..opts
     })
 }
 
-/// Synthesizes with the static pre-screener plugged in; the pipeline only
-/// invokes it when `--static-filter` / `--static-rank` are set. Under
-/// `--generate-seeds` the program's hand-written suite is replaced by a
-/// generated one first; the returned program/MIR are the ones synthesis
-/// actually ran on, so replay, recording, and detection downstream all
-/// operate on the generated suite.
+/// Synthesizes through the one pipeline `narada serve` runs too, then
+/// prints what generation and the static screener did in this run.
 fn run_synthesis(
-    prog: &Program,
-    mir: &MirProgram,
-    rest: &[String],
+    lib: &CompiledLib,
+    opts: &SynthesisOptions,
+    gen: &GenOptions,
     obs: &Obs,
-) -> Result<(Program, MirProgram, SynthesisOutput), String> {
-    let mut opts = synth_opts(rest)?;
-    opts.generate_seeds = flag(rest, "--generate-seeds");
-    let (prog, mir, out) = if opts.generate_seeds {
-        let gopts = gen_opts(rest, "--gen-seed")?;
-        let generator = |p: &Program, m: &MirProgram| {
-            let out = narada::gen::generate_suite(p, m, &gopts, obs);
-            println!(
-                "generated {} seed test(s) from {} candidate(s)",
-                out.tests.len(),
-                out.stats.candidates
-            );
-            out.tests
-        };
-        narada::synthesize_generated(
-            prog,
-            mir,
-            &opts,
-            &generator,
-            Some(&narada::screen_pairs),
-            obs,
-        )
-    } else {
-        let out = narada::synthesize_observed(prog, mir, &opts, Some(&narada::screen_pairs), obs);
-        (prog.clone(), mir.clone(), out)
-    };
-    if opts.static_filter || opts.static_rank {
+) -> Synthesized {
+    let job = narada::serve::synthesize(lib, opts, gen, obs);
+    if let Some(stats) = &job.generated {
         println!(
-            "static screener: {} of {} pairs pruned{}",
-            out.timings.pairs_pruned,
-            out.pairs.pairs.len(),
+            "generated {} seed test(s) from {} candidate(s)",
+            job.prog.tests.len(),
+            stats.candidates
+        );
+    }
+    if opts.static_filter || opts.static_rank {
+        let pruned = match &job.out.verdicts {
+            Some(verdicts) if opts.static_filter => {
+                verdicts.iter().filter(|v| !v.may_race()).count()
+            }
+            _ => 0,
+        };
+        println!(
+            "static screener: {pruned} of {} pairs pruned{}",
+            job.out.pair_count(),
             if opts.static_rank {
                 ", survivors ranked by score"
             } else {
@@ -466,22 +444,7 @@ fn run_synthesis(
             }
         );
     }
-    Ok((prog, mir, out))
-}
-
-/// Parses the shared exploration flags: `--strategy` and `--depth`.
-fn strategy_opts(rest: &[String]) -> Result<ScheduleStrategy, String> {
-    let mut strategy = match opt(rest, "--strategy") {
-        Some(s) => ScheduleStrategy::parse(s)?,
-        None => ScheduleStrategy::default(),
-    };
-    if let Some(d) = opt(rest, "--depth") {
-        let depth: usize = d
-            .parse()
-            .map_err(|_| format!("--depth expects a number, got `{d}`"))?;
-        strategy = strategy.with_depth(depth);
-    }
-    Ok(strategy)
+    job
 }
 
 /// Replays a recorded `.sched` log against a (re-)synthesized suite and
@@ -551,19 +514,15 @@ fn replay_file(
 /// Runs the detection + confirmation protocol per plan and writes one
 /// ddmin-minimized `.sched` fixture per confirmed race into `dir`.
 fn record_fixtures(
-    prog: &Program,
-    mir: &MirProgram,
-    out: &SynthesisOutput,
-    cfg: &DetectConfig,
+    job: &Synthesized,
+    mut cfg: DetectConfig,
     dir: &Path,
     label: &str,
 ) -> Result<usize, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let Synthesized { prog, mir, out, .. } = job;
     let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
-    let cfg = DetectConfig {
-        minimize: true,
-        ..cfg.clone()
-    };
+    cfg.minimize = true;
     let mut written = 0usize;
     for test in &out.tests {
         let mut report = evaluate_test_observed(
@@ -632,10 +591,16 @@ fn record_fixtures(
 }
 
 fn cmd_synth(rest: &[String]) -> Result<(), String> {
-    let (_src, prog) = load(rest)?;
-    let mir = lower_program(&prog);
+    let (_src, lib) = load(rest)?;
+    let jopts = job_opts(rest)?;
     let obs = obs_for(rest);
-    let (prog, mir, out) = run_synthesis(&prog, &mir, rest, &obs)?;
+    let job = run_synthesis(
+        &lib,
+        &ablation_opts(rest, &jopts),
+        &gen_opts(rest, &jopts)?,
+        &obs,
+    );
+    let Synthesized { prog, mir, out, .. } = &job;
     println!(
         "{} racing pairs, {} synthesized tests ({} race-expecting) in {:?}",
         out.pair_count(),
@@ -643,32 +608,29 @@ fn cmd_synth(rest: &[String]) -> Result<(), String> {
         out.tests.iter().filter(|t| t.plan.expects_race).count(),
         out.elapsed
     );
-    if flag(rest, "--timings") {
-        print!("{}", out.timings.render());
-    }
     for (name, err) in &out.seed_failures {
         println!("warning: seed `{name}` failed: {err}");
     }
     if flag(rest, "--render") {
         for t in &out.tests {
             println!("\n=== test #{} ===", t.index);
-            print!("{}", t.plan.render(&prog));
+            print!("{}", t.plan.render(prog));
         }
     }
     if let Some(file) = opt(rest, "--replay") {
-        replay_file(&prog, &mir, &out, file, 2_000_000)?;
+        replay_file(prog, mir, out, file, jopts.budget)?;
     }
     if let Some(dir) = opt(rest, "--record") {
         let explore = ExploreOptions {
-            strategy: strategy_opts(rest)?,
+            strategy: jopts.strategy.clone(),
             seed: opt_usize(rest, "--seed", 0xdecaf)? as u64,
-            threads: opt_usize(rest, "--threads", 0)?,
+            threads: jopts.threads,
             ..ExploreOptions::default()
         };
         let dir = Path::new(dir);
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let demos = demonstrate_observed(&prog, &mir, &out, &explore, &obs);
+        let demos = demonstrate_observed(prog, mir, out, &explore, &obs);
         for d in &demos {
             let file = dir.join(format!("demo-p{}.sched", d.test_index));
             std::fs::write(&file, d.schedule.to_text())
@@ -689,53 +651,40 @@ fn cmd_synth(rest: &[String]) -> Result<(), String> {
         rest,
         &obs,
         "synth",
-        out.timings.threads,
-        &[("strategy", strategy_opts(rest)?.label().to_string())],
+        effective_threads(jopts.threads),
+        &[("strategy", jopts.strategy.label().to_string())],
     )
 }
 
 fn cmd_detect(rest: &[String]) -> Result<(), String> {
-    let (_src, prog) = load(rest)?;
-    let mir = lower_program(&prog);
+    let (src, lib) = load(rest)?;
+    let jopts = job_opts(rest)?;
     let obs = obs_for(rest);
-    let (prog, mir, mut out) = run_synthesis(&prog, &mir, rest, &obs)?;
-    let cfg = DetectConfig {
-        schedule_trials: opt_usize(rest, "--schedules", 6)?,
-        confirm_trials: opt_usize(rest, "--confirms", 4)?,
-        seed: opt_usize(rest, "--seed", 42)? as u64,
-        budget: 2_000_000,
-        threads: opt_usize(rest, "--threads", 0)?,
-        strategy: strategy_opts(rest)?,
-        ..DetectConfig::default()
-    };
+    let job = run_synthesis(&lib, &jopts.synthesis_options(), &jopts.gen_options(), &obs);
+    let cfg = jopts.detect_config();
     if let Some(file) = opt(rest, "--replay") {
-        return replay_file(&prog, &mir, &out, file, cfg.budget);
+        return replay_file(&job.prog, &job.mir, &job.out, file, cfg.budget);
     }
     if let Some(dir) = opt(rest, "--record") {
-        let n = record_fixtures(&prog, &mir, &out, &cfg, Path::new(dir), "detect")?;
+        let n = record_fixtures(&job, cfg, Path::new(dir), "detect")?;
         println!("recorded {n} fixture(s)");
         return Ok(());
     }
-    let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
-    let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-    let (reports, agg) =
-        narada::detect::evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &obs);
+    let (reports, agg) = job.detect(&cfg, &obs);
     if let Some(path) = opt(rest, "--report-out") {
-        let jopts = job_opts(rest)?;
-        let doc = narada::serve::render_report(&prog, &_src, &jopts, &out, &reports, &agg);
+        let doc = narada::serve::render_report(&job.prog, &src, &jopts, &job.out, &reports, &agg);
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
-    println!("{}", narada::serve::summary_line(plans.len(), &agg));
-    if flag(rest, "--timings") {
-        out.timings.record_detect(agg.elapsed, agg.jobs);
-        print!("{}", out.timings.render());
-    }
+    println!(
+        "{}",
+        narada::serve::summary_line(job.out.test_count(), &agg)
+    );
     write_telemetry(
         rest,
         &obs,
         "detect",
-        out.timings.threads,
+        effective_threads(jopts.threads),
         &[
             ("schedules", cfg.schedule_trials.to_string()),
             ("confirms", cfg.confirm_trials.to_string()),
@@ -811,24 +760,17 @@ fn access_json(prog: &Program, a: &narada::core::AccessRecord) -> Json {
 /// Generation statistics go to stderr, keeping stdout byte-comparable
 /// across runs (the determinism smoke in CI relies on this).
 fn cmd_gen(rest: &[String]) -> Result<(), String> {
-    let prog = match rest.first().filter(|a| !a.starts_with("--")) {
-        Some(id) if narada::corpus::by_id(id).is_some() => {
-            let e = narada::corpus::by_id(id).expect("checked");
-            e.compile().map_err(|d| format!("{}: {d}", e.id))?
-        }
-        _ => load(rest)?.1,
-    };
-    let mir = lower_program(&prog);
+    let (_src, lib) = load(rest)?;
+    let (prog, mir) = (&*lib.prog, &*lib.mir);
     let obs = obs_for(rest);
-    let opts = gen_opts(rest, "--seed")?;
-    let api = if flag(rest, "--full-api") || prog.tests.is_empty() {
-        narada::gen::ApiSurface::for_program(&prog)
+    let mut opts = gen_opts(rest, &job_opts(rest)?)?;
+    opts.seed = opt_usize(rest, "--seed", opts.seed as usize)? as u64;
+    let out = if flag(rest, "--full-api") {
+        let api = narada::gen::ApiSurface::for_program(prog);
+        narada::gen::generate(prog, mir, &api, None, &opts, &obs)
     } else {
-        narada::gen::ApiSurface::from_tests(&prog, &mir)
+        narada::gen::generate_suite(prog, mir, &lib.surface(), &opts, &obs)
     };
-    let basis = (!flag(rest, "--full-api") && !prog.tests.is_empty())
-        .then(|| narada::gen::FactBasis::from_tests(&prog, &mir));
-    let out = narada::gen::generate(&prog, &mir, &api, basis.as_ref(), &opts, &obs);
     let stats = out.stats;
     let mut gen_prog = prog.clone();
     gen_prog.tests = out.tests;
@@ -850,7 +792,7 @@ fn cmd_gen(rest: &[String]) -> Result<(), String> {
         rest,
         &obs,
         "gen",
-        narada::core::effective_threads(opts.threads),
+        effective_threads(opts.threads),
         &[
             ("budget", opts.budget.to_string()),
             ("gen-seed", format!("{:#x}", opts.seed)),
@@ -860,16 +802,11 @@ fn cmd_gen(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_pairs(rest: &[String]) -> Result<(), String> {
-    let prog = match rest.first().filter(|a| !a.starts_with("--")) {
-        Some(id) if narada::corpus::by_id(id).is_some() => {
-            let e = narada::corpus::by_id(id).expect("checked");
-            e.compile().map_err(|d| format!("{}: {d}", e.id))?
-        }
-        _ => load(rest)?.1,
-    };
-    let mir = lower_program(&prog);
-    let out = synthesize_observed(&prog, &mir, &synth_opts(rest)?, None, &Obs::new());
-    let verdicts = narada::screen_pairs(&mir, &out.pairs);
+    let (_src, lib) = load(rest)?;
+    let (prog, mir) = (&*lib.prog, &*lib.mir);
+    let opts = ablation_opts(rest, &job_opts(rest)?);
+    let out = synthesize_observed(prog, mir, &opts, None, &Obs::new());
+    let verdicts = narada::screen_pairs(mir, &out.pairs);
     let may_only = flag(rest, "--may-race-only");
     if flag(rest, "--json") {
         let entries: Vec<Json> = out
@@ -885,8 +822,8 @@ fn cmd_pairs(rest: &[String]) -> Result<(), String> {
                     .with("index", Json::Int(i as i64))
                     .with("verdict", Json::Str(v.to_string()))
                     .with("may_race", Json::Bool(v.may_race()))
-                    .with("a", access_json(&prog, x))
-                    .with("b", access_json(&prog, y))
+                    .with("a", access_json(prog, x))
+                    .with("b", access_json(prog, y))
             })
             .collect();
         println!("{}", Json::Arr(entries).to_pretty());
@@ -901,8 +838,8 @@ fn cmd_pairs(rest: &[String]) -> Result<(), String> {
         println!(
             "#{i:<4} {:<28} {}  |  {}",
             v.to_string(),
-            render_access(&prog, x),
-            render_access(&prog, y)
+            render_access(prog, x),
+            render_access(prog, y)
         );
         shown += 1;
     }
@@ -927,61 +864,44 @@ fn cmd_corpus(rest: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("unknown corpus id `{id}` (C1..C9)"))?],
         None => narada::corpus::all(),
     };
+    let jopts = job_opts(rest)?;
     let obs = obs_for(rest);
     let mut classes = Vec::new();
-    let mut threads = 0usize;
     for e in entries {
         classes.push(e.id);
-        let prog = e.compile().map_err(|d| format!("{}: {d}", e.id))?;
-        let mir = lower_program(&prog);
-        let (prog, mir, out) = run_synthesis(&prog, &mir, rest, &obs)?;
-        threads = out.timings.threads;
+        let lib = CompiledLib::compile(e.source).map_err(|d| format!("{}: {d}", e.id))?;
+        let job = run_synthesis(&lib, &jopts.synthesis_options(), &jopts.gen_options(), &obs);
         println!(
             "{} {} ({}): {} pairs, {} tests [paper: {} pairs, {} tests]",
             e.id,
             e.class_name,
             e.benchmark,
-            out.pair_count(),
-            out.test_count(),
+            job.out.pair_count(),
+            job.out.test_count(),
             e.paper.race_pairs,
             e.paper.tests
         );
-        if flag(rest, "--timings") {
-            print!("{}", out.timings.render());
-        }
-        if flag(rest, "--detect") || opt(rest, "--record").is_some() {
-            let cfg = DetectConfig {
-                schedule_trials: opt_usize(rest, "--schedules", 6)?,
-                confirm_trials: opt_usize(rest, "--confirms", 4)?,
-                seed: opt_usize(rest, "--seed", 42)? as u64,
-                threads: opt_usize(rest, "--threads", 0)?,
-                strategy: strategy_opts(rest)?,
-                ..DetectConfig::default()
-            };
-            if let Some(dir) = opt(rest, "--record") {
-                let label = e.id.to_lowercase();
-                let n = record_fixtures(&prog, &mir, &out, &cfg, Path::new(dir), &label)?;
-                println!("{}: recorded {n} fixture(s)", e.id);
-            } else {
-                let seeds: Vec<_> = prog.tests.iter().map(|t| t.id).collect();
-                let plans: Vec<_> = out.tests.iter().map(|t| &t.plan).collect();
-                let agg = evaluate_suite_full(&prog, &mir, &seeds, &plans, &cfg, &obs).1;
-                println!(
-                    "{}: {} races detected, {} reproduced ({} harmful, {} benign)",
-                    e.id,
-                    agg.races_detected,
-                    agg.harmful + agg.benign,
-                    agg.harmful,
-                    agg.benign
-                );
-            }
+        if let Some(dir) = opt(rest, "--record") {
+            let label = e.id.to_lowercase();
+            let n = record_fixtures(&job, jopts.detect_config(), Path::new(dir), &label)?;
+            println!("{}: recorded {n} fixture(s)", e.id);
+        } else if flag(rest, "--detect") {
+            let agg = job.detect(&jopts.detect_config(), &obs).1;
+            println!(
+                "{}: {} races detected, {} reproduced ({} harmful, {} benign)",
+                e.id,
+                agg.races_detected,
+                agg.harmful + agg.benign,
+                agg.harmful,
+                agg.benign
+            );
         }
     }
     write_telemetry(
         rest,
         &obs,
         "corpus",
-        threads,
+        effective_threads(jopts.threads),
         &[("classes", classes.join(","))],
     )
 }
@@ -1073,7 +993,7 @@ fn run_difftest(rest: &[String]) -> Result<usize, String> {
         rest,
         &obs,
         "difftest",
-        narada::core::effective_threads(cfg.threads),
+        effective_threads(cfg.threads),
         &[
             ("seed", format!("{:#x}", cfg.seed)),
             ("count", cfg.count.to_string()),
@@ -1124,22 +1044,29 @@ fn addr_opt(rest: &[String]) -> String {
     opt(rest, "--addr").unwrap_or(DEFAULT_ADDR).to_string()
 }
 
-/// Builds wire-form job options from the same flags `cmd_detect` reads,
-/// so `narada submit <file> --seed 7 --static-rank` means exactly what
-/// `narada detect <file> --seed 7 --static-rank` means.
-fn job_opts(rest: &[String]) -> Result<narada::serve::JobOptions, String> {
-    Ok(narada::serve::JobOptions {
-        schedules: opt_usize(rest, "--schedules", 6)?,
-        confirms: opt_usize(rest, "--confirms", 4)?,
-        seed: opt_usize(rest, "--seed", 42)? as u64,
-        threads: opt_usize(rest, "--threads", 0)?,
-        strategy: strategy_opts(rest)?,
+/// Parses the job options: the one option set of `detect`, `corpus` and
+/// `submit`, whose defaults are [`JobOptions::default`]'s.
+fn job_opts(rest: &[String]) -> Result<JobOptions, String> {
+    let d = JobOptions::default();
+    let mut strategy = match opt(rest, "--strategy") {
+        Some(s) => ScheduleStrategy::parse(s)?,
+        None => d.strategy.clone(),
+    };
+    if flag(rest, "--depth") {
+        strategy = strategy.with_depth(opt_usize(rest, "--depth", 0)?);
+    }
+    Ok(JobOptions {
+        schedules: opt_usize(rest, "--schedules", d.schedules)?,
+        confirms: opt_usize(rest, "--confirms", d.confirms)?,
+        seed: opt_usize(rest, "--seed", d.seed as usize)? as u64,
+        threads: opt_usize(rest, "--threads", d.threads)?,
+        strategy,
         static_filter: flag(rest, "--static-filter"),
         static_rank: flag(rest, "--static-rank"),
         generate_seeds: flag(rest, "--generate-seeds"),
-        gen_budget: opt_usize(rest, "--budget", 512)?,
-        gen_seed: opt_usize(rest, "--gen-seed", 0x67656e)? as u64,
-        ..narada::serve::JobOptions::default()
+        gen_budget: opt_usize(rest, "--budget", d.gen_budget)?,
+        gen_seed: opt_usize(rest, "--gen-seed", d.gen_seed as usize)? as u64,
+        ..d
     })
 }
 
@@ -1175,8 +1102,9 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Live daemon dashboard over the `watch` stream; `--once` degrades to a
-/// single `health` frame printed as compact JSON (for scripts).
+/// Live daemon dashboard: polls `health` every `--interval` ms for
+/// `--count` screens (0 = until interrupted); `--once` prints a single
+/// `health` frame as compact JSON instead (for scripts).
 fn cmd_top(rest: &[String]) -> Result<(), String> {
     let addr = addr_opt(rest);
     let mut client = narada::serve::Client::connect(&addr)?;
@@ -1184,29 +1112,34 @@ fn cmd_top(rest: &[String]) -> Result<(), String> {
         println!("{}", client.health()?.to_compact());
         return Ok(());
     }
-    let interval = opt_usize(rest, "--interval", 1000)? as u64;
-    let count = opt_usize(rest, "--count", 0)? as u64;
-    client.watch(interval, count, &mut |frame| {
+    // The floor keeps a zero interval from spinning the daemon.
+    let interval =
+        std::time::Duration::from_millis(opt_usize(rest, "--interval", 1000)?.max(10) as u64);
+    let count = opt_usize(rest, "--count", 0)?;
+    for screen in 1.. {
+        let frame = client.health()?;
         // Clear + home, then redraw — a self-contained refresh per frame.
-        print!("\x1b[2J\x1b[H{}", render_top(&addr, frame));
+        print!("\x1b[2J\x1b[H{}", render_top(&addr, &frame, screen));
         use std::io::Write as _;
         std::io::stdout().flush().ok();
-        true
-    })?;
+        if screen == count {
+            break;
+        }
+        std::thread::sleep(interval);
+    }
     Ok(())
 }
 
 /// One `top` screen: daemon status, job table, latency quantiles (cold
 /// vs warm plus per-stage), cache occupancy, and worker heartbeats.
-fn render_top(addr: &str, frame: &Json) -> String {
+fn render_top(addr: &str, frame: &Json, screen: usize) -> String {
     let int = |node: Option<&Json>| node.and_then(|v| v.as_i64()).unwrap_or(0);
     let secs = |ns: i64| ns as f64 / 1e9;
     let mut out = String::new();
     let status = frame.get("status").and_then(|s| s.as_str()).unwrap_or("?");
     out.push_str(&format!(
-        "narada top — {addr}  [{status}]  uptime {:.1}s  frame {}\n\n",
+        "narada top — {addr}  [{status}]  uptime {:.1}s  frame {screen}\n\n",
         secs(int(frame.get("uptime_ns"))),
-        int(frame.get("seq")),
     ));
     let jobs = frame.get("jobs");
     out.push_str(&format!(

@@ -136,9 +136,15 @@ fn unknown_command_fails() {
 /// forks, falling back to fresh starts on its own.
 #[test]
 fn unknown_flag_exits_2_and_names_it() {
-    for (flag, value) in [("--schedule", "1"), ("--explore", "rerun")] {
-        let out = narada(&["detect", "C3", flag, value, "--confirm", "1"]);
-        assert_eq!(out.status.code(), Some(2));
+    for (cmd, flag, value) in [
+        ("detect", "--schedule", "1"),
+        ("detect", "--explore", "rerun"),
+        ("detect", "--no-lockset-aware", "1"),
+        ("submit", "--record", "x"),
+        ("submit", "--report-out", "x"),
+    ] {
+        let out = narada(&[cmd, "C3", flag, value, "--confirm", "1"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(&format!("unknown flag `{flag}`")),
@@ -171,10 +177,8 @@ fn engine_flag_is_rejected() {
 /// exit 1, never the unknown-flag exit 2.
 #[test]
 fn documented_flags_are_accepted() {
-    const DETECT: &str = "--schedules x --confirms x --seed x --strict-unprotected \
-        --no-prefix-fallback --no-lockset-aware --static-filter --static-rank \
-        --generate-seeds --budget x --max-len x --gen-seed x --report-out x --threads x \
-        --timings --strategy x --depth x --record x --replay x --trace-out x --manifest x";
+    const JOB: &str = "--schedules x --confirms x --seed x --static-filter --static-rank \
+        --generate-seeds --budget x --gen-seed x --threads x --strategy x --depth x";
     const ADDR: &str = "--addr 127.0.0.1:1";
     let cases = [
         ("run", "no-such-file.mj --test x --trace".to_string()),
@@ -182,12 +186,18 @@ fn documented_flags_are_accepted() {
         (
             "synth",
             "no-such-file.mj --render --strict-unprotected --no-prefix-fallback \
-             --no-lockset-aware --static-filter --static-rank --threads x --timings --seed x \
+             --no-lockset-aware --static-filter --static-rank --threads x --seed x \
              --generate-seeds --budget x --max-len x --gen-seed x --strategy x --depth x \
              --record x --replay x --trace-out x --manifest x"
                 .into(),
         ),
-        ("detect", format!("no-such-file.mj {DETECT}")),
+        (
+            "detect",
+            format!(
+                "no-such-file.mj {JOB} --report-out x --record x --replay x --trace-out x \
+                 --manifest x"
+            ),
+        ),
         (
             "gen",
             "no-such-file.mj --budget x --seed x --threads x --max-len x --full-api \
@@ -202,11 +212,7 @@ fn documented_flags_are_accepted() {
         ),
         (
             "corpus",
-            "C0 --threads x --timings --detect --schedules x --confirms x --seed x \
-             --strict-unprotected --no-prefix-fallback --no-lockset-aware --static-filter \
-             --static-rank --generate-seeds --budget x --max-len x --gen-seed x --strategy x \
-             --depth x --record x --trace-out x --manifest x"
-                .into(),
+            format!("C0 {JOB} --detect --record x --trace-out x --manifest x"),
         ),
         (
             "difftest",
@@ -223,7 +229,7 @@ fn documented_flags_are_accepted() {
             ),
         ),
         ("top", format!("{ADDR} --once --interval x --count x")),
-        ("submit", format!("no-such-file.mj {ADDR} {DETECT}")),
+        ("submit", format!("no-such-file.mj {ADDR} {JOB}")),
         ("jobs", format!("{ADDR} --stats")),
         ("fetch", format!("0 {ADDR} --wait --out x --quiet")),
         ("shutdown", ADDR.into()),
@@ -414,6 +420,17 @@ fn top_once_reports_cold_and_warm_quantiles_from_a_live_daemon() {
     }
     assert_eq!(count("cold"), 1, "{stdout}");
     assert_eq!(count("warm"), 1, "resubmission classifies warm: {stdout}");
+
+    // The dashboard polls `health` and numbers its own screens.
+    let out = narada(&["top", "--count", "2", "--interval", "10", "--addr", &addr]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("narada top — ").count(), 2, "{stdout}");
+    assert!(stdout.contains("frame 2"), "{stdout}");
 
     let out = narada(&["shutdown", "--addr", &addr]);
     assert!(out.status.success());
